@@ -20,7 +20,6 @@ from .graphs import (
 )
 from .recognition import (
     DeltaCertificate,
-    brute_force_recognize,
     check_certificate,
     max_excluded,
     recognize_c_delta,
@@ -34,10 +33,8 @@ from .orthorep import (
     RepReport,
     RetryBudgetExceeded,
     construct,
-    extend,
     gram,
     rank,
-    seed_triple,
     verify_rep,
 )
 from .msr import (
@@ -50,4 +47,4 @@ from .msr import (
 )
 from . import families
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -71,7 +71,7 @@ def _cmd_recognize(args) -> int:
     except ValueError as exc:
         return _fail(str(exc), 2)
     recognizer = recognize_c_delta if args.c_delta else recognize_delta
-    cert = recognizer(g, args.mode)
+    cert = recognizer(g)
     if cert is None:
         print("absent")
         return 1
@@ -84,7 +84,7 @@ def _cmd_certify(args) -> int:
         g = _load_graph(args)
     except ValueError as exc:
         return _fail(str(exc), 2)
-    cert = recognize_delta(g, args.mode)
+    cert = recognize_delta(g)
     if cert is None:
         return _fail("graph was not recognized as a delta-graph", 1)
     try:
@@ -159,7 +159,7 @@ def _cmd_batch(args) -> int:
             print(json.dumps({"graph": line, "error": "graph is disconnected"}, sort_keys=True))
             continue
         try:
-            report = check_delta_conjecture(g, mode=args.mode, seed=args.seed, graph_id=line)
+            report = check_delta_conjecture(g, seed=args.seed, graph_id=line)
         except RetryBudgetExceeded as exc:
             print(json.dumps({"graph": line, "error": str(exc)}, sort_keys=True))
             continue
@@ -167,24 +167,22 @@ def _cmd_batch(args) -> int:
     return 0
 
 
+# gen family -> builder from the parsed arguments
+_GEN_BUILDERS = {
+    "cycle": lambda a: families.cycle(a.n),
+    "path": lambda a: families.path(a.n),
+    "complete": lambda a: families.complete(a.n),
+    "star": lambda a: families.star(a.n),
+    "mobius": lambda a: families.mobius_ladder(a.n),
+    "robertson": lambda a: families.robertson_cage(),
+    "cartesian": lambda a: families.cartesian_product(parse_graph6(a.g), parse_graph6(a.h)),
+    "corona": lambda a: families.corona(parse_graph6(a.g), parse_graph6(a.h)),
+}
+
+
 def _cmd_gen(args) -> int:
     try:
-        if args.family == "cycle":
-            g = families.cycle(args.n)
-        elif args.family == "path":
-            g = families.path(args.n)
-        elif args.family == "complete":
-            g = families.complete(args.n)
-        elif args.family == "star":
-            g = families.star(args.n)
-        elif args.family == "mobius":
-            g = families.mobius_ladder(args.n)
-        elif args.family == "robertson":
-            g = families.robertson_cage()
-        elif args.family == "cartesian":
-            g = families.cartesian_product(parse_graph6(args.g), parse_graph6(args.h))
-        else:  # corona
-            g = families.corona(parse_graph6(args.g), parse_graph6(args.h))
+        g = _GEN_BUILDERS[args.family](args)
     except ValueError as exc:
         return _fail(str(exc), 2)
     print(to_graph6(g))
@@ -210,12 +208,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recognize", help="find a delta or C-delta certificate")
     add_graph_input(p)
     p.add_argument("--c-delta", action="store_true", help="recognize the complement form")
-    p.add_argument("--mode", choices=("strict", "relaxed"), default="strict")
     p.set_defaults(func=_cmd_recognize)
 
     p = sub.add_parser("certify", help="certificate + representation bundle")
     add_graph_input(p)
-    p.add_argument("--mode", choices=("strict", "relaxed"), default="strict")
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--emit-gram", action="store_true")
     p.set_defaults(func=_cmd_certify)
@@ -226,7 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="Delta Conjecture report per graph6 line")
     p.add_argument("input", nargs="?", help="file of graph6 lines (default: stdin)")
-    p.add_argument("--mode", choices=("strict", "relaxed"), default="strict")
     p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(func=_cmd_batch)
 

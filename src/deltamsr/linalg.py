@@ -16,7 +16,6 @@ __all__ = [
     "nullspace_basis",
     "rank_bareiss",
     "primitive_int_vector",
-    "size_reduce_basis",
 ]
 
 
@@ -108,36 +107,3 @@ def primitive_int_vector(vec) -> list[int]:
     if g > 1:
         ints = [x // g for x in ints]
     return ints
-
-
-def size_reduce_basis(basis: list[list[int]], metric_cols: int) -> list[list[int]]:
-    """Greedy Lagrange-style size reduction of an integer lattice basis.
-
-    Repeatedly subtracts rounded projections between basis vectors while
-    the squared norm drops, using only the first ``metric_cols``
-    coordinates as the metric (trailing bookkeeping columns ride along).
-    Keeps construction coordinates small; never changes the lattice.
-    """
-    basis = [list(v) for v in basis]
-
-    def norm2(v):
-        return sum(x * x for x in v[:metric_cols])
-
-    changed = True
-    while changed:
-        changed = False
-        basis.sort(key=norm2)
-        for j in range(1, len(basis)):
-            for i in range(j):
-                denom = norm2(basis[i])
-                mu = round(Fraction(
-                    sum(a * b for a, b in zip(basis[j][:metric_cols], basis[i][:metric_cols])),
-                    denom,
-                ))
-                if mu == 0:
-                    continue
-                candidate = [a - mu * b for a, b in zip(basis[j], basis[i])]
-                if norm2(candidate) < norm2(basis[j]):
-                    basis[j] = candidate
-                    changed = True
-    return basis

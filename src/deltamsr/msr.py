@@ -201,7 +201,6 @@ def msr_bounds(
 
 def check_delta_conjecture(
     g: Graph,
-    mode: str = "strict",
     seed: int = 0,
     graph_id: str | None = None,
 ) -> ConjectureReport:
@@ -217,7 +216,7 @@ def check_delta_conjecture(
         graph_id = to_graph6(g)
     n = g.n
     delta_bound = n - min_degree(g)
-    cert = recognize_delta(g, mode)
+    cert = recognize_delta(g)
     if cert is not None:
         rep = construct(g, cert, GenericSampler(seed=seed))
         report = verify_rep(g, rep)

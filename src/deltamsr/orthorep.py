@@ -5,35 +5,28 @@ in dimension d = max_degree(complement(G)) + 1 such that inner products are
 nonzero exactly on edges.  The span of the vectors then witnesses
 msr(G) <= d = |G| - min_degree(G).
 
-Each vertex is adjoined by solving a homogeneous linear system over the
-columns [coordinates | neighbour inner products]: orthogonality rows for
-prior non-neighbours, and rows tying each prior neighbour's inner product
-to an extra unknown that must come out nonzero.  Free variables are drawn
-from a seeded sampler; every required nonzero condition (coordinates,
-neighbour inner products, pairwise independence) is verified in exact
-arithmetic and the offending free variables are resampled on failure.
-Random nonzero rationals from a widening window make each condition fail
-with vanishing probability, so the bounded retry loop replaces the nested
-field extensions a by-hand construction would track.
+Vertices are adjoined in certificate order, as in the general-position
+argument of Lovasz, Saks and Schrijver: each new vector is a random integer
+combination of a basis of the nullspace of its prior non-neighbours, a
+system of t < d rows in d columns.  Every remaining condition (nonzero
+coordinates, nonzero inner product with each prior neighbour, independence
+from every prior) is checked in exact arithmetic and the combination is
+redrawn on failure.  Each condition fails only on a proper subvariety, so
+random coefficients from a widening window make the bounded retry loop
+succeed with overwhelming probability.
 """
 
 from __future__ import annotations
 
 import random
-import sys
+import re
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 
 from .graphs import Graph, complement, max_degree, min_degree
-from .linalg import (
-    dot,
-    nullspace_basis,
-    primitive_int_vector,
-    rank_bareiss,
-    size_reduce_basis,
-)
-from .recognition import DELTA_BASE_KINDS, DeltaCertificate, check_certificate
+from .linalg import dot, nullspace_basis, primitive_int_vector, rank_bareiss
+from .recognition import DeltaCertificate, check_certificate
 
 __all__ = [
     "MAX_RESAMPLES",
@@ -44,17 +37,15 @@ __all__ = [
     "OrthoRep",
     "GramMatrix",
     "RepReport",
-    "seed_triple",
-    "extend",
     "construct",
     "gram",
     "rank",
     "verify_rep",
     "fraction_to_str",
+    "fraction_from_str",
     "rep_to_json_dict",
     "rep_from_json_dict",
     "gram_to_json_dict",
-    "gram_to_decimal_text",
 ]
 
 # per-step retry budget; exceeding it signals a bug, not expected behaviour
@@ -135,10 +126,6 @@ def _is_multiple(u: RationalVector, v: RationalVector) -> bool:
     return all(x * lam == y for x, y in zip(u, v))
 
 
-def _sample_free(d: int, sampler: GenericSampler) -> RationalVector:
-    return tuple(sampler.nonzero() for _ in range(d))
-
-
 def _solve_vector(
     priors: list[tuple[RationalVector, bool]],
     d: int,
@@ -150,71 +137,33 @@ def _solve_vector(
     nonzero) or False (must be zero).  Requires fewer than d zero
     constraints, which any valid certificate guarantees.
     """
-    t = sum(1 for _, adjacent in priors if not adjacent)
+    zero_rows = [list(vec) for vec, adjacent in priors if not adjacent]
+    t = len(zero_rows)
     if t >= d:
         raise ValueError(
             f"{t} orthogonality constraints in dimension {d} can force the "
             "zero vector; the certificate bound is violated"
         )
-    neighbor_ids = [i for i, (_, adjacent) in enumerate(priors) if adjacent]
-    a = len(neighbor_ids)
-    rows: list[list[Fraction]] = []
-    for i, (vec, adjacent) in enumerate(priors):
-        row = list(vec) + [Fraction(0)] * a
-        if adjacent:
-            row[d + neighbor_ids.index(i)] = Fraction(-1)
-        rows.append(row)
-    basis = nullspace_basis(rows, d + a)
-    # integer lattice basis of the solution space, kept small so coordinate
-    # growth across construction steps stays polynomial instead of stacking
-    lattice = size_reduce_basis([primitive_int_vector(b) for b in basis], d)
+    basis = [primitive_int_vector(b) for b in nullspace_basis(zero_rows, d)]
+    neighbours = [vec for vec, adjacent in priors if adjacent]
 
     for attempt in range(MAX_RESAMPLES):
         if attempt and attempt % WIDEN_EVERY == 0:
             sampler.widen()
-        coeffs = [int(sampler.nonzero()) for _ in lattice]
-        z = [sum(c * b[j] for c, b in zip(coeffs, lattice)) for j in range(d + a)]
-        x = z[:d]
-        inner = z[d:]
+        coeffs = [int(sampler.nonzero()) for _ in basis]
+        x = [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(d)]
         if any(c == 0 for c in x):
             continue
-        if any(gv == 0 for gv in inner):
+        xt = tuple(Fraction(c) for c in primitive_int_vector(x))
+        if any(dot(xt, vec) == 0 for vec in neighbours):
             continue
-        xt = tuple(Fraction(c) for c in x)
         if any(_is_multiple(vec, xt) for vec, _ in priors):
             continue
-        return tuple(Fraction(c) for c in primitive_int_vector(x))
+        return xt
     raise RetryBudgetExceeded(
         f"no admissible vector after {MAX_RESAMPLES} resamples "
         f"(dimension {d}, {len(priors)} priors, {t} orthogonality constraints)"
     )
-
-
-def seed_triple(
-    base_kind: str, d: int, sampler: GenericSampler
-) -> tuple[RationalVector, RationalVector, RationalVector]:
-    """Vectors for the three base vertices (3K1, or K2+K1 with v1 ~ v3).
-
-    All coordinates are nonzero and the vectors are pairwise independent;
-    inner products vanish exactly on the non-edges of the base pattern.
-    """
-    if d < 3:
-        raise ValueError("representation dimension must be at least 3")
-    if base_kind not in DELTA_BASE_KINDS:
-        raise ValueError(f"base kind {base_kind!r} is not a delta-form base")
-    v1 = _sample_free(d, sampler)
-    v2 = _solve_vector([(v1, False)], d, sampler)
-    third_sees_first = base_kind == "K2+K1"
-    v3 = _solve_vector([(v1, third_sees_first), (v2, False)], d, sampler)
-    return v1, v2, v3
-
-
-def extend(rep: OrthoRep, adjacency_row, sampler: GenericSampler) -> RationalVector:
-    """Vector for one more vertex; adjacency_row[i] pairs it with rep.vectors[i]."""
-    row = [bool(b) for b in adjacency_row]
-    if len(row) != len(rep.vectors):
-        raise ValueError("adjacency row length does not match the representation")
-    return _solve_vector(list(zip(rep.vectors, row)), rep.dim, sampler)
 
 
 def construct(
@@ -222,8 +171,8 @@ def construct(
 ) -> OrthoRep:
     """Representation of g in dimension max_degree(complement(g)) + 1.
 
-    Walks the certificate ordering: the base triple first, then one solve
-    per later vertex.  Vectors in the result are indexed by vertex id.
+    Walks the certificate ordering with one solve per vertex.  Vectors in
+    the result are indexed by vertex id.
     """
     if cert.is_complement_form:
         raise ValueError("construction needs the delta-form certificate")
@@ -234,8 +183,8 @@ def construct(
         sampler = GenericSampler()
     d = max_degree(complement(g)) + 1
     order = cert.ordering
-    built: list[RationalVector] = [_sample_free(d, sampler)]
-    for i in range(1, g.n):
+    built: list[RationalVector] = []
+    for i in range(g.n):
         v = order[i]
         priors = [(built[j], g.has_edge(order[j], v)) for j in range(i)]
         built.append(_solve_vector(priors, d, sampler))
@@ -285,12 +234,26 @@ def verify_rep(g: Graph, rep: OrthoRep) -> RepReport:
 # --- serialization ----------------------------------------------------------
 
 
+# Integers are written and read through Decimal, whose conversions are not
+# bounded by the interpreter's int/str digit limit; the strict pattern keeps
+# exponents such as "1e999999999" from ever reaching the int conversion.
+_FRACTION_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def fraction_to_str(x: Fraction) -> str:
-    # forced construction steps can exceed the interpreter's int-to-str cap
-    needed = max(x.numerator.bit_length(), x.denominator.bit_length()) // 3 + 16
-    if hasattr(sys, "get_int_max_str_digits") and needed > sys.get_int_max_str_digits():
-        sys.set_int_max_str_digits(needed)
-    return f"{x.numerator}/{x.denominator}"
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+
+
+def fraction_from_str(s: str) -> Fraction:
+    """Inverse of fraction_to_str; also accepts a bare integer."""
+    match = _FRACTION_TEXT.fullmatch(s)
+    if match is None:
+        raise ValueError(f"not a fraction p/q: {s[:40]!r}")
+    num, den = match.group(1), match.group(2) or "1"
+    denominator = int(Decimal(den))
+    if denominator == 0:
+        raise ValueError("fraction with zero denominator")
+    return Fraction(int(Decimal(num)), denominator)
 
 
 def rep_to_json_dict(rep: OrthoRep) -> dict:
@@ -303,7 +266,7 @@ def rep_to_json_dict(rep: OrthoRep) -> dict:
 def rep_from_json_dict(d: dict) -> OrthoRep:
     return OrthoRep(
         dim=int(d["dim"]),
-        vectors=tuple(tuple(Fraction(s) for s in vec) for vec in d["vectors"]),
+        vectors=tuple(tuple(fraction_from_str(s) for s in vec) for vec in d["vectors"]),
     )
 
 
@@ -312,17 +275,3 @@ def gram_to_json_dict(m: GramMatrix) -> dict:
         "n": m.n,
         "entries": [[fraction_to_str(x) for x in row] for row in m.entries],
     }
-
-
-def gram_to_decimal_text(m: GramMatrix, digits: int = 12) -> str:
-    """Decimal rendering for interop; unlike the JSON form this is lossy."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        lines = []
-        for row in m.entries:
-            lines.append(
-                " ".join(
-                    str(Decimal(x.numerator) / Decimal(x.denominator)) for x in row
-                )
-            )
-    return "\n".join(lines) + "\n"

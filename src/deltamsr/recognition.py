@@ -9,14 +9,13 @@ induce K3 or P3 and v_m is adjacent to at most floor(m/2)-1 priors.
 
 ``recognize_delta`` is a complete backtracking search over orderings:
 base triples are enumerated first, then positions are filled greedily by
-smallest excluded-count with backtracking.  ``brute_force_recognize`` scans
-raw permutations and serves as the independent test oracle.
+smallest excluded-count with backtracking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .graphs import Graph, complement, is_connected
 
@@ -30,7 +29,6 @@ __all__ = [
     "verify_certificate",
     "recognize_delta",
     "recognize_c_delta",
-    "brute_force_recognize",
 ]
 
 DELTA_BASE_KINDS = ("3K1", "K2+K1")
@@ -41,8 +39,6 @@ _BASE_EDGE_COUNT = {"3K1": 0, "K2+K1": 1, "P3": 2, "K3": 3}
 
 _TO_COMPLEMENT_KIND = {"3K1": "K3", "K2+K1": "P3", "K3": "3K1", "P3": "K2+K1"}
 
-MODES = ("strict", "relaxed")
-
 
 @dataclass(frozen=True)
 class DeltaCertificate:
@@ -50,13 +46,13 @@ class DeltaCertificate:
 
     ``excluded_counts[m-4]`` is t_m: in delta form the number of prior
     vertices *not* adjacent to v_m, in complement form the number of prior
-    vertices adjacent to v_m.
+    vertices adjacent to v_m.  Certificates written by deltamsr 0.1.0 carry a
+    ``mode`` key; it only ever labelled the same bound and is ignored.
     """
 
     ordering: tuple[int, ...]
     base_kind: str
     excluded_counts: tuple[int, ...]
-    mode: str = "strict"
 
     @property
     def is_complement_form(self) -> bool:
@@ -67,7 +63,6 @@ class DeltaCertificate:
             "ordering": list(self.ordering),
             "base_kind": self.base_kind,
             "excluded_counts": list(self.excluded_counts),
-            "mode": self.mode,
         }
 
     @classmethod
@@ -76,24 +71,13 @@ class DeltaCertificate:
             ordering=tuple(d["ordering"]),
             base_kind=d["base_kind"],
             excluded_counts=tuple(d["excluded_counts"]),
-            mode=d.get("mode", "strict"),
         )
 
 
-def max_excluded(m: int, mode: str = "strict") -> int:
-    """Largest allowed excluded-count at position m (m >= 4).
-
-    strict: floor(m/2) - 1 for all m.  relaxed: the same for even m; for
-    odd m the largest integer strictly below floor((m-1)/2).  The two
-    coincide for every integer m, so the mode is a label, not a different
-    acceptance set.
-    """
+def max_excluded(m: int) -> int:
+    """Largest allowed excluded-count at position m (m >= 4): floor(m/2) - 1."""
     if m < 4:
         raise ValueError("positions before 4 carry no bound")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "relaxed" and m % 2 == 1:
-        return (m - 1) // 2 - 1
     return m // 2 - 1
 
 
@@ -115,8 +99,6 @@ def check_certificate(g: Graph, cert: DeltaCertificate) -> CertificateCheck:
     n = g.n
     if sorted(cert.ordering) != list(range(n)):
         raise ValueError("certificate ordering is not a permutation of the vertices")
-    if cert.mode not in MODES:
-        raise ValueError(f"unknown mode {cert.mode!r}")
     if cert.base_kind not in _BASE_EDGE_COUNT:
         raise ValueError(f"unknown base kind {cert.base_kind!r}")
     if n < 4:
@@ -148,7 +130,7 @@ def check_certificate(g: Graph, cert: DeltaCertificate) -> CertificateCheck:
             return CertificateCheck(
                 False, failed_at=m, reason="stored excluded-count differs from graph"
             )
-        if t > max_excluded(m, cert.mode):
+        if t > max_excluded(m):
             return CertificateCheck(
                 False, failed_at=m, reason="excluded-count exceeds the bound"
             )
@@ -186,7 +168,7 @@ def _base_triples(g: Graph):
             yield (u, lone, w), "K2+K1"
 
 
-def recognize_delta(g: Graph, mode: str = "strict") -> DeltaCertificate | None:
+def recognize_delta(g: Graph) -> DeltaCertificate | None:
     """Complete search for a delta-graph certificate; None when no ordering exists.
 
     Exponential in the worst case (the ordering problem has no known
@@ -201,7 +183,7 @@ def recognize_delta(g: Graph, mode: str = "strict") -> DeltaCertificate | None:
         return None
     nonadj = list(gbar.adj)  # non-neighbour masks of g
 
-    bounds = [max_excluded(m, mode) for m in range(4, n + 1)]
+    bounds = [max_excluded(m) for m in range(4, n + 1)]
 
     def extend(order: list[int], used: int) -> bool:
         m = len(order) + 1
@@ -231,14 +213,13 @@ def recognize_delta(g: Graph, mode: str = "strict") -> DeltaCertificate | None:
                 ordering=tuple(order),
                 base_kind=kind,
                 excluded_counts=_counts_for_order(nonadj, order),
-                mode=mode,
             )
     return None
 
 
-def recognize_c_delta(g: Graph, mode: str = "strict") -> DeltaCertificate | None:
+def recognize_c_delta(g: Graph) -> DeltaCertificate | None:
     """Certificate for g being a C-delta graph (its complement a delta-graph)."""
-    cert = recognize_delta(complement(g), mode)
+    cert = recognize_delta(complement(g))
     if cert is None:
         return None
     # same ordering and counts; non-adjacency in the complement is adjacency here
@@ -246,40 +227,4 @@ def recognize_c_delta(g: Graph, mode: str = "strict") -> DeltaCertificate | None
         ordering=cert.ordering,
         base_kind=_TO_COMPLEMENT_KIND[cert.base_kind],
         excluded_counts=cert.excluded_counts,
-        mode=cert.mode,
     )
-
-
-def brute_force_recognize(g: Graph, mode: str = "strict") -> DeltaCertificate | None:
-    """Exhaustive oracle: scan all vertex permutations (n <= 9)."""
-    n = g.n
-    if n > 9:
-        raise ValueError("factorial search is capped at 9 vertices")
-    if n < 4:
-        return None
-    gbar = complement(g)
-    if not (is_connected(g) and is_connected(gbar)):
-        return None
-    nonadj = list(gbar.adj)
-    bounds = [max_excluded(m, mode) for m in range(4, n + 1)]
-    for perm in permutations(range(n)):
-        a, b, c = perm[:3]
-        e = _triple_edge_count(g, a, b, c)
-        if e > 1:
-            continue
-        used = (1 << a) | (1 << b) | (1 << c)
-        ok = True
-        for i in range(3, n):
-            v = perm[i]
-            if (nonadj[v] & used).bit_count() > bounds[i - 3]:
-                ok = False
-                break
-            used |= 1 << v
-        if ok:
-            return DeltaCertificate(
-                ordering=perm,
-                base_kind="3K1" if e == 0 else "K2+K1",
-                excluded_counts=_counts_for_order(nonadj, perm),
-                mode=mode,
-            )
-    return None

@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the library's own search
 and elimination code: isomorphism and clique covers run raw backtracking,
-chordality tries every ordering, girth runs BFS from every root.
+chordality and delta-graph recognition try every ordering, girth runs BFS
+from every root.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from itertools import combinations, permutations
 from pathlib import Path
 
 from deltamsr import (
+    DeltaCertificate,
     Graph,
+    complement,
     from_edge_list,
     is_connected,
     is_perfect_elimination_ordering,
@@ -111,6 +114,41 @@ def is_chordal_brute(g: Graph) -> bool:
         is_perfect_elimination_ordering(g, perm)
         for perm in permutations(range(g.n))
     )
+
+
+def brute_force_recognize(g: Graph) -> DeltaCertificate | None:
+    """Delta-graph certificate from a scan of all vertex orderings (n <= 9).
+
+    Position m (from 4) may miss at most floor(m/2) - 1 of its priors; the
+    first three vertices must induce 3K1 or K2+K1.
+    """
+    n = g.n
+    if n > 9:
+        raise ValueError("factorial search is capped at 9 vertices")
+    if n < 4 or not (is_connected(g) and is_connected(complement(g))):
+        return None
+    # bit u of missed[v] is set when u and v are distinct non-neighbours
+    missed = [
+        sum(1 << u for u in range(n) if u != v and not g.has_edge(u, v))
+        for v in range(n)
+    ]
+    for perm in permutations(range(n)):
+        a, b, c = perm[:3]
+        base_edges = g.has_edge(a, b) + g.has_edge(a, c) + g.has_edge(b, c)
+        if base_edges > 1:
+            continue
+        placed = (1 << a) | (1 << b) | (1 << c)
+        counts = []
+        for i in range(3, n):
+            t = (missed[perm[i]] & placed).bit_count()
+            if t > (i + 1) // 2 - 1:
+                break
+            counts.append(t)
+            placed |= 1 << perm[i]
+        else:
+            kind = "3K1" if base_edges == 0 else "K2+K1"
+            return DeltaCertificate(perm, kind, tuple(counts))
+    return None
 
 
 def girth(g: Graph) -> int | None:

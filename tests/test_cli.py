@@ -112,6 +112,32 @@ def test_verify_detects_tampering():
     assert not json.loads(report)["checks"]["nonzero"]
 
 
+def test_verify_reads_long_coordinates_in_a_fresh_process():
+    # scaling a vector by 10**5000 keeps the pattern; the coordinates are then
+    # longer than the interpreter's default int/str digit limit
+    _, out = run_cli(["certify", "--seed", "3", PRISM])
+    bundle = json.loads(out)
+    vectors = bundle["representation"]["vectors"]
+    vectors[0] = [p + "0" * 5000 + "/" + q for p, q in (x.split("/") for x in vectors[0])]
+    proc = subprocess.run(
+        [sys.executable, "-m", "deltamsr", "verify"],
+        input=json.dumps(bundle),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert all(json.loads(proc.stdout)["checks"].values())
+
+
+def test_verify_rejects_non_decimal_coordinates():
+    _, out = run_cli(["certify", "--seed", "3", PRISM])
+    for bad in ("1e999999999", "1/0", "0x10/1"):
+        bundle = json.loads(out)
+        bundle["representation"]["vectors"][0][0] = bad
+        code, _ = run_cli(["verify"], stdin_text=json.dumps(bundle))
+        assert code == 2, bad
+
+
 def test_verify_rejects_garbage():
     code, _ = run_cli(["verify"], stdin_text="{}")
     assert code == 2

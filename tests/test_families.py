@@ -111,7 +111,7 @@ def test_small_mobius_ladders_cannot_be_c_delta():
     """Counting obstruction: placing v_m may cover at most floor(m/2)-1 edges,
     the (triangle-free) base at most 2, so ML6 (9 edges > 2+1+1+2) and ML8
     (12 edges > 2+1+1+2+2+3) admit no valid ordering at all."""
-    from deltamsr import brute_force_recognize
+    from helpers import brute_force_recognize
 
     for k in (6, 8):
         g = mobius_ladder(k)

@@ -8,21 +8,20 @@ from deltamsr import (
     OrthoRep,
     complement,
     construct,
-    extend,
     gram,
     is_connected,
     rank,
     recognize_c_delta,
     recognize_delta,
-    seed_triple,
     to_graph6,
     verify_rep,
 )
-from deltamsr.families import cycle, path
+from deltamsr.families import cartesian_product, complete, cycle, mobius_ladder, path
 from deltamsr.linalg import dot, rank_bareiss
 from deltamsr.orthorep import (
     GramMatrix,
-    gram_to_decimal_text,
+    _solve_vector,
+    fraction_from_str,
     gram_to_json_dict,
     rep_from_json_dict,
     rep_to_json_dict,
@@ -37,6 +36,17 @@ def fr(x):
     return Fraction(x)
 
 
+def base_triple(kind, d, sampler):
+    """The first three vectors as construct solves them for a base of this kind.
+
+    A K2+K1 base is ordered (end, lone vertex, end), so v1 ~ v3.
+    """
+    v1 = _solve_vector([], d, sampler)
+    v2 = _solve_vector([(v1, False)], d, sampler)
+    v3 = _solve_vector([(v1, kind == "K2+K1"), (v2, False)], d, sampler)
+    return v1, v2, v3
+
+
 def test_sampler_is_deterministic_and_nonzero():
     a = GenericSampler(seed=11)
     b = GenericSampler(seed=11)
@@ -49,7 +59,7 @@ def test_sampler_is_deterministic_and_nonzero():
 
 
 def test_seed_triple_3k1():
-    v1, v2, v3 = seed_triple("3K1", 3, GenericSampler(seed=1))
+    v1, v2, v3 = base_triple("3K1", 3, GenericSampler(seed=1))
     assert dot(v1, v2) == 0 and dot(v1, v3) == 0 and dot(v2, v3) == 0
     assert all(c != 0 for v in (v1, v2, v3) for c in v)
     # mutually orthogonal nonzero vectors span R^3
@@ -58,41 +68,43 @@ def test_seed_triple_3k1():
 
 
 def test_seed_triple_k2k1_pattern():
-    v1, v2, v3 = seed_triple("K2+K1", 3, GenericSampler(seed=2))
+    v1, v2, v3 = base_triple("K2+K1", 3, GenericSampler(seed=2))
     assert dot(v1, v2) == 0 and dot(v2, v3) == 0
     assert dot(v1, v3) != 0
     assert all(c != 0 for v in (v1, v2, v3) for c in v)
 
 
 def test_seed_triple_rejects():
+    # a 3K1 base needs three mutually orthogonal vectors, impossible in d = 2
+    s = GenericSampler()
+    v1 = _solve_vector([], 2, s)
+    v2 = _solve_vector([(v1, False)], 2, s)
     with pytest.raises(ValueError):
-        seed_triple("3K1", 2, GenericSampler())
-    with pytest.raises(ValueError):
-        seed_triple("P3", 3, GenericSampler())
+        _solve_vector([(v1, False), (v2, False)], 2, s)
 
 
 def test_extend_all_adjacent():
     s = GenericSampler(seed=3)
-    rep = OrthoRep(3, seed_triple("3K1", 3, s))
-    v4 = extend(rep, [True, True, True], s)
-    assert all(dot(v4, u) != 0 for u in rep.vectors)
+    triple = base_triple("3K1", 3, s)
+    v4 = _solve_vector([(u, True) for u in triple], 3, s)
+    assert all(dot(v4, u) != 0 for u in triple)
     assert all(c != 0 for c in v4)
 
 
 def test_extend_rejects_too_many_orthogonality_constraints():
     s = GenericSampler(seed=4)
-    rep = OrthoRep(3, seed_triple("3K1", 3, s))
+    triple = base_triple("3K1", 3, s)
     with pytest.raises(ValueError):
-        extend(rep, [False, False, False], s)
+        _solve_vector([(u, False) for u in triple], 3, s)
 
 
 def test_extend_k2k1_case():
     s = GenericSampler(seed=5)
-    rep = OrthoRep(3, seed_triple("K2+K1", 3, s))
-    v4 = extend(rep, [True, True, False], s)
-    assert dot(v4, rep.vectors[0]) != 0
-    assert dot(v4, rep.vectors[1]) != 0
-    assert dot(v4, rep.vectors[2]) == 0
+    triple = base_triple("K2+K1", 3, s)
+    v4 = _solve_vector(list(zip(triple, [True, True, False])), 3, s)
+    assert dot(v4, triple[0]) != 0
+    assert dot(v4, triple[1]) != 0
+    assert dot(v4, triple[2]) == 0
 
 
 def test_construct_prism():
@@ -147,14 +159,13 @@ def test_gram_identity_and_diagonal():
     )
     gm = gram(OrthoRep(3, basis))
     assert gm.entries == basis
-    seeded = OrthoRep(3, seed_triple("3K1", 3, GenericSampler(seed=6)))
-    sg = gram(seeded)
-    for i in range(3):
+    sg = gram(construct(PRISM, recognize_delta(PRISM), GenericSampler(seed=6)))
+    for i in range(6):
         assert sg.entries[i][i] > 0
-        for j in range(3):
+        for j in range(6):
             assert sg.entries[i][j] == sg.entries[j][i]
             if i != j:
-                assert sg.entries[i][j] == 0
+                assert (sg.entries[i][j] != 0) == PRISM.has_edge(i, j)
 
 
 def test_rank_examples():
@@ -246,12 +257,14 @@ def test_rep_json_roundtrip():
 
 
 def test_gram_exports():
-    rep = OrthoRep(3, seed_triple("3K1", 3, GenericSampler(seed=7)))
-    gm = gram(rep)
-    d = gram_to_json_dict(gm)
-    assert d["n"] == 3 and d["entries"][0][1] == "0/1"
-    text = gram_to_decimal_text(gm, digits=6)
-    assert len(text.splitlines()) == 3
+    gm = gram(construct(PRISM, recognize_delta(PRISM), GenericSampler(seed=7)))
+    d = json.loads(json.dumps(gram_to_json_dict(gm)))
+    assert d["n"] == 6
+    for i in range(6):
+        for j in range(6):
+            assert fraction_from_str(d["entries"][i][j]) == gm.entries[i][j]
+            if i != j and not PRISM.has_edge(i, j):
+                assert d["entries"][i][j] == "0/1"
 
 
 def test_construction_holds_for_all_small_delta_graphs():
@@ -265,3 +278,17 @@ def test_construction_holds_for_all_small_delta_graphs():
         report = verify_rep(g, rep)
         assert report.all_ok, to_graph6(g)
         assert rank(gram(rep)) <= rep.dim
+
+
+def test_coordinates_stay_small_on_long_orderings():
+    # coordinate size depends on d, not on n: the complements of ML24 (n = 24,
+    # d = 4) and K4 x P4 (n = 16, d = 6) stayed within 337 bits over 20 seeds
+    for g in (complement(mobius_ladder(24)), complement(cartesian_product(complete(4), path(4)))):
+        cert = recognize_delta(g)
+        for seed in range(5):
+            rep = construct(g, cert, GenericSampler(seed=seed))
+            assert verify_rep(g, rep).all_ok
+            for vec in rep.vectors:
+                for x in vec:
+                    assert abs(x.numerator).bit_length() <= 1024
+                    assert x.denominator.bit_length() <= 1024

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from deltamsr import (
     DeltaCertificate,
-    brute_force_recognize,
     check_certificate,
     complement,
     from_edge_list,
@@ -19,6 +18,7 @@ from deltamsr import (
 from deltamsr.families import complete, cycle, path, robertson_cage
 
 import helpers
+from helpers import brute_force_recognize
 
 PRISM = complement(cycle(6))
 P4 = path(4)
@@ -47,27 +47,22 @@ def graphs(draw, min_n=4, max_n=7):
 # --- bounds -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "m,mode,expected",
-    [(4, "strict", 1), (6, "strict", 2), (7, "strict", 2), (7, "relaxed", 2)],
-)
-def test_max_excluded(m, mode, expected):
-    assert max_excluded(m, mode) == expected
+@pytest.mark.parametrize("m,expected", [(4, 1), (6, 2), (7, 2)])
+def test_max_excluded(m, expected):
+    assert max_excluded(m) == expected
 
 
 def test_max_excluded_rejects():
     with pytest.raises(ValueError):
         max_excluded(3)
-    with pytest.raises(ValueError):
-        max_excluded(5, "loose")
 
 
 def test_modes_coincide_for_all_positions():
-    # the relaxed odd-m threshold evaluates to the strict one for integer m
-    assert all(
-        max_excluded(m, "strict") == max_excluded(m, "relaxed")
-        for m in range(4, 40)
-    )
+    # the two readings of the bound that deltamsr 0.1.0 offered as modes:
+    # floor(m/2) - 1, and for odd m the largest integer below floor((m-1)/2)
+    for m in range(4, 40):
+        relaxed = (m - 1) // 2 - 1 if m % 2 else m // 2 - 1
+        assert max_excluded(m) == m // 2 - 1 == relaxed
 
 
 # --- certificate verification --------------------------------------------------
@@ -158,13 +153,12 @@ def test_recognize_agrees_with_oracle_small_atlas():
     for g in helpers.atlas_graphs(min_n=4, max_n=6):
         if not (is_connected(g) and is_connected(complement(g))):
             continue
-        for mode in ("strict", "relaxed"):
-            fast = recognize_delta(g, mode)
-            slow = brute_force_recognize(g, mode)
-            assert (fast is None) == (slow is None), to_graph6(g)
-            if fast is not None:
-                assert verify_certificate(g, fast)
-                assert verify_certificate(g, slow)
+        fast = recognize_delta(g)
+        slow = brute_force_recognize(g)
+        assert (fast is None) == (slow is None), to_graph6(g)
+        if fast is not None:
+            assert verify_certificate(g, fast)
+            assert verify_certificate(g, slow)
 
 
 def test_c_delta_matches_delta_of_complement():
@@ -177,9 +171,14 @@ def test_c_delta_matches_delta_of_complement():
 
 
 def test_strict_certificate_valid_in_relaxed_mode():
-    cert = recognize_delta(PRISM, "strict")
-    relaxed = DeltaCertificate(cert.ordering, cert.base_kind, cert.excluded_counts, "relaxed")
-    assert verify_certificate(PRISM, relaxed)
+    # deltamsr 0.1.0 wrote a "mode" key; reading ignores it, writing drops it
+    cert = recognize_delta(PRISM)
+    assert "mode" not in cert.to_json_dict()
+    for mode in ("strict", "relaxed"):
+        old = dict(cert.to_json_dict(), mode=mode)
+        loaded = DeltaCertificate.from_json_dict(json.loads(json.dumps(old)))
+        assert loaded == cert
+        assert verify_certificate(PRISM, loaded)
 
 
 @given(graphs())
