@@ -3,6 +3,7 @@
 from .graphs import (
     BlockDecomposition,
     EliminationOrdering,
+    MAX_VERTICES,
     Graph,
     blocks,
     chordality,
@@ -19,7 +20,9 @@ from .graphs import (
     to_graph6,
 )
 from .recognition import (
+    SEARCH_BUDGET,
     DeltaCertificate,
+    SearchBudgetExceeded,
     check_certificate,
     max_excluded,
     recognize_c_delta,
@@ -47,4 +50,4 @@ from .msr import (
 )
 from . import families
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -6,13 +6,16 @@ emitted bundle), ``batch`` (one Delta Conjecture report per graph6 line)
 and ``gen`` (family generators emitting graph6).
 
 Exit codes: 0 success or present, 1 clean negative, 2 input error,
-3 internal failure (resampling budget exhausted).  The GRAPH_SEED
-environment variable supplies the default --seed.
+3 internal failure (resampling budget exhausted), 4 undecided (the
+recognition search budget ran out).  ``batch`` reports either budget
+failure inline and goes on.  The GRAPH_SEED environment variable supplies
+the default --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -30,7 +33,7 @@ from .orthorep import (
     rep_to_json_dict,
     verify_rep,
 )
-from .recognition import recognize_c_delta, recognize_delta
+from .recognition import SearchBudgetExceeded, recognize_c_delta, recognize_delta
 
 __all__ = ["main"]
 
@@ -71,7 +74,10 @@ def _cmd_recognize(args) -> int:
     except ValueError as exc:
         return _fail(str(exc), 2)
     recognizer = recognize_c_delta if args.c_delta else recognize_delta
-    cert = recognizer(g)
+    try:
+        cert = recognizer(g)
+    except SearchBudgetExceeded as exc:
+        return _fail(str(exc), 4)
     if cert is None:
         print("absent")
         return 1
@@ -84,7 +90,10 @@ def _cmd_certify(args) -> int:
         g = _load_graph(args)
     except ValueError as exc:
         return _fail(str(exc), 2)
-    cert = recognize_delta(g)
+    try:
+        cert = recognize_delta(g)
+    except SearchBudgetExceeded as exc:
+        return _fail(str(exc), 4)
     if cert is None:
         return _fail("graph was not recognized as a delta-graph", 1)
     try:
@@ -140,30 +149,27 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_ok else 1
 
 
+def _batch_line(line: str, seed: int) -> dict:
+    try:
+        g = parse_graph6(line)
+    except ValueError as exc:
+        return {"graph": line, "error": str(exc)}
+    if not is_connected(g):
+        return {"graph": line, "error": "graph is disconnected"}
+    try:
+        return check_delta_conjecture(g, seed=seed, graph_id=line).to_json_dict()
+    except (RetryBudgetExceeded, SearchBudgetExceeded) as exc:
+        return {"graph": line, "error": str(exc)}
+
+
 def _cmd_batch(args) -> int:
-    if args.input is None or args.input == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(args.input) as fh:
-            lines = fh.read().splitlines()
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            g = parse_graph6(line)
-        except ValueError as exc:
-            print(json.dumps({"graph": line, "error": str(exc)}, sort_keys=True))
-            continue
-        if not is_connected(g):
-            print(json.dumps({"graph": line, "error": "graph is disconnected"}, sort_keys=True))
-            continue
-        try:
-            report = check_delta_conjecture(g, seed=args.seed, graph_id=line)
-        except RetryBudgetExceeded as exc:
-            print(json.dumps({"graph": line, "error": str(exc)}, sort_keys=True))
-            continue
-        print(json.dumps(report.to_json_dict(), sort_keys=True))
+    """One report line per input line, each written as soon as it is known."""
+    from_stdin = args.input is None or args.input == "-"
+    with contextlib.nullcontext(sys.stdin) if from_stdin else open(args.input) as lines:
+        for line in lines:
+            line = line.strip()
+            if line:
+                print(json.dumps(_batch_line(line, args.seed), sort_keys=True), flush=True)
     return 0
 
 

@@ -5,7 +5,8 @@ pure function returning new values.  Adjacency is one Python int bitmask
 per vertex, which keeps complementation, degree counts and neighbourhood
 intersections cheap at desk scale (fast below 64 vertices, correct for
 any n).  graph6 is the interchange format; a plain edge-list text format
-is accepted for hand input.
+is accepted for hand input.  Both parsers refuse vertex counts above
+``MAX_VERTICES`` before allocating anything of that size.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 __all__ = [
+    "MAX_VERTICES",
     "Graph",
     "EliminationOrdering",
     "BlockDecomposition",
@@ -33,6 +35,15 @@ __all__ = [
     "chordality",
     "blocks",
 ]
+
+
+# largest vertex count either parser accepts
+MAX_VERTICES = 2**16
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the input cap of {MAX_VERTICES}")
 
 
 def _bits(mask: int):
@@ -108,6 +119,7 @@ def parse_edge_list(text: str) -> Graph:
         n = int(lines[0])
     except ValueError:
         raise ValueError(f"bad vertex count line: {lines[0]!r}") from None
+    _check_vertex_count(n)
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
@@ -171,6 +183,7 @@ def parse_graph6(text: str) -> Graph:
     n, used = _g6_decode_n(data)
     if n < 1:
         raise ValueError("graph6 value encodes an empty vertex set")
+    _check_vertex_count(n)
     payload = data[used:]
     nbits = n * (n - 1) // 2
     nchars = (nbits + 5) // 6

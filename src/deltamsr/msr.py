@@ -70,7 +70,7 @@ class ConjectureReport:
     n: int
     delta_bound: int
     certified_hi: int
-    verdict: str  # holds-by-construction | holds | unresolved
+    verdict: str  # holds-by-construction | holds | refuted | unresolved
 
     def to_json_dict(self) -> dict:
         return {
@@ -208,7 +208,9 @@ def check_delta_conjecture(
 
     holds-by-construction: a delta-graph certificate plus a verified
     representation pins msr <= |G| - min_degree.  holds: the exact engine
-    value already satisfies the bound.  unresolved: neither route applies.
+    value already satisfies the bound.  refuted: the exact engine value
+    exceeds the bound, a counterexample to the conjecture, with that value
+    as ``certified_hi``.  unresolved: neither route applies.
     """
     if not is_connected(g):
         raise ValueError("check_delta_conjecture needs a connected graph")
@@ -225,8 +227,7 @@ def check_delta_conjecture(
         assert report.bound == delta_bound
         return ConjectureReport(graph_id, n, delta_bound, report.bound, "holds-by-construction")
     value = msr_exact(g)
-    if value is not None and value <= delta_bound:
-        return ConjectureReport(graph_id, n, delta_bound, value, "holds")
-    # an exact value above the bound would refute the conjecture; report it raw
-    certified_hi = value if value is not None else n - 1
-    return ConjectureReport(graph_id, n, delta_bound, certified_hi, "unresolved")
+    if value is None:
+        return ConjectureReport(graph_id, n, delta_bound, n - 1, "unresolved")
+    verdict = "holds" if value <= delta_bound else "refuted"
+    return ConjectureReport(graph_id, n, delta_bound, value, verdict)

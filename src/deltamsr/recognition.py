@@ -7,9 +7,17 @@ except at most floor(m/2)-1 of them.  A C-delta graph is a graph whose
 complement is a delta-graph; in complement form the first three vertices
 induce K3 or P3 and v_m is adjacent to at most floor(m/2)-1 priors.
 
-``recognize_delta`` is a complete backtracking search over orderings:
-base triples are enumerated first, then positions are filled greedily by
-smallest excluded-count with backtracking.
+``recognize_delta`` is a complete depth-first search over the sets of
+placed vertices.  Whether a prefix can be completed depends only on which
+vertices it holds, not on their order (the subset view of Held and Karp,
+J. SIAM 1962), so a set once shown to have no completion is never expanded
+again.  Base triples are tried in a fixed order, and each position takes
+its candidates by smallest excluded-count, then smallest vertex; the first
+certificate found is therefore the first ordering in that order.  The
+search runs on an explicit stack, so its depth is not limited by the
+interpreter's recursion limit.  The problem has no known polynomial
+algorithm, so the search is bounded: after ``SEARCH_BUDGET`` expanded sets
+it raises ``SearchBudgetExceeded``, the "undecided" outcome.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ from .graphs import Graph, complement, is_connected
 __all__ = [
     "DELTA_BASE_KINDS",
     "CDELTA_BASE_KINDS",
+    "SEARCH_BUDGET",
+    "SearchBudgetExceeded",
     "DeltaCertificate",
     "CertificateCheck",
     "max_excluded",
@@ -38,6 +48,17 @@ CDELTA_BASE_KINDS = ("K3", "P3")
 _BASE_EDGE_COUNT = {"3K1": 0, "K2+K1": 1, "P3": 2, "K3": 3}
 
 _TO_COMPLEMENT_KIND = {"3K1": "K3", "K2+K1": "P3", "K3": "3K1", "P3": "K2+K1"}
+
+# expanded vertex sets per recognize_delta call, over all base triples
+SEARCH_BUDGET = 1_000_000
+
+
+class SearchBudgetExceeded(RuntimeError):
+    """Raised when recognize_delta expands SEARCH_BUDGET sets without an answer."""
+
+    def __init__(self, nodes: int) -> None:
+        super().__init__(f"delta-graph search undecided after {nodes} expanded vertex sets")
+        self.nodes = nodes
 
 
 @dataclass(frozen=True)
@@ -171,9 +192,10 @@ def _base_triples(g: Graph):
 def recognize_delta(g: Graph) -> DeltaCertificate | None:
     """Complete search for a delta-graph certificate; None when no ordering exists.
 
-    Exponential in the worst case (the ordering problem has no known
-    polynomial algorithm); in practice the greedy smallest-count order
-    with backtracking resolves desk-scale graphs immediately.
+    Depth-first over the set of placed vertices, with the sets already
+    shown to have no completion remembered until the next base triple.
+    Exponential in the worst case; raises ``SearchBudgetExceeded`` once
+    ``SEARCH_BUDGET`` sets have been expanded.
     """
     n = g.n
     if n < 4:
@@ -182,38 +204,55 @@ def recognize_delta(g: Graph) -> DeltaCertificate | None:
     if not (is_connected(g) and is_connected(gbar)):
         return None
     nonadj = list(gbar.adj)  # non-neighbour masks of g
-
+    full = (1 << n) - 1
     bounds = [max_excluded(m) for m in range(4, n + 1)]
+    nodes = 0
 
-    def extend(order: list[int], used: int) -> bool:
-        m = len(order) + 1
-        if m > n:
-            return True
+    def candidates(used: int, m: int) -> list[tuple[int, int]]:
+        """Admissible (excluded-count, vertex) pairs at position m, first to try last."""
+        nonlocal nodes
+        if nodes >= SEARCH_BUDGET:
+            raise SearchBudgetExceeded(nodes)
+        nodes += 1
         bound = bounds[m - 4]
         cands = []
-        for v in range(n):
-            if used >> v & 1:
-                continue
+        rest = full & ~used
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
             t = (nonadj[v] & used).bit_count()
             if t <= bound:
                 cands.append((t, v))
-        cands.sort()
-        for _, v in cands:
-            order.append(v)
-            if extend(order, used | (1 << v)):
-                return True
-            order.pop()
-        return False
+            rest ^= low
+        cands.sort(reverse=True)
+        return cands
 
     for triple, kind in _base_triples(g):
         order = list(triple)
         used = (1 << triple[0]) | (1 << triple[1]) | (1 << triple[2])
-        if extend(order, used):
-            return DeltaCertificate(
-                ordering=tuple(order),
-                base_kind=kind,
-                excluded_counts=_counts_for_order(nonadj, order),
-            )
+        dead: set[int] = set()  # placed sets with no completion
+        stack = [candidates(used, 4)]  # stack[i]: untried candidates for position i + 4
+        while stack:
+            cands = stack[-1]
+            if not cands:
+                dead.add(used)
+                stack.pop()
+                if stack:
+                    used ^= 1 << order.pop()
+                continue
+            _, v = cands.pop()
+            nxt = used | (1 << v)
+            if nxt in dead:
+                continue
+            order.append(v)
+            used = nxt
+            if used == full:
+                return DeltaCertificate(
+                    ordering=tuple(order),
+                    base_kind=kind,
+                    excluded_counts=_counts_for_order(nonadj, order),
+                )
+            stack.append(candidates(used, len(order) + 1))
     return None
 
 

@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the library's own search
 and elimination code: isomorphism and clique covers run raw backtracking,
 chordality and delta-graph recognition try every ordering, girth runs BFS
-from every root.
+from every root, and random delta-graphs are drawn along the definition's
+own ordering.
 """
 
 from __future__ import annotations
@@ -201,3 +202,24 @@ def random_tree(n: int, rng: random.Random) -> Graph:
     g = from_edge_list(n, edges)
     assert g.edge_count == n - 1 and is_connected(g)
     return g
+
+
+def random_delta_graph(n: int, rng: random.Random) -> Graph:
+    """Random delta-graph on n >= 4 vertices, drawn along its own ordering.
+
+    The first three vertices induce 3K1 or K2+K1; vertex m (from 4) then
+    misses a random set of at most floor(m/2) - 1 of its priors and is
+    joined to the rest.  Labels are shuffled, and draws repeat until the
+    graph and its complement are both connected.
+    """
+    while True:
+        order = list(range(n))
+        rng.shuffle(order)
+        edges = [(order[0], order[1])] if rng.random() < 0.5 else []
+        for m in range(4, n + 1):
+            priors = order[: m - 1]
+            missed = set(rng.sample(priors, rng.randint(0, m // 2 - 1)))
+            edges += [(u, order[m - 1]) for u in priors if u not in missed]
+        g = from_edge_list(n, edges)
+        if is_connected(g) and is_connected(complement(g)):
+            return g

@@ -1,9 +1,12 @@
 import io
 import json
+import os
+import selectors
 import subprocess
 import sys
+from pathlib import Path
 
-from deltamsr import complement, to_graph6
+from deltamsr import complement, parse_graph6, recognition, to_graph6
 from deltamsr.cli import main
 from deltamsr.families import complete, cycle, path
 
@@ -11,6 +14,9 @@ C6 = to_graph6(cycle(6))
 K4 = to_graph6(complete(4))
 P4 = to_graph6(path(4))
 PRISM = to_graph6(complement(cycle(6)))
+# a connected G(14, 0.5) graph that is not a delta-graph; its search
+# expands about 34,000 vertex sets
+G14 = "MZd[`jK}F{h\\z@gt?"
 
 
 def run_cli(argv, stdin_text=""):
@@ -48,6 +54,20 @@ def test_recognize_malformed_input():
 def test_recognize_reads_stdin():
     code, out = run_cli(["recognize", "--c-delta"], stdin_text=C6 + "\n")
     assert code == 0
+
+
+def test_search_budget_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(recognition, "SEARCH_BUDGET", 100)
+    g14_complement = to_graph6(complement(parse_graph6(G14)))
+    for argv in (["recognize", G14], ["certify", G14], ["recognize", "--c-delta", g14_complement]):
+        assert main(argv) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert "after 100 expanded vertex sets" in err["error"]
+
+
+def test_recognize_edgelist_vertex_cap():
+    code, _ = run_cli(["recognize", "--format", "edgelist", f"{10**18}\n0 1\n"])
+    assert code == 2
 
 
 def test_recognize_edgelist_format():
@@ -170,6 +190,41 @@ def test_batch_reports_bad_lines_inline():
     assert len(lines) == 3
     assert "error" in lines[1]
     assert lines[2]["verdict"]
+
+
+def test_batch_reports_search_budget_inline(monkeypatch):
+    monkeypatch.setattr(recognition, "SEARCH_BUDGET", 100)
+    code, out = run_cli(["batch"], stdin_text=f"{G14}\n{C6}\n")
+    lines = [json.loads(l) for l in out.splitlines()]
+    assert code == 0 and len(lines) == 2
+    assert lines[0]["graph"] == G14
+    assert "after 100 expanded vertex sets" in lines[0]["error"]
+    assert lines[1]["graph"] == C6 and lines[1]["verdict"] == "holds"
+
+
+def test_batch_streams_each_report():
+    # the report for one line arrives while stdin is still open
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "deltamsr", "batch"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        proc.stdin.write(C6 + "\n")
+        proc.stdin.flush()
+        with selectors.DefaultSelector() as sel:
+            sel.register(proc.stdout, selectors.EVENT_READ)
+            assert sel.select(timeout=20), "no report before stdin closed"
+        assert json.loads(proc.stdout.readline())["graph"] == C6
+        proc.stdin.close()
+        assert proc.wait(timeout=30) == 0
+    finally:
+        proc.kill()
+        proc.wait()
 
 
 def test_batch_flags_disconnected():

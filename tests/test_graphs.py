@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from deltamsr import (
+    MAX_VERTICES,
     blocks,
     chordality,
     complement,
@@ -111,6 +112,16 @@ def test_graph6_roundtrip_atlas():
 def test_edge_list_text_roundtrip():
     g = BOWTIE
     assert parse_edge_list(format_edge_list(g)) == g
+
+
+def test_parsers_cap_vertex_count_before_allocating():
+    with pytest.raises(ValueError, match="input cap"):
+        parse_edge_list(f"{10**18}\n0 1\n")
+    # graph6 long form for n = 2**16 + 1, with no payload at all
+    n = MAX_VERTICES + 1
+    size = "~~" + "".join(chr((n >> s & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
+    with pytest.raises(ValueError, match="input cap"):
+        parse_graph6(size)
 
 
 def test_parse_edge_list_rejects_junk():

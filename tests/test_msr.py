@@ -20,6 +20,7 @@ from deltamsr import (
 )
 from deltamsr.families import complete, cycle, path, star
 
+import deltamsr.msr
 import helpers
 
 BOWTIE = from_edge_list(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
@@ -188,6 +189,17 @@ def test_conjecture_c6():
     r = check_delta_conjecture(cycle(6))
     assert r.verdict == "holds"
     assert r.certified_hi == 4 == 6 - 2
+
+
+def test_conjecture_refuted_when_exact_value_exceeds_bound(monkeypatch):
+    # C6 is not a delta-graph, so the verdict rests on the exact engine
+    monkeypatch.setattr(deltamsr.msr, "msr_exact", lambda g: 5)
+    r = check_delta_conjecture(cycle(6))
+    assert r.verdict == "refuted"
+    assert r.certified_hi == 5 > r.delta_bound == 4
+    monkeypatch.setattr(deltamsr.msr, "msr_exact", lambda g: None)
+    r = check_delta_conjecture(cycle(6))
+    assert r.verdict == "unresolved" and r.certified_hi == 5
 
 
 def test_conjecture_reports_on_small_atlas():

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,16 +7,26 @@ from hypothesis import strategies as st
 
 from deltamsr import (
     DeltaCertificate,
+    SearchBudgetExceeded,
     check_certificate,
     complement,
     from_edge_list,
+    is_connected,
     max_excluded,
     recognize_c_delta,
     recognize_delta,
     to_graph6,
     verify_certificate,
 )
-from deltamsr.families import complete, cycle, path, robertson_cage
+from deltamsr import recognition
+from deltamsr.families import (
+    cartesian_product,
+    complete,
+    cycle,
+    mobius_ladder,
+    path,
+    robertson_cage,
+)
 
 import helpers
 from helpers import brute_force_recognize
@@ -148,8 +159,6 @@ def test_brute_force_caps_vertex_count():
 
 
 def test_recognize_agrees_with_oracle_small_atlas():
-    from deltamsr import is_connected
-
     for g in helpers.atlas_graphs(min_n=4, max_n=6):
         if not (is_connected(g) and is_connected(complement(g))):
             continue
@@ -194,3 +203,81 @@ def test_recognized_certificates_verify(g):
 @settings(max_examples=40, deadline=None)
 def test_search_matches_oracle(g):
     assert (recognize_delta(g) is None) == (brute_force_recognize(g) is None)
+
+
+# --- search order, depth and budget ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "g,ordering,base_kind",
+    [
+        (
+            complement(cycle(12)),
+            (0, 1, 2, 4, 6, 8, 10, 3, 5, 7, 9, 11),
+            "K2+K1",
+        ),
+        (
+            complement(mobius_ladder(16)),
+            (0, 1, 2, 4, 6, 11, 13, 7, 9, 14, 3, 5, 8, 10, 12, 15),
+            "K2+K1",
+        ),
+        (
+            complement(cartesian_product(complete(4), path(4))),
+            (0, 1, 2, 7, 4, 9, 11, 14, 12, 3, 5, 6, 8, 15, 10, 13),
+            "K2+K1",
+        ),
+        (
+            complement(robertson_cage()),
+            (0, 1, 2, 4, 6, 10, 7, 14, 16, 8, 12, 17, 3, 5, 9, 11, 13, 15, 18),
+            "K2+K1",
+        ),
+    ],
+    ids=["C12", "ML16", "K4xP4", "Robertson"],
+)
+def test_recognize_pinned_orderings(g, ordering, base_kind):
+    # the first ordering in (base triple, excluded-count, vertex) order
+    cert = recognize_delta(g)
+    assert cert.ordering == ordering and cert.base_kind == base_kind
+    assert check_certificate(g, cert).ok
+
+
+def test_recognize_deep_ordering():
+    # one search level per vertex: far beyond the interpreter's recursion limit
+    g = complement(cycle(1200))
+    cert = recognize_delta(g)
+    assert cert is not None and check_certificate(g, cert).ok
+
+
+def test_recognize_budget_exceeded(monkeypatch):
+    g = cycle(6)
+    assert recognize_delta(g) is None  # C6 is C-delta, not delta
+    monkeypatch.setattr(recognition, "SEARCH_BUDGET", 3)
+    with pytest.raises(SearchBudgetExceeded) as info:
+        recognize_delta(g)
+    assert info.value.nodes == 3 and "3 expanded" in str(info.value)
+
+
+def test_recognize_random_delta_graphs():
+    rng = random.Random(2016)
+    for n in range(16, 41):
+        g = helpers.random_delta_graph(n, rng)
+        cert = recognize_delta(g)
+        assert cert is not None and check_certificate(g, cert).ok, to_graph6(g)
+
+
+def test_recognize_agrees_with_oracle_on_random_8_and_9():
+    rng = random.Random(1003)
+    samples = [helpers.random_delta_graph(n, rng) for n in (8, 8, 8, 9, 9, 9)]
+    for n, count in ((8, 10), (9, 2)):
+        while count:
+            g = from_edge_list(
+                n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5]
+            )
+            if is_connected(g) and is_connected(complement(g)):
+                samples.append(g)
+                count -= 1
+    for g in samples:
+        fast = recognize_delta(g)
+        assert (fast is None) == (brute_force_recognize(g) is None), to_graph6(g)
+        if fast is not None:
+            assert check_certificate(g, fast).ok
