@@ -50,4 +50,4 @@ from .msr import (
 )
 from . import families
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -130,22 +130,25 @@ def _cmd_verify(args) -> int:
             with open(args.bundle) as fh:
                 text = fh.read()
         data = json.loads(text)
+        if not isinstance(data["graph6"], str):
+            raise TypeError("graph6 must be a string")
         g = parse_graph6(data["graph6"])
         rep = rep_from_json_dict(data["representation"])
+        report = verify_rep(g, rep)
     except (ValueError, KeyError, TypeError) as exc:
         return _fail(f"bad bundle: {exc}", 2)
-    report = verify_rep(g, rep)
-    _print_json(
-        {
-            "bound": report.bound,
-            "checks": {
-                "pattern": report.pattern_ok,
-                "nonzero": report.nonzero_ok,
-                "independent": report.independent_ok,
-                "dimension": report.dimension_ok,
-            },
-        }
-    )
+    result = {
+        "bound": report.bound,
+        "checks": {
+            "pattern": report.pattern_ok,
+            "nonzero": report.nonzero_ok,
+            "independent": report.independent_ok,
+            "dimension": report.dimension_ok,
+        },
+    }
+    if not report.all_ok:
+        result["failed_pair"] = report.failed_pair
+    _print_json(result)
     return 0 if report.all_ok else 1
 
 

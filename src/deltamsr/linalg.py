@@ -1,78 +1,90 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra on integer vectors.
 
-Small dense matrices only; everything is ``fractions.Fraction`` in and out,
-with no tolerances anywhere.  Rank uses Bareiss fraction-free elimination
-on integer-scaled rows so intermediate values stay integral.
+Small dense matrices only, with no tolerances anywhere.  Vectors are
+primitive integer vectors: rescaling by a nonzero rational changes no zero
+coordinate, no zero/nonzero inner product and no linear (in)dependence, so
+rational input is scaled to integers once and everything after that is
+fraction-free.  Elimination keeps rows integral by cross-multiplying and
+dividing by the row's gcd (nullspace) or by the previous pivot (Bareiss rank).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 __all__ = [
     "dot",
-    "rref",
-    "nullspace_basis",
+    "int_nullspace_basis",
     "rank_bareiss",
     "primitive_int_vector",
 ]
 
 
-def dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
+def dot(u, v):
+    if len(u) != len(v):
+        raise ValueError("inner product of vectors of different lengths")
+    return sum(map(mul, u, v), 0)
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (copy) and its pivot columns."""
+def primitive_int_vector(vec) -> tuple[int, ...]:
+    """Integer vector with coprime entries spanning the same rational line.
+
+    Entries are ints or Fractions.  The scale factor is positive, so signs
+    are kept; the zero vector stays zero.
+    """
+    den = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    g = gcd(*ints)
+    if g > 1:
+        return tuple(x // g for x in ints)
+    return tuple(ints)
+
+
+def int_nullspace_basis(rows, ncols: int) -> list[tuple[int, ...]]:
+    """Basis of {x : row . x = 0 for every row} over integer rows.
+
+    One vector per free column: the primitive multiple, positive in its
+    free column, of the vector the reduced row echelon form gives (1 in the
+    free column, minus the reduced rows' entries in the pivot columns).
+    """
     mat = [list(row) for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if pivot is None:
+        if r == len(mat):
+            break
+        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if p is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        mat[r], mat[p] = mat[p], mat[r]
+        prow = mat[r]
+        pv = prow[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if i != r and f:
+                row = [pv * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                mat[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return mat, pivots
-
-
-def nullspace_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {x : row . x = 0 for every row}; one vector per free column."""
-    if not rows:
-        return [
-            [Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)
-        ]
-    mat, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    # each pivot row is now its reduced row times its pivot entry
+    scale = lcm(*(mat[i][pc] for i, pc in enumerate(pivots)))
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        basis.append(vec)
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [0] * ncols
+        vec[fc] = scale
+        for i, pc in enumerate(pivots):
+            vec[pc] = -mat[i][fc] * (scale // mat[i][pc])
+        basis.append(primitive_int_vector(vec))
     return basis
 
 
 def rank_bareiss(rows) -> int:
     """Exact rank by fraction-free (Bareiss) elimination."""
-    mat = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fr)) if fr else 1
-        mat.append([int(f * scale) for f in fr])
+    mat = [list(primitive_int_vector(row)) for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
     prev = 1
@@ -91,19 +103,3 @@ def rank_bareiss(rows) -> int:
         prev = mat[r][c]
         r += 1
     return r
-
-
-def primitive_int_vector(vec) -> list[int]:
-    """Integer vector with coprime entries spanning the same rational line.
-
-    Rescaling never changes orthogonality, zero/nonzero inner products or
-    linear (in)dependence, and it keeps coordinate growth in check during
-    incremental constructions.
-    """
-    fr = [Fraction(x) for x in vec]
-    denom = lcm(*(f.denominator for f in fr))
-    ints = [int(f * denom) for f in fr]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints

@@ -1,19 +1,22 @@
 """Exact orthogonal representations for certified delta-graphs.
 
-Given a delta-graph certificate for G, build one rational vector per vertex
-in dimension d = max_degree(complement(G)) + 1 such that inner products are
-nonzero exactly on edges.  The span of the vectors then witnesses
-msr(G) <= d = |G| - min_degree(G).
+Given a delta-graph certificate for G, build one primitive integer vector
+per vertex in dimension d = max_degree(complement(G)) + 1 such that inner
+products are nonzero exactly on edges.  The span of the vectors then
+witnesses msr(G) <= d = |G| - min_degree(G).
 
 Vertices are adjoined in certificate order, as in the general-position
 argument of Lovasz, Saks and Schrijver: each new vector is a random integer
-combination of a basis of the nullspace of its prior non-neighbours, a
-system of t < d rows in d columns.  Every remaining condition (nonzero
-coordinates, nonzero inner product with each prior neighbour, independence
-from every prior) is checked in exact arithmetic and the combination is
-redrawn on failure.  Each condition fails only on a proper subvariety, so
-random coefficients from a widening window make the bounded retry loop
-succeed with overwhelming probability.
+combination of a fraction-free integer basis of the nullspace of its prior
+non-neighbours, a system of t < d rows in d columns.  Every remaining
+condition (nonzero coordinates, nonzero inner product with each prior
+neighbour, independence from every prior) is checked in integer arithmetic
+and the combination is redrawn on failure.  Each condition fails only on a
+proper subvariety, so random coefficients from a widening window make the
+bounded retry loop succeed with overwhelming probability.
+
+verify_rep accepts rational vectors too, such as a bundle read back from
+JSON: it rescales each one to a primitive integer vector before checking.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from operator import mul
 
-from .graphs import Graph, complement, max_degree, min_degree
-from .linalg import dot, nullspace_basis, primitive_int_vector, rank_bareiss
+from .graphs import Graph, min_degree
+from .linalg import dot, int_nullspace_basis, primitive_int_vector, rank_bareiss
 from .recognition import DeltaCertificate, check_certificate
 
 __all__ = [
@@ -52,7 +56,8 @@ __all__ = [
 MAX_RESAMPLES = 32
 WIDEN_EVERY = 8
 
-RationalVector = tuple[Fraction, ...]
+RationalVector = tuple[Fraction | int, ...]
+IntVector = tuple[int, ...]
 
 
 class RetryBudgetExceeded(RuntimeError):
@@ -82,7 +87,11 @@ class GenericSampler:
 
 @dataclass(frozen=True)
 class OrthoRep:
-    """One rational vector per vertex, all in dimension ``dim``."""
+    """One rational vector per vertex, all in dimension ``dim``.
+
+    ``construct`` fills it with primitive integer vectors; a bundle read
+    back from JSON holds Fractions.
+    """
 
     dim: int
     vectors: tuple[RationalVector, ...]
@@ -101,13 +110,20 @@ class GramMatrix:
 
 @dataclass(frozen=True)
 class RepReport:
-    """Verification outcome; bound is |G| - min_degree(G) when all checks pass."""
+    """Verification outcome; bound is |G| - min_degree(G) when all checks pass.
+
+    failed_pair is the first vertex pair (i, j), i < j, in row-major order
+    whose inner product has the wrong zero pattern or whose vectors are
+    dependent; None when no pair fails, and when ragged vectors leave no
+    pair to compare.
+    """
 
     pattern_ok: bool
     nonzero_ok: bool
     independent_ok: bool
     dimension_ok: bool
     bound: int | None
+    failed_pair: tuple[int, int] | None = None
 
     @property
     def all_ok(self) -> bool:
@@ -119,45 +135,50 @@ class RepReport:
         )
 
 
-def _is_multiple(u: RationalVector, v: RationalVector) -> bool:
-    """True when v = lambda * u for some rational lambda (u nonzero)."""
-    i = next(k for k, x in enumerate(u) if x != 0)
-    lam = v[i] / u[i]
-    return all(x * lam == y for x, y in zip(u, v))
+def _line(vec: IntVector) -> IntVector:
+    """Sign-normalised primitive vector: u and v share it iff v = +-u.
+
+    vec is a nonzero primitive integer vector; its first nonzero entry
+    becomes positive.
+    """
+    return vec if next(x for x in vec if x) > 0 else tuple(-x for x in vec)
 
 
 def _solve_vector(
-    priors: list[tuple[RationalVector, bool]],
+    priors: list[tuple[IntVector, bool]],
     d: int,
     sampler: GenericSampler,
-) -> RationalVector:
+) -> IntVector:
     """Vector with prescribed zero/nonzero inner products against the priors.
 
-    priors pairs each earlier vector with True (inner product must be
-    nonzero) or False (must be zero).  Requires fewer than d zero
-    constraints, which any valid certificate guarantees.
+    priors pairs each earlier vector, a primitive integer vector as this
+    function returns, with True (inner product must be nonzero) or False
+    (must be zero).  Requires fewer than d zero constraints, which any
+    valid certificate guarantees.
     """
-    zero_rows = [list(vec) for vec, adjacent in priors if not adjacent]
+    zero_rows = [vec for vec, adjacent in priors if not adjacent]
     t = len(zero_rows)
     if t >= d:
         raise ValueError(
             f"{t} orthogonality constraints in dimension {d} can force the "
             "zero vector; the certificate bound is violated"
         )
-    basis = [primitive_int_vector(b) for b in nullspace_basis(zero_rows, d)]
+    basis = int_nullspace_basis(zero_rows, d)
+    columns = list(zip(*basis))
     neighbours = [vec for vec, adjacent in priors if adjacent]
+    lines = {_line(vec) for vec, _ in priors}
 
     for attempt in range(MAX_RESAMPLES):
         if attempt and attempt % WIDEN_EVERY == 0:
             sampler.widen()
         coeffs = [int(sampler.nonzero()) for _ in basis]
-        x = [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(d)]
-        if any(c == 0 for c in x):
+        x = [sum(map(mul, coeffs, col)) for col in columns]
+        if not all(x):
             continue
-        xt = tuple(Fraction(c) for c in primitive_int_vector(x))
+        xt = primitive_int_vector(x)
         if any(dot(xt, vec) == 0 for vec in neighbours):
             continue
-        if any(_is_multiple(vec, xt) for vec, _ in priors):
+        if _line(xt) in lines:
             continue
         return xt
     raise RetryBudgetExceeded(
@@ -169,10 +190,11 @@ def _solve_vector(
 def construct(
     g: Graph, cert: DeltaCertificate, sampler: GenericSampler | None = None
 ) -> OrthoRep:
-    """Representation of g in dimension max_degree(complement(g)) + 1.
+    """Representation of g in dimension |g| - min_degree(g).
 
-    Walks the certificate ordering with one solve per vertex.  Vectors in
-    the result are indexed by vertex id.
+    That dimension is max_degree(complement(g)) + 1.  Walks the certificate
+    ordering with one solve per vertex.  Vectors in the result are indexed
+    by vertex id.
     """
     if cert.is_complement_form:
         raise ValueError("construction needs the delta-form certificate")
@@ -181,14 +203,14 @@ def construct(
         raise ValueError(f"invalid certificate: {chk.reason}")
     if sampler is None:
         sampler = GenericSampler()
-    d = max_degree(complement(g)) + 1
+    d = g.n - min_degree(g)
     order = cert.ordering
-    built: list[RationalVector] = []
+    built: list[IntVector] = []
     for i in range(g.n):
         v = order[i]
         priors = [(built[j], g.has_edge(order[j], v)) for j in range(i)]
         built.append(_solve_vector(priors, d, sampler))
-    by_vertex: list[RationalVector | None] = [None] * g.n
+    by_vertex: list[IntVector | None] = [None] * g.n
     for i, v in enumerate(order):
         by_vertex[v] = built[i]
     return OrthoRep(dim=d, vectors=tuple(by_vertex))  # type: ignore[arg-type]
@@ -205,30 +227,64 @@ def rank(m: GramMatrix) -> int:
 
 
 def verify_rep(g: Graph, rep: OrthoRep) -> RepReport:
-    """Re-check every contract of a representation against its graph."""
+    """Re-check every contract of a representation against its graph.
+
+    Each vector is first scaled to a primitive integer vector, which keeps
+    every zero coordinate, every zero/nonzero inner product and every
+    pairwise dependence, so rational input verifies as it would unscaled.
+    """
     if len(rep.vectors) != g.n:
         raise ValueError("representation size does not match the graph")
-    dimension_ok = rep.dim == max_degree(complement(g)) + 1 and all(
-        len(v) == rep.dim for v in rep.vectors
+    vecs = [primitive_int_vector(v) for v in rep.vectors]
+    dimension_ok = rep.dim == g.n - min_degree(g) and all(
+        len(v) == rep.dim for v in vecs
     )
-    nonzero_ok = all(all(c != 0 for c in vec) for vec in rep.vectors)
+    nonzero_ok = all(all(vec) for vec in vecs)
     # ragged vectors make inner products meaningless; report the dimension
     # failure instead of comparing patterns
-    comparable = len({len(v) for v in rep.vectors}) == 1
-    pattern_ok = comparable
-    independent_ok = comparable
+    comparable = len({len(v) for v in vecs}) == 1
+    pattern_pair = dependent_pair = None
     if comparable:
-        for i in range(g.n):
-            for j in range(i + 1, g.n):
-                if (dot(rep.vectors[i], rep.vectors[j]) != 0) != g.has_edge(i, j):
-                    pattern_ok = False
-                if any(c != 0 for c in rep.vectors[i]) and _is_multiple(
-                    rep.vectors[i], rep.vectors[j]
-                ):
-                    independent_ok = False
+        pattern_pair = next(
+            (
+                (i, j)
+                for i in range(g.n)
+                for j in range(i + 1, g.n)
+                if (dot(vecs[i], vecs[j]) != 0) != g.has_edge(i, j)
+            ),
+            None,
+        )
+        dependent_pair = _first_dependent_pair(vecs)
+    failed = [p for p in (pattern_pair, dependent_pair) if p is not None]
+    pattern_ok = comparable and pattern_pair is None
+    independent_ok = comparable and dependent_pair is None
     all_ok = pattern_ok and nonzero_ok and independent_ok and dimension_ok
     bound = g.n - min_degree(g) if all_ok else None
-    return RepReport(pattern_ok, nonzero_ok, independent_ok, dimension_ok, bound)
+    return RepReport(
+        pattern_ok, nonzero_ok, independent_ok, dimension_ok, bound, min(failed, default=None)
+    )
+
+
+def _first_dependent_pair(vecs: list[IntVector]) -> tuple[int, int] | None:
+    """First (i, j), i < j, in row-major order with vecs[j] a multiple of vecs[i].
+
+    Only a nonzero vecs[i] counts, so a zero vector is dependent on every
+    nonzero vector before it and on nothing else.  For each j the smallest
+    such i is the first index of its line, found in one pass.
+    """
+    first_of_line: dict[IntVector, int] = {}
+    first_nonzero = None
+    found = None
+    for j, vec in enumerate(vecs):
+        if any(vec):
+            i = first_of_line.setdefault(_line(vec), j)
+            if first_nonzero is None:
+                first_nonzero = j
+        else:
+            i = j if first_nonzero is None else first_nonzero
+        if i != j and (found is None or (i, j) < found):
+            found = (i, j)
+    return found
 
 
 # --- serialization ----------------------------------------------------------

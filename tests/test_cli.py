@@ -121,6 +121,7 @@ def test_certify_then_verify_roundtrip():
     code, report = run_cli(["verify"], stdin_text=out)
     assert code == 0
     assert all(json.loads(report)["checks"].values())
+    assert "failed_pair" not in json.loads(report)
 
 
 def test_verify_detects_tampering():
@@ -130,6 +131,36 @@ def test_verify_detects_tampering():
     code, report = run_cli(["verify"], stdin_text=json.dumps(bundle))
     assert code == 1
     assert not json.loads(report)["checks"]["nonzero"]
+
+
+def test_verify_names_the_first_failing_pair():
+    # v3 := v0: dependent at (0, 3); the first pattern failure, v1 . v3 = 0
+    # on the prism edge 1 ~ 3, comes later in row-major order
+    _, out = run_cli(["certify", "--seed", "3", PRISM])
+    bundle = json.loads(out)
+    vectors = bundle["representation"]["vectors"]
+    vectors[3] = vectors[0]
+    code, report = run_cli(["verify"], stdin_text=json.dumps(bundle))
+    assert code == 1
+    result = json.loads(report)
+    assert result["failed_pair"] == [0, 3]
+    assert not result["checks"]["independent"] and not result["checks"]["pattern"]
+
+
+def test_verify_malformed_bundles_are_input_errors(capsys):
+    _, out = run_cli(["certify", "--seed", "3", PRISM])
+    short = json.loads(out)
+    del short["representation"]["vectors"][-1]
+    not_text = json.loads(out)
+    not_text["graph6"] = 5
+    for bundle, message in (
+        (short, "representation size does not match the graph"),
+        (not_text, "graph6 must be a string"),
+    ):
+        assert main(["verify", json.dumps(bundle)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in json.loads(captured.err)["error"]
 
 
 def test_verify_reads_long_coordinates_in_a_fresh_process():

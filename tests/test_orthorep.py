@@ -292,3 +292,134 @@ def test_coordinates_stay_small_on_long_orderings():
                 for x in vec:
                     assert abs(x.numerator).bit_length() <= 1024
                     assert x.denominator.bit_length() <= 1024
+
+
+# construct's vectors, by vertex, as 0.3.0 built them at seeds 0 and 1
+PINNED_VECTORS = {
+    ("PRISM", 0): [
+        (6312, -6891, -8377),
+        (60563949, 10456880, 37032504),
+        (19580194304, 216758373471, -93228105494),
+        (-145491825847499, 30427621948416, 40188348808960),
+        (330924462537920768, 634780836172638137, 717420193254017569),
+        (-186908256452377302835, 3650255241249760584532, -3143568554635251966516),
+    ],
+    ("PRISM", 1): [
+        (1101, -517, 4059),
+        (4327433, 4259769, -631240),
+        (-2004174155, 670752115, -9213104857),
+        (-109540311529, 38226755, 23831651260),
+        (40061327964995, 410666627922221, 183480021811075),
+        (80079773364210037, 1791026082003585, -21493439268193988),
+    ],
+    ("ML12_COMPLEMENT", 0): [
+        (6312, -6891, -8377, 4970),
+        (6866689, 1543021, 2823831, -1821801),
+        (1907354637, 10670834706, 28187758345, 59918728214),
+        (-3212831533473032448, -4540621065036191050, 3606111732911011974, -785530359613255011),
+        (9862, -5082, 1209, -5410),
+        (-28438187, -42120602, 88659380, 7539499),
+        (
+            -3375095812184504391817,
+            -488651920721229259900,
+            -1418340226394989529662,
+            1218283361027721046519,
+        ),
+        (-20082506683, 44873812615, 130467091, -37485255251),
+        (2142392409733517119, 941186230341728563, -453114158976366807, -22651888867657719),
+        (-1650, 5181, 3351, -7816),
+        (-76336280625, -106627076788, 75866702846, -22038216552),
+        (
+            -63018329566076719358466,
+            17041706727690389135215,
+            -18308553156247062790021,
+            72803892855474663808732,
+        ),
+    ],
+    ("ML12_COMPLEMENT", 1): [
+        (1101, -517, 4059, 3869),
+        (22303678, -3787440, 170655, -7032087),
+        (25684835943, 390314365, 97333250792, 83616488822),
+        (-12398136665936343551, -12729420946885491131, 605987822613765003, 3162412355829902056),
+        (1675, -502, -8871, 6246),
+        (14182281, 1267305, 2522885, -118255),
+        (
+            -259842522272294699455,
+            -2047316921114760335808,
+            2363525390403599762820,
+            -2679226102569849073869,
+        ),
+        (-16610097774, 101671316163, -36555728242, -108328964046),
+        (19351620452575678046, 4297405200654298364, -8505386290473706233, 3936261447864900959),
+        (6916, -8645, 7175, -9059),
+        (-417890176343, -421859510393, 8572509699, 90336103858),
+        (
+            1889636030576378791350,
+            99110432792902858433,
+            -10195509290354026015303,
+            10171704066589901608852,
+        ),
+    ],
+}
+
+
+def test_construct_pinned_vectors():
+    graphs = {"PRISM": PRISM, "ML12_COMPLEMENT": complement(mobius_ladder(12))}
+    for (name, seed), expected in PINNED_VECTORS.items():
+        g = graphs[name]
+        rep = construct(g, recognize_delta(g), GenericSampler(seed=seed))
+        assert [list(v) for v in rep.vectors] == [list(v) for v in expected], (name, seed)
+        assert all(type(x) is int for v in rep.vectors for x in v)
+
+
+def tampered_prism_reps():
+    """A valid prism representation and four broken ones, by name."""
+    vecs = list(construct(PRISM, recognize_delta(PRISM), GenericSampler(seed=2)).vectors)
+    zeroed, dependent, zero_last, zero_first, ragged = (list(vecs) for _ in range(5))
+    zeroed[1] = (0,) + zeroed[1][1:]
+    dependent[4] = tuple(-3 * c for c in vecs[2])
+    zero_last[4] = (0, 0, 0)
+    zero_first[0] = (0, 0, 0)
+    ragged[3] = ragged[3][:2]
+    return {
+        "valid": vecs,
+        "zeroed": zeroed,
+        "dependent": dependent,
+        "zero_last": zero_last,
+        "zero_first": zero_first,
+        "ragged": ragged,
+    }
+
+
+def test_verify_rep_first_failing_pair():
+    # prism = complement of C6: i ~ j unless j = i +- 1 (mod 6)
+    reports = {
+        name: verify_rep(PRISM, OrthoRep(3, tuple(vecs)))
+        for name, vecs in tampered_prism_reps().items()
+    }
+    assert reports["valid"].all_ok and reports["valid"].failed_pair is None
+    # v1 . v0 is no longer 0
+    assert reports["zeroed"].failed_pair == (0, 1)
+    # v4 = -3 v2 is dependent on v2 at (2, 4), but v4 . v1 = 0 on the edge
+    # 1 ~ 4 comes first in row-major order
+    dep = reports["dependent"]
+    assert not dep.pattern_ok and not dep.independent_ok and dep.failed_pair == (1, 4)
+    # a zero vector after a nonzero one is dependent on the first of them
+    last = reports["zero_last"]
+    assert not last.independent_ok and not last.nonzero_ok and last.failed_pair == (0, 4)
+    # a zero vector in first place is dependent on nothing, but is
+    # orthogonal to its neighbour 2
+    first = reports["zero_first"]
+    assert first.independent_ok and not first.pattern_ok and first.failed_pair == (0, 2)
+    ragged = reports["ragged"]
+    assert not ragged.dimension_ok and not ragged.pattern_ok and ragged.failed_pair is None
+
+
+def test_verify_rep_ignores_rational_scaling():
+    for name, vecs in tampered_prism_reps().items():
+        scaled = tuple(
+            tuple(Fraction(c, k + 2) for c in vec) for k, vec in enumerate(vecs)
+        )
+        for dim in (3, 4):
+            expected = verify_rep(PRISM, OrthoRep(dim, tuple(vecs)))
+            assert verify_rep(PRISM, OrthoRep(dim, scaled)) == expected, (name, dim)
