@@ -25,6 +25,7 @@ from .graphs import Graph, is_connected, min_degree, parse_edge_list, parse_grap
 from .msr import check_delta_conjecture
 from .orthorep import (
     GenericSampler,
+    RepReport,
     RetryBudgetExceeded,
     construct,
     gram,
@@ -57,6 +58,15 @@ def _read_text(source: str | None) -> str:
     return source
 
 
+def _checks(report: RepReport) -> dict:
+    return {
+        "pattern": report.pattern_ok,
+        "nonzero": report.nonzero_ok,
+        "independent": report.independent_ok,
+        "dimension": report.dimension_ok,
+    }
+
+
 def _load_graph(args) -> Graph:
     if args.format == "edgelist":
         text = _read_text(args.graph)
@@ -71,7 +81,7 @@ def _load_graph(args) -> Graph:
 def _cmd_recognize(args) -> int:
     try:
         g = _load_graph(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         return _fail(str(exc), 2)
     recognizer = recognize_c_delta if args.c_delta else recognize_delta
     try:
@@ -88,7 +98,7 @@ def _cmd_recognize(args) -> int:
 def _cmd_certify(args) -> int:
     try:
         g = _load_graph(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         return _fail(str(exc), 2)
     try:
         cert = recognize_delta(g)
@@ -110,12 +120,7 @@ def _cmd_certify(args) -> int:
         "delta_bound": g.n - min_degree(g),
         "seed": args.seed,
         "representation": rep_to_json_dict(rep),
-        "checks": {
-            "pattern": report.pattern_ok,
-            "nonzero": report.nonzero_ok,
-            "independent": report.independent_ok,
-            "dimension": report.dimension_ok,
-        },
+        "checks": _checks(report),
     }
     if args.emit_gram:
         bundle["gram"] = gram_to_json_dict(gram(rep))
@@ -135,17 +140,11 @@ def _cmd_verify(args) -> int:
         g = parse_graph6(data["graph6"])
         rep = rep_from_json_dict(data["representation"])
         report = verify_rep(g, rep)
+    except OSError as exc:
+        return _fail(str(exc), 2)
     except (ValueError, KeyError, TypeError) as exc:
         return _fail(f"bad bundle: {exc}", 2)
-    result = {
-        "bound": report.bound,
-        "checks": {
-            "pattern": report.pattern_ok,
-            "nonzero": report.nonzero_ok,
-            "independent": report.independent_ok,
-            "dimension": report.dimension_ok,
-        },
-    }
+    result = {"bound": report.bound, "checks": _checks(report)}
     if not report.all_ok:
         result["failed_pair"] = report.failed_pair
     _print_json(result)
@@ -167,8 +166,15 @@ def _batch_line(line: str, seed: int) -> dict:
 
 def _cmd_batch(args) -> int:
     """One report line per input line, each written as soon as it is known."""
-    from_stdin = args.input is None or args.input == "-"
-    with contextlib.nullcontext(sys.stdin) if from_stdin else open(args.input) as lines:
+    if args.input is None or args.input == "-":
+        source = contextlib.nullcontext(sys.stdin)
+    else:
+        try:
+            # undecodable bytes reach parse_graph6 and become error lines, as on stdin
+            source = open(args.input, errors="surrogateescape")
+        except OSError as exc:
+            return _fail(str(exc), 2)
+    with source as lines:
         for line in lines:
             line = line.strip()
             if line:

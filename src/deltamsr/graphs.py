@@ -21,14 +21,12 @@ __all__ = [
     "BlockDecomposition",
     "from_edge_list",
     "parse_edge_list",
-    "format_edge_list",
     "parse_graph6",
     "to_graph6",
     "complement",
     "is_connected",
     "induced_subgraph",
     "min_degree",
-    "max_degree",
     "find_pendant",
     "lex_bfs",
     "is_perfect_elimination_ordering",
@@ -92,9 +90,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2
 
-    def vertices(self) -> range:
-        return range(self.n)
-
 
 def from_edge_list(n: int, edges) -> Graph:
     """Build a graph from (u, v) pairs; duplicates collapse, loops are errors."""
@@ -127,12 +122,6 @@ def parse_edge_list(text: str) -> Graph:
             raise ValueError(f"bad edge line: {ln!r}")
         edges.append((int(parts[0]), int(parts[1])))
     return from_edge_list(n, edges)
-
-
-def format_edge_list(g: Graph) -> str:
-    lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
 
 
 # --- graph6 ---------------------------------------------------------------
@@ -267,10 +256,6 @@ def induced_subgraph(g: Graph, vs) -> Graph:
 
 def min_degree(g: Graph) -> int:
     return min(g.degree(v) for v in range(g.n))
-
-
-def max_degree(g: Graph) -> int:
-    return max(g.degree(v) for v in range(g.n))
 
 
 def find_pendant(g: Graph) -> int | None:

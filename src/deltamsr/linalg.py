@@ -5,7 +5,7 @@ primitive integer vectors: rescaling by a nonzero rational changes no zero
 coordinate, no zero/nonzero inner product and no linear (in)dependence, so
 rational input is scaled to integers once and everything after that is
 fraction-free.  Elimination keeps rows integral by cross-multiplying and
-dividing by the row's gcd (nullspace) or by the previous pivot (Bareiss rank).
+dividing each row by its gcd.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from operator import mul
 __all__ = [
     "dot",
     "int_nullspace_basis",
-    "rank_bareiss",
     "primitive_int_vector",
 ]
 
@@ -81,25 +80,3 @@ def int_nullspace_basis(rows, ncols: int) -> list[tuple[int, ...]]:
         basis.append(primitive_int_vector(vec))
     return basis
 
-
-def rank_bareiss(rows) -> int:
-    """Exact rank by fraction-free (Bareiss) elimination."""
-    mat = [list(primitive_int_vector(row)) for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                mat[i][j] = (mat[i][j] * mat[r][c] - mat[i][c] * mat[r][j]) // prev
-            mat[i][c] = 0
-        prev = mat[r][c]
-        r += 1
-    return r

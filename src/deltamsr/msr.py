@@ -1,12 +1,11 @@
-"""Exact minimum semidefinite rank for special families, and bound reports.
+"""Exact minimum semidefinite rank for special families, and conjecture verdicts.
 
 The exact engine applies, in order: trees (msr = n-1), cycles (msr = n-2),
 connected chordal graphs (msr = clique cover number), pendant-vertex
 reduction (msr(G) = msr(G-v) + 1) and cut-vertex decomposition (msr is the
 sum over blocks).  All five are theorems, so any applicable order agrees;
-the fixed order is for determinism.  ``msr_bounds`` folds in the
-delta-graph construction bound and trivial bounds, and
-``check_delta_conjecture`` produces the per-graph verdict.
+the fixed order is for determinism.  ``check_delta_conjecture`` produces
+the per-graph verdict.
 """
 
 from __future__ import annotations
@@ -26,40 +25,14 @@ from .graphs import (
     to_graph6,
 )
 from .orthorep import GenericSampler, construct, verify_rep
-from .recognition import DeltaCertificate, recognize_delta
+from .recognition import recognize_delta
 
 __all__ = [
-    "MsrBounds",
     "ConjectureReport",
     "msr_exact",
     "clique_cover_number_chordal",
-    "msr_bounds",
     "check_delta_conjecture",
 ]
-
-
-@dataclass(frozen=True)
-class MsrBounds:
-    """Integer interval for msr with the rules that produced each bound."""
-
-    lo: int
-    hi: int
-    provenance: tuple[tuple[str, int], ...]
-
-    @property
-    def exact(self) -> bool:
-        return self.lo == self.hi
-
-    def m_plus_interval(self, n: int) -> tuple[int, int]:
-        """Interval for the maximum psd nullity, via msr + nullity = n."""
-        return n - self.hi, n - self.lo
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "provenance": [[rule, value] for rule, value in self.provenance],
-        }
 
 
 @dataclass(frozen=True)
@@ -129,21 +102,23 @@ def _is_cycle(g: Graph) -> bool:
     return g.n >= 3 and all(g.degree(v) == 2 for v in range(g.n))
 
 
-def _msr_exact_rule(g: Graph) -> tuple[int, str] | None:
-    """(value, top-level rule) or None; assumes g connected."""
+def msr_exact(g: Graph) -> int | None:
+    """Exact msr when the recursive special-family engine applies, else None."""
+    if not is_connected(g):
+        raise ValueError("msr_exact needs a connected graph")
     if _is_tree(g):
-        return g.n - 1, "tree"
+        return g.n - 1
     if _is_cycle(g):
-        return g.n - 2, "cycle"
+        return g.n - 2
     peo = chordality(g)
     if peo is not None:
-        return clique_cover_number_chordal(g, peo), "chordal-cc"
+        return clique_cover_number_chordal(g, peo)
     v = find_pendant(g)
     if v is not None:
         rest = [u for u in range(g.n) if u != v]
         inner = msr_exact(induced_subgraph(g, rest))
         if inner is not None:
-            return inner + 1, "pendant-reduction"
+            return inner + 1
     decomp = blocks(g)
     if decomp.cut_vertices:
         total = 0
@@ -152,51 +127,8 @@ def _msr_exact_rule(g: Graph) -> tuple[int, str] | None:
             if part is None:
                 return None
             total += part
-        return total, "cut-vertex-sum"
+        return total
     return None
-
-
-def msr_exact(g: Graph) -> int | None:
-    """Exact msr when the recursive special-family engine applies, else None."""
-    if not is_connected(g):
-        raise ValueError("msr_exact needs a connected graph")
-    result = _msr_exact_rule(g)
-    return None if result is None else result[0]
-
-
-def msr_bounds(
-    g: Graph,
-    cert: DeltaCertificate | None = None,
-    sampler: GenericSampler | None = None,
-) -> MsrBounds:
-    """Tightest msr interval from the exact engine, a certificate, and trivia."""
-    if not is_connected(g):
-        raise ValueError("msr_bounds needs a connected graph")
-    n = g.n
-    lo, hi = 0, n - 1
-    prov: list[tuple[str, int]] = [("trivial", 0), ("trivial", n - 1)]
-    if g.edge_count > 0:
-        lo = 1
-        prov.append(("trivial", 1))
-    exact = _msr_exact_rule(g)
-    if exact is not None:
-        value, rule = exact
-        lo = max(lo, value)
-        hi = min(hi, value)
-        prov.append((rule, value))
-    if cert is not None:
-        if cert.is_complement_form:
-            raise ValueError("msr_bounds needs the delta-form certificate")
-        rep = construct(g, cert, sampler)
-        report = verify_rep(g, rep)
-        if not report.all_ok:
-            raise RuntimeError("constructed representation failed verification")
-        assert report.bound is not None
-        hi = min(hi, report.bound)
-        prov.append(("delta-construction", report.bound))
-    if lo > hi:
-        raise RuntimeError(f"inconsistent msr bounds [{lo}, {hi}] for {to_graph6(g)}")
-    return MsrBounds(lo, hi, tuple(prov))
 
 
 def check_delta_conjecture(

@@ -29,7 +29,7 @@ from fractions import Fraction
 from operator import mul
 
 from .graphs import Graph, min_degree
-from .linalg import dot, int_nullspace_basis, primitive_int_vector, rank_bareiss
+from .linalg import dot, int_nullspace_basis, primitive_int_vector
 from .recognition import DeltaCertificate, check_certificate
 
 __all__ = [
@@ -39,11 +39,9 @@ __all__ = [
     "GenericSampler",
     "RationalVector",
     "OrthoRep",
-    "GramMatrix",
     "RepReport",
     "construct",
     "gram",
-    "rank",
     "verify_rep",
     "fraction_to_str",
     "fraction_from_str",
@@ -66,7 +64,7 @@ class RetryBudgetExceeded(RuntimeError):
 
 @dataclass
 class GenericSampler:
-    """Seeded source of nonzero rationals from a growing magnitude window."""
+    """Seeded source of nonzero integers from a growing magnitude window."""
 
     seed: int = 0
     magnitude: int = 10_000
@@ -75,11 +73,11 @@ class GenericSampler:
     def __post_init__(self) -> None:
         self._rng = random.Random(self.seed)
 
-    def nonzero(self) -> Fraction:
+    def nonzero(self) -> int:
         value = self._rng.randint(1, self.magnitude)
         if self._rng.random() < 0.5:
             value = -value
-        return Fraction(value)
+        return value
 
     def widen(self) -> None:
         self.magnitude *= 2
@@ -95,17 +93,6 @@ class OrthoRep:
 
     dim: int
     vectors: tuple[RationalVector, ...]
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Exact symmetric matrix of pairwise inner products."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -171,7 +158,7 @@ def _solve_vector(
     for attempt in range(MAX_RESAMPLES):
         if attempt and attempt % WIDEN_EVERY == 0:
             sampler.widen()
-        coeffs = [int(sampler.nonzero()) for _ in basis]
+        coeffs = [sampler.nonzero() for _ in basis]
         x = [sum(map(mul, coeffs, col)) for col in columns]
         if not all(x):
             continue
@@ -216,14 +203,14 @@ def construct(
     return OrthoRep(dim=d, vectors=tuple(by_vertex))  # type: ignore[arg-type]
 
 
-def gram(rep: OrthoRep) -> GramMatrix:
-    return GramMatrix(
-        tuple(tuple(dot(u, v) for v in rep.vectors) for u in rep.vectors)
-    )
-
-
-def rank(m: GramMatrix) -> int:
-    return rank_bareiss(m.entries)
+def gram(rep: OrthoRep) -> tuple[tuple[int, ...], ...]:
+    """Symmetric matrix of pairwise inner products, one dot per unordered pair."""
+    vecs = rep.vectors
+    rows = [[0] * len(vecs) for _ in vecs]
+    for i, u in enumerate(vecs):
+        for j in range(i, len(vecs)):
+            rows[i][j] = rows[j][i] = dot(u, vecs[j])
+    return tuple(map(tuple, rows))
 
 
 def verify_rep(g: Graph, rep: OrthoRep) -> RepReport:
@@ -326,8 +313,8 @@ def rep_from_json_dict(d: dict) -> OrthoRep:
     )
 
 
-def gram_to_json_dict(m: GramMatrix) -> dict:
+def gram_to_json_dict(m: tuple[tuple[int, ...], ...]) -> dict:
     return {
-        "n": m.n,
-        "entries": [[fraction_to_str(x) for x in row] for row in m.entries],
+        "n": len(m),
+        "entries": [[fraction_to_str(x) for x in row] for row in m],
     }

@@ -28,7 +28,6 @@ from itertools import combinations
 from .graphs import Graph, complement, is_connected
 
 __all__ = [
-    "DELTA_BASE_KINDS",
     "CDELTA_BASE_KINDS",
     "SEARCH_BUDGET",
     "SearchBudgetExceeded",
@@ -36,12 +35,10 @@ __all__ = [
     "CertificateCheck",
     "max_excluded",
     "check_certificate",
-    "verify_certificate",
     "recognize_delta",
     "recognize_c_delta",
 ]
 
-DELTA_BASE_KINDS = ("3K1", "K2+K1")
 CDELTA_BASE_KINDS = ("K3", "P3")
 
 # induced edge count among the first three ordered vertices, per base kind
@@ -157,10 +154,6 @@ def check_certificate(g: Graph, cert: DeltaCertificate) -> CertificateCheck:
             )
         prior |= 1 << v
     return CertificateCheck(True)
-
-
-def verify_certificate(g: Graph, cert: DeltaCertificate) -> bool:
-    return check_certificate(g, cert).ok
 
 
 def _counts_for_order(masks: list[int], order) -> tuple[int, ...]:

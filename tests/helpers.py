@@ -3,13 +3,14 @@
 Everything here is deliberately independent of the library's own search
 and elimination code: isomorphism and clique covers run raw backtracking,
 chordality and delta-graph recognition try every ordering, girth runs BFS
-from every root, and random delta-graphs are drawn along the definition's
-own ordering.
+from every root, rank is plain Fraction elimination, and random
+delta-graphs are drawn along the definition's own ordering.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -36,6 +37,33 @@ def atlas_graphs(min_n: int = 1, max_n: int = 7) -> list[Graph]:
         if min_n <= g.n <= max_n:
             out.append(g)
     return out
+
+
+def max_degree(g: Graph) -> int:
+    return max(g.degree(v) for v in range(g.n))
+
+
+def format_edge_list(g: Graph) -> str:
+    """The text format parse_edge_list reads: n, then one 'u v' line per edge."""
+    lines = [str(g.n)]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
+
+def rank(rows) -> int:
+    """Exact rank of a matrix of ints or Fractions by Gaussian elimination."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        for i in range(r + 1, len(mat)):
+            f = mat[i][c] / mat[r][c]
+            mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        r += 1
+    return r
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from deltamsr import complement, parse_graph6, recognition, to_graph6
 from deltamsr.cli import main
 from deltamsr.families import complete, cycle, path
@@ -262,6 +264,34 @@ def test_batch_flags_disconnected():
     code, out = run_cli(["batch"], stdin_text="A?\n")
     lines = [json.loads(l) for l in out.splitlines()]
     assert code == 0 and "error" in lines[0]
+
+
+def test_batch_file_with_undecodable_bytes_reports_inline(tmp_path):
+    path = tmp_path / "graphs.g6"
+    path.write_bytes(C6.encode() + b"\nE?\xff\n" + P4.encode() + b"\n")
+    code, out = run_cli(["batch", str(path)])
+    lines = [json.loads(l) for l in out.splitlines()]
+    assert code == 0 and len(lines) == 3
+    assert "invalid graph6 character" in lines[1]["error"]
+    assert lines[0]["graph"] == C6 and lines[2]["graph"] == P4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{dir}"],
+        ["batch", "{dir}/missing.g6"],
+        ["batch", "{dir}"],
+        ["recognize", "--format", "edgelist", "{dir}"],
+    ],
+    ids=["verify-directory", "batch-missing-file", "batch-directory", "recognize-directory"],
+)
+def test_unreadable_input_files_are_input_errors(argv, tmp_path, capsys):
+    argv = [a.format(dir=tmp_path) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(tmp_path) in json.loads(captured.err)["error"]
 
 
 # --- gen --------------------------------------------------------------------------

@@ -13,9 +13,7 @@ from deltamsr import (
     induced_subgraph,
     is_connected,
     min_degree,
-    msr_bounds,
     msr_exact,
-    recognize_delta,
     to_graph6,
 )
 from deltamsr.families import complete, cycle, path, star
@@ -127,46 +125,6 @@ def test_block_rule_consistent_with_chordal_rule():
             continue
         total = sum(msr_exact(induced_subgraph(g, b)) for b in decomp.blocks)
         assert total == clique_cover_number_chordal(g, peo), to_graph6(g)
-
-
-# --- bounds aggregation ----------------------------------------------------------
-
-
-def test_msr_bounds_prism_with_certificate():
-    cert = recognize_delta(PRISM)
-    b = msr_bounds(PRISM, cert)
-    assert b.hi == 3 and b.lo == 1 and not b.exact
-    assert ("delta-construction", 3) in b.provenance
-    assert b.m_plus_interval(6) == (3, 5)
-
-
-def test_msr_bounds_cycle_exact():
-    b = msr_bounds(cycle(9))
-    assert (b.lo, b.hi) == (7, 7) and b.exact
-    assert ("cycle", 7) in b.provenance
-
-
-def test_msr_bounds_trivial_interval():
-    b = msr_bounds(PRISM)
-    assert (b.lo, b.hi) == (1, 5)
-
-
-def test_msr_bounds_rejects_complement_form_certificate():
-    from deltamsr import recognize_c_delta
-
-    with pytest.raises(ValueError):
-        msr_bounds(cycle(6), recognize_c_delta(cycle(6)))
-
-
-def test_msr_bounds_interval_contains_engine_value():
-    for g in helpers.atlas_graphs(max_n=6):
-        if not is_connected(g):
-            continue
-        value = msr_exact(g)
-        b = msr_bounds(g)
-        assert b.lo <= b.hi
-        if value is not None:
-            assert b.lo == b.hi == value
 
 
 # --- conjecture reports ------------------------------------------------------------

@@ -10,16 +10,14 @@ from deltamsr import (
     construct,
     gram,
     is_connected,
-    rank,
     recognize_c_delta,
     recognize_delta,
     to_graph6,
     verify_rep,
 )
 from deltamsr.families import cartesian_product, complete, cycle, mobius_ladder, path
-from deltamsr.linalg import dot, rank_bareiss
+from deltamsr.linalg import dot
 from deltamsr.orthorep import (
-    GramMatrix,
     _solve_vector,
     fraction_from_str,
     gram_to_json_dict,
@@ -53,6 +51,7 @@ def test_sampler_is_deterministic_and_nonzero():
     va = [a.nonzero() for _ in range(50)]
     vb = [b.nonzero() for _ in range(50)]
     assert va == vb
+    assert all(type(v) is int for v in va)
     assert all(v != 0 for v in va)
     a.widen()
     assert a.magnitude == 2 * b.magnitude
@@ -64,7 +63,7 @@ def test_seed_triple_3k1():
     assert all(c != 0 for v in (v1, v2, v3) for c in v)
     # mutually orthogonal nonzero vectors span R^3
     rep = OrthoRep(3, (v1, v2, v3))
-    assert rank(gram(rep)) == 3
+    assert helpers.rank(gram(rep)) == 3
 
 
 def test_seed_triple_k2k1_pattern():
@@ -157,29 +156,37 @@ def test_gram_identity_and_diagonal():
     basis = tuple(
         tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3)
     )
-    gm = gram(OrthoRep(3, basis))
-    assert gm.entries == basis
+    assert gram(OrthoRep(3, basis)) == basis
     sg = gram(construct(PRISM, recognize_delta(PRISM), GenericSampler(seed=6)))
     for i in range(6):
-        assert sg.entries[i][i] > 0
+        assert sg[i][i] > 0
         for j in range(6):
-            assert sg.entries[i][j] == sg.entries[j][i]
+            assert sg[i][j] == sg[j][i]
             if i != j:
-                assert (sg.entries[i][j] != 0) == PRISM.has_edge(i, j)
+                assert (sg[i][j] != 0) == PRISM.has_edge(i, j)
+
+
+def test_gram_matches_all_pairs_reference():
+    for g in (PRISM, complement(mobius_ladder(12))):
+        rep = construct(g, recognize_delta(g), GenericSampler(seed=0))
+        reference = tuple(
+            tuple(sum(a * b for a, b in zip(u, v)) for v in rep.vectors) for u in rep.vectors
+        )
+        assert gram(rep) == reference
 
 
 def test_rank_examples():
-    eye = GramMatrix(tuple(tuple(fr(int(i == j)) for j in range(3)) for i in range(3)))
-    ones = GramMatrix(tuple(tuple(fr(1) for _ in range(4)) for _ in range(4)))
-    assert rank(eye) == 3
-    assert rank(ones) == 1
+    eye = tuple(tuple(fr(int(i == j)) for j in range(3)) for i in range(3))
+    ones = tuple(tuple(fr(1) for _ in range(4)) for _ in range(4))
+    assert helpers.rank(eye) == 3
+    assert helpers.rank(ones) == 1
 
 
 def test_two_rank_routes_agree():
     cert = recognize_delta(PRISM)
     rep = construct(PRISM, cert, GenericSampler(seed=1))
-    gram_rank = rank(gram(rep))
-    vector_rank = rank_bareiss([list(v) for v in rep.vectors])
+    gram_rank = helpers.rank(gram(rep))
+    vector_rank = helpers.rank(rep.vectors)
     assert gram_rank == vector_rank <= rep.dim
 
 
@@ -262,7 +269,7 @@ def test_gram_exports():
     assert d["n"] == 6
     for i in range(6):
         for j in range(6):
-            assert fraction_from_str(d["entries"][i][j]) == gm.entries[i][j]
+            assert fraction_from_str(d["entries"][i][j]) == gm[i][j]
             if i != j and not PRISM.has_edge(i, j):
                 assert d["entries"][i][j] == "0/1"
 
@@ -277,7 +284,7 @@ def test_construction_holds_for_all_small_delta_graphs():
         rep = construct(g, cert, GenericSampler(seed=0))
         report = verify_rep(g, rep)
         assert report.all_ok, to_graph6(g)
-        assert rank(gram(rep)) <= rep.dim
+        assert helpers.rank(gram(rep)) <= rep.dim
 
 
 def test_coordinates_stay_small_on_long_orderings():
