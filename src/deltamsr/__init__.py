@@ -44,4 +44,4 @@ from .msr import (
 )
 from . import families
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

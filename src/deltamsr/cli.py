@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import sys
@@ -58,6 +59,19 @@ def _read_text(source: str | None) -> str:
     return source
 
 
+def _parse_file_or_literal(source: str | None, parse):
+    """Parse stdin for None or "-", else the file that source names, else source itself."""
+    if source is None or source == "-":
+        return parse(sys.stdin.read())
+    if os.path.exists(source):
+        with open(source) as fh:
+            return parse(fh.read())
+    try:
+        return parse(source)
+    except ValueError as exc:
+        raise FileNotFoundError(f"no such file {source!r}, and it does not parse: {exc}") from exc
+
+
 def _checks(report: RepReport) -> dict:
     return {
         "pattern": report.pattern_ok,
@@ -69,11 +83,7 @@ def _checks(report: RepReport) -> dict:
 
 def _load_graph(args) -> Graph:
     if args.format == "edgelist":
-        text = _read_text(args.graph)
-        if args.graph is not None and args.graph != "-" and os.path.exists(args.graph):
-            with open(args.graph) as fh:
-                text = fh.read()
-        return parse_edge_list(text)
+        return _parse_file_or_literal(args.graph, parse_edge_list)
     text = _read_text(args.graph).strip()
     return parse_graph6(text)
 
@@ -130,11 +140,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        text = _read_text(args.bundle)
-        if args.bundle is not None and args.bundle != "-" and os.path.exists(args.bundle):
-            with open(args.bundle) as fh:
-                text = fh.read()
-        data = json.loads(text)
+        data = _parse_file_or_literal(args.bundle, json.loads)
         if not isinstance(data["graph6"], str):
             raise TypeError("graph6 must be a string")
         g = parse_graph6(data["graph6"])
@@ -167,10 +173,12 @@ def _batch_line(line: str, seed: int) -> dict:
 def _cmd_batch(args) -> int:
     """One report line per input line, each written as soon as it is known."""
     if args.input is None or args.input == "-":
+        if isinstance(sys.stdin, io.TextIOWrapper):
+            # undecodable bytes become error lines whatever the locale's error handler
+            sys.stdin.reconfigure(errors="surrogateescape")
         source = contextlib.nullcontext(sys.stdin)
     else:
         try:
-            # undecodable bytes reach parse_graph6 and become error lines, as on stdin
             source = open(args.input, errors="surrogateescape")
         except OSError as exc:
             return _fail(str(exc), 2)

@@ -9,13 +9,20 @@ induce K3 or P3 and v_m is adjacent to at most floor(m/2)-1 priors.
 
 ``recognize_delta`` is a complete depth-first search over the sets of
 placed vertices.  Whether a prefix can be completed depends only on which
-vertices it holds, not on their order (the subset view of Held and Karp,
-J. SIAM 1962), so a set once shown to have no completion is never expanded
-again.  Base triples are tried in a fixed order, and each position takes
-its candidates by smallest excluded-count, then smallest vertex; the first
-certificate found is therefore the first ordering in that order.  The
-search runs on an explicit stack, so its depth is not limited by the
-interpreter's recursion limit.  The problem has no known polynomial
+vertices it holds, not on their order or its base triple (the subset view
+of Held and Karp, J. SIAM 1962), so a set once shown to have no completion
+is never expanded again in the same call.  Every non-edge is counted once,
+inside the base triple or in the count of its later end, so a placed set P
+can be completed only if
+
+    |E(Gbar)| - |E(Gbar[P])| <= sum of floor(m/2) - 1 over the open positions m,
+
+and a candidate whose count breaks this is not tried.  Base triples are
+tried in a fixed order, and each position takes its candidates by smallest
+excluded-count, then smallest vertex; both cuts drop only sets with no
+completion, so the first certificate found is the first ordering in that
+order.  The search runs on an explicit stack, so its depth is not limited
+by the interpreter's recursion limit.  The problem has no known polynomial
 algorithm, so the search is bounded: after ``SEARCH_BUDGET`` expanded sets
 it raises ``SearchBudgetExceeded``, the "undecided" outcome.
 """
@@ -156,16 +163,6 @@ def check_certificate(g: Graph, cert: DeltaCertificate) -> CertificateCheck:
     return CertificateCheck(True)
 
 
-def _counts_for_order(masks: list[int], order) -> tuple[int, ...]:
-    prior = 0
-    counts = []
-    for i, v in enumerate(order):
-        if i >= 3:
-            counts.append((masks[v] & prior).bit_count())
-        prior |= 1 << v
-    return tuple(counts)
-
-
 def _base_triples(g: Graph):
     """Canonically ordered base triples: 3K1 ascending; K2+K1 as (end, lone, end)."""
     for a, b, c in combinations(range(g.n), 3):
@@ -185,10 +182,14 @@ def _base_triples(g: Graph):
 def recognize_delta(g: Graph) -> DeltaCertificate | None:
     """Complete search for a delta-graph certificate; None when no ordering exists.
 
-    Depth-first over the set of placed vertices, with the sets already
-    shown to have no completion remembered until the next base triple.
-    Exponential in the worst case; raises ``SearchBudgetExceeded`` once
-    ``SEARCH_BUDGET`` sets have been expanded.
+    Depth-first over the set P of placed vertices, carrying ``inside =
+    |E(Gbar[P])|``.  With ``total = |E(Gbar)|`` and ``room[i]`` the sum of
+    the bounds of positions i + 4 .. n, a candidate with count t at position
+    m is admitted only if ``total - inside - room[m-3] <= t <= floor(m/2) -
+    1``, and a base triple with ``total - inside > room[0]`` is skipped.
+    Sets shown to have no completion are remembered for the whole call,
+    across base triples.  Exponential in the worst case; raises
+    ``SearchBudgetExceeded`` once ``SEARCH_BUDGET`` sets have been expanded.
     """
     n = g.n
     if n < 4:
@@ -198,15 +199,19 @@ def recognize_delta(g: Graph) -> DeltaCertificate | None:
         return None
     nonadj = list(gbar.adj)  # non-neighbour masks of g
     full = (1 << n) - 1
+    total = gbar.edge_count
     bounds = [max_excluded(m) for m in range(4, n + 1)]
+    # room[i]: most non-edges positions i + 4 .. n can still take
+    room = [sum(bounds[i:]) for i in range(n - 2)]
     nodes = 0
 
-    def candidates(used: int, m: int) -> list[tuple[int, int]]:
+    def candidates(used: int, inside: int, m: int) -> list[tuple[int, int]]:
         """Admissible (excluded-count, vertex) pairs at position m, first to try last."""
         nonlocal nodes
         if nodes >= SEARCH_BUDGET:
             raise SearchBudgetExceeded(nodes)
         nodes += 1
+        lower = total - inside - room[m - 3]
         bound = bounds[m - 4]
         cands = []
         rest = full & ~used
@@ -214,17 +219,21 @@ def recognize_delta(g: Graph) -> DeltaCertificate | None:
             low = rest & -rest
             v = low.bit_length() - 1
             t = (nonadj[v] & used).bit_count()
-            if t <= bound:
+            if lower <= t <= bound:
                 cands.append((t, v))
             rest ^= low
         cands.sort(reverse=True)
         return cands
 
+    dead: set[int] = set()  # placed sets with no completion
     for triple, kind in _base_triples(g):
+        inside = 3 - _BASE_EDGE_COUNT[kind]  # |E(Gbar[P])|
+        if total - inside > room[0]:
+            continue
         order = list(triple)
+        counts: list[int] = []
         used = (1 << triple[0]) | (1 << triple[1]) | (1 << triple[2])
-        dead: set[int] = set()  # placed sets with no completion
-        stack = [candidates(used, 4)]  # stack[i]: untried candidates for position i + 4
+        stack = [candidates(used, inside, 4)]  # stack[i]: untried candidates for position i + 4
         while stack:
             cands = stack[-1]
             if not cands:
@@ -232,20 +241,21 @@ def recognize_delta(g: Graph) -> DeltaCertificate | None:
                 stack.pop()
                 if stack:
                     used ^= 1 << order.pop()
+                    inside -= counts.pop()
                 continue
-            _, v = cands.pop()
+            t, v = cands.pop()
             nxt = used | (1 << v)
             if nxt in dead:
                 continue
             order.append(v)
+            counts.append(t)
             used = nxt
+            inside += t
             if used == full:
                 return DeltaCertificate(
-                    ordering=tuple(order),
-                    base_kind=kind,
-                    excluded_counts=_counts_for_order(nonadj, order),
+                    ordering=tuple(order), base_kind=kind, excluded_counts=tuple(counts)
                 )
-            stack.append(candidates(used, len(order) + 1))
+            stack.append(candidates(used, inside, len(order) + 1))
     return None
 
 

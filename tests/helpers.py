@@ -2,9 +2,11 @@
 
 Everything here is deliberately independent of the library's own search
 and elimination code: isomorphism and clique covers run raw backtracking,
-chordality and delta-graph recognition try every ordering, girth runs BFS
-from every root, rank is plain Fraction elimination, and random
-delta-graphs are drawn along the definition's own ordering.
+chordality and delta-graph recognition try every ordering, the first
+certificate in the search's order comes from a plain recursive scan with
+no memo, girth runs BFS from every root, rank is plain Fraction
+elimination, and random delta-graphs are drawn along the definition's own
+ordering.
 """
 
 from __future__ import annotations
@@ -177,6 +179,53 @@ def brute_force_recognize(g: Graph) -> DeltaCertificate | None:
         else:
             kind = "3K1" if base_edges == 0 else "K2+K1"
             return DeltaCertificate(perm, kind, tuple(counts))
+    return None
+
+
+def first_delta_certificate(g: Graph) -> DeltaCertificate | None:
+    """The first delta certificate in the order recognize_delta promises.
+
+    Base triples come in lexicographic order of their vertex sets: 3K1 as
+    (a, b, c), K2+K1 as (end, lone, end).  At each later position the
+    admissible vertices are tried by smallest excluded-count, then smallest
+    label.  A plain recursive scan with no memo and no pruning beyond each
+    position's own bound, so it is exponential; keep it to small graphs.
+    """
+    n = g.n
+    if n < 4 or not (is_connected(g) and is_connected(complement(g))):
+        return None
+
+    def missed(v: int, placed: list[int]) -> int:
+        return sum(1 for u in placed if not g.has_edge(u, v))
+
+    def extend(placed: list[int], counts: list[int]) -> DeltaCertificate | None:
+        if len(placed) == n:
+            return DeltaCertificate(tuple(placed), kind, tuple(counts))
+        m = len(placed) + 1
+        options = sorted(
+            (missed(v, placed), v) for v in range(n) if v not in placed
+        )
+        for t, v in options:
+            if t > m // 2 - 1:
+                break
+            found = extend(placed + [v], counts + [t])
+            if found is not None:
+                return found
+        return None
+
+    for a, b, c in combinations(range(n), 3):
+        edges = [e for e in ((a, b), (a, c), (b, c)) if g.has_edge(*e)]
+        if len(edges) > 1:
+            continue
+        if edges:
+            (u, w), = edges
+            lone = ({a, b, c} - {u, w}).pop()
+            base, kind = [u, lone, w], "K2+K1"
+        else:
+            base, kind = [a, b, c], "3K1"
+        found = extend(base, [])
+        if found is not None:
+            return found
     return None
 
 

@@ -16,9 +16,9 @@ C6 = to_graph6(cycle(6))
 K4 = to_graph6(complete(4))
 P4 = to_graph6(path(4))
 PRISM = to_graph6(complement(cycle(6)))
-# a connected G(14, 0.5) graph that is not a delta-graph; its search
-# expands about 34,000 vertex sets
-G14 = "MZd[`jK}F{h\\z@gt?"
+# a delta-graph on 24 vertices in which vertex m misses exactly
+# floor(m/2) - 1 of its priors; its search expands 379 vertex sets
+TIGHT24 = "Wue}~rEufIJEHaYeesWP|rqMBcye^bHlmIkyLgfuRnXu[vm"
 
 
 def run_cli(argv, stdin_text=""):
@@ -60,8 +60,12 @@ def test_recognize_reads_stdin():
 
 def test_search_budget_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(recognition, "SEARCH_BUDGET", 100)
-    g14_complement = to_graph6(complement(parse_graph6(G14)))
-    for argv in (["recognize", G14], ["certify", G14], ["recognize", "--c-delta", g14_complement]):
+    tight_complement = to_graph6(complement(parse_graph6(TIGHT24)))
+    for argv in (
+        ["recognize", TIGHT24],
+        ["certify", TIGHT24],
+        ["recognize", "--c-delta", tight_complement],
+    ):
         assert main(argv) == 4
         err = json.loads(capsys.readouterr().err)
         assert "after 100 expanded vertex sets" in err["error"]
@@ -227,10 +231,10 @@ def test_batch_reports_bad_lines_inline():
 
 def test_batch_reports_search_budget_inline(monkeypatch):
     monkeypatch.setattr(recognition, "SEARCH_BUDGET", 100)
-    code, out = run_cli(["batch"], stdin_text=f"{G14}\n{C6}\n")
+    code, out = run_cli(["batch"], stdin_text=f"{TIGHT24}\n{C6}\n")
     lines = [json.loads(l) for l in out.splitlines()]
     assert code == 0 and len(lines) == 2
-    assert lines[0]["graph"] == G14
+    assert lines[0]["graph"] == TIGHT24
     assert "after 100 expanded vertex sets" in lines[0]["error"]
     assert lines[1]["graph"] == C6 and lines[1]["verdict"] == "holds"
 
@@ -274,6 +278,41 @@ def test_batch_file_with_undecodable_bytes_reports_inline(tmp_path):
     assert code == 0 and len(lines) == 3
     assert "invalid graph6 character" in lines[1]["error"]
     assert lines[0]["graph"] == C6 and lines[2]["graph"] == P4
+
+
+def test_batch_stdin_with_undecodable_bytes_under_strict_encoding():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(
+        os.environ,
+        PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+        PYTHONIOENCODING="utf-8",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "deltamsr", "batch"],
+        input=b"E?\xff\nC~\n",
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(l) for l in proc.stdout.splitlines()]
+    assert len(lines) == 2
+    assert "invalid graph6 character" in lines[0]["error"]
+    assert lines[1]["graph"] == "C~"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "{dir}/missing.json"], ["recognize", "--format", "edgelist", "{dir}/missing.txt"]],
+    ids=["verify", "recognize-edgelist"],
+)
+def test_missing_input_file_is_named(argv, tmp_path, capsys):
+    argv = [a.format(dir=tmp_path) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error.startswith("no such file") and argv[-1] in error
 
 
 @pytest.mark.parametrize(

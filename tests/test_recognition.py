@@ -13,6 +13,7 @@ from deltamsr import (
     from_edge_list,
     is_connected,
     max_excluded,
+    parse_graph6,
     recognize_c_delta,
     recognize_delta,
     to_graph6,
@@ -248,12 +249,54 @@ def test_recognize_deep_ordering():
 
 
 def test_recognize_budget_exceeded(monkeypatch):
-    g = cycle(6)
-    assert recognize_delta(g) is None  # C6 is C-delta, not delta
+    g = parse_graph6("Exe_")  # its search expands 4 vertex sets
+    assert recognize_delta(g) is None
     monkeypatch.setattr(recognition, "SEARCH_BUDGET", 3)
     with pytest.raises(SearchBudgetExceeded) as info:
         recognize_delta(g)
     assert info.value.nodes == 3 and "3 expanded" in str(info.value)
+
+
+def test_non_edge_count_rejects_before_any_expansion(monkeypatch):
+    # every base triple leaves more non-edges than positions 4..n can take
+    monkeypatch.setattr(recognition, "SEARCH_BUDGET", 0)
+    assert recognize_delta(cycle(6)) is None
+    assert recognize_delta(parse_graph6("MZd[`jK}F{h\\z@gt?")) is None  # connected G(14, 0.5)
+
+
+# delta-graphs in which vertex m misses exactly floor(m/2) - 1 of its priors;
+# a search without the non-edge count runs out of its 1,000,000 sets on each
+TIGHT_DELTA_GRAPHS = [
+    "Wue}~rEufIJEHaYeesWP|rqMBcye^bHlmIkyLgfuRnXu[vm",
+    "[IjTJPh|uZQOrZuYBi~E|Kl`to\\u^Bmjoqnn~fCNXoW|s~kMDqAHrPMF_|iTXl`v",
+    "_LsKMssd`RhsNXCL]sO^}SAnUnnLadFUj`ToVLUj}nAqx@]ZcRsyMSb^qtDf]AlUW}DNrx^mrZh^UhMfXhjo",
+]
+
+
+@pytest.mark.parametrize("text", TIGHT_DELTA_GRAPHS, ids=["n24", "n28", "n32"])
+def test_recognize_tight_delta_graphs(text):
+    g = parse_graph6(text)
+    room = sum(max_excluded(m) for m in range(4, g.n + 1))
+    assert complement(g).edge_count >= 2 + room
+    cert = recognize_delta(g)
+    assert cert is not None and check_certificate(g, cert).ok
+
+
+def test_search_returns_the_first_certificate_in_order():
+    rng = random.Random(2026)
+    samples = helpers.atlas_graphs(4, 7)
+    for n in (8, 9, 10):
+        samples += [helpers.random_delta_graph(n, rng) for _ in range(6)]
+        count = 6
+        while count:
+            g = from_edge_list(
+                n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5]
+            )
+            if is_connected(g) and is_connected(complement(g)):
+                samples.append(g)
+                count -= 1
+    for g in samples:
+        assert recognize_delta(g) == helpers.first_delta_certificate(g), to_graph6(g)
 
 
 def test_recognize_random_delta_graphs():
