@@ -1,14 +1,11 @@
 """Delta-graph recognition and exact msr certification."""
 
 from .graphs import (
-    BlockDecomposition,
-    EliminationOrdering,
     MAX_VERTICES,
     Graph,
     blocks,
     chordality,
     complement,
-    find_pendant,
     from_edge_list,
     induced_subgraph,
     is_connected,
@@ -44,4 +41,4 @@ from .msr import (
 )
 from . import families
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

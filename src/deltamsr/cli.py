@@ -6,9 +6,10 @@ emitted bundle), ``batch`` (one Delta Conjecture report per graph6 line)
 and ``gen`` (family generators emitting graph6).
 
 Exit codes: 0 success or present, 1 clean negative, 2 input error,
-3 internal failure (resampling budget exhausted), 4 undecided (the
-recognition search budget ran out).  ``batch`` reports either budget
-failure inline and goes on.  The GRAPH_SEED environment variable supplies
+3 internal failure (resampling budget exhausted, or a constructed
+representation that fails its own verification), 4 undecided (the
+recognition search budget ran out).  ``batch`` reports each of these
+failures inline and goes on.  The GRAPH_SEED environment variable supplies
 the default --seed.
 """
 
@@ -28,6 +29,7 @@ from .orthorep import (
     GenericSampler,
     RepReport,
     RetryBudgetExceeded,
+    SelfCheckFailed,
     construct,
     gram,
     gram_to_json_dict,
@@ -48,8 +50,8 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _fail(message: str, code: int) -> int:
-    print(json.dumps({"error": message}), file=sys.stderr)
+def _fail(message: str, code: int, **details) -> int:
+    print(json.dumps({"error": message, **details}), file=sys.stderr)
     return code
 
 
@@ -121,6 +123,8 @@ def _cmd_certify(args) -> int:
     except RetryBudgetExceeded as exc:
         return _fail(str(exc), 3)
     report = verify_rep(g, rep)
+    if not report.all_ok:
+        return _fail(str(SelfCheckFailed(report.failed_pair)), 3, failed_pair=report.failed_pair)
     bundle = {
         "graph6": to_graph6(g),
         "n": g.n,
@@ -166,7 +170,7 @@ def _batch_line(line: str, seed: int) -> dict:
         return {"graph": line, "error": "graph is disconnected"}
     try:
         return check_delta_conjecture(g, seed=seed, graph_id=line).to_json_dict()
-    except (RetryBudgetExceeded, SearchBudgetExceeded) as exc:
+    except (RetryBudgetExceeded, SearchBudgetExceeded, SelfCheckFailed) as exc:
         return {"graph": line, "error": str(exc)}
 
 

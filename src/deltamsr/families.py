@@ -3,12 +3,13 @@
 Cycles, paths, complete graphs and stars; Cartesian products (K_n x P_m),
 Moebius ladders, coronas of a star with paths, and the Robertson (4,5)-cage.
 Vertex labellings are canonical and documented per generator, so outputs
-are reproducible byte-for-byte through graph6.
+are reproducible byte-for-byte through graph6.  Each builder checks its
+vertex count against ``MAX_VERTICES`` before it builds an edge list.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, from_edge_list
+from .graphs import Graph, check_vertex_count, from_edge_list
 
 __all__ = [
     "cycle",
@@ -26,6 +27,7 @@ def cycle(n: int) -> Graph:
     """C_n with edges i ~ i+1 (mod n)."""
     if n < 3:
         raise ValueError("a cycle needs at least three vertices")
+    check_vertex_count(n)
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -33,12 +35,14 @@ def path(n: int) -> Graph:
     """P_n with edges i ~ i+1."""
     if n < 1:
         raise ValueError("a path needs at least one vertex")
+    check_vertex_count(n)
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("a complete graph needs at least one vertex")
+    check_vertex_count(n)
     return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
@@ -46,11 +50,13 @@ def star(n: int) -> Graph:
     """S_n = K_{1,n}: centre 0 joined to leaves 1..n."""
     if n < 1:
         raise ValueError("a star needs at least one leaf")
+    check_vertex_count(n + 1)
     return from_edge_list(n + 1, [(0, i) for i in range(1, n + 1)])
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Box product: (a,b) ~ (c,d) iff a=c, b~d or b=d, a~c; (a,b) -> a*|h|+b."""
+    check_vertex_count(g.n * h.n)
     edges = []
     for a in range(g.n):
         for b in range(h.n):
@@ -68,6 +74,7 @@ def mobius_ladder(k: int) -> Graph:
     """ML_k for even k >= 6: the cycle C_k plus the k/2 antipodal chords."""
     if k % 2 or k < 6:
         raise ValueError("a Moebius ladder needs an even vertex count >= 6")
+    check_vertex_count(k)
     edges = [(i, (i + 1) % k) for i in range(k)]
     edges += [(i, i + k // 2) for i in range(k // 2)]
     return from_edge_list(k, edges)
@@ -79,6 +86,7 @@ def corona(g: Graph, h: Graph) -> Graph:
     Layout: g occupies 0..|g|-1, copy i of h occupies |g|+i*|h| onward.
     """
     ng, nh = g.n, h.n
+    check_vertex_count(ng * (1 + nh))
     edges = list(g.edges())
     for i in range(ng):
         base = ng + i * nh

@@ -6,7 +6,9 @@ per vertex, which keeps complementation, degree counts and neighbourhood
 intersections cheap at desk scale (fast below 64 vertices, correct for
 any n).  graph6 is the interchange format; a plain edge-list text format
 is accepted for hand input.  Both parsers refuse vertex counts above
-``MAX_VERTICES`` before allocating anything of that size.
+``MAX_VERTICES`` before allocating anything of that size.  The structural
+part is what the exact msr engine needs: chordality by simplicial
+elimination and the blocks of a connected graph.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from itertools import combinations
 
 __all__ = [
     "MAX_VERTICES",
+    "check_vertex_count",
     "Graph",
-    "EliminationOrdering",
-    "BlockDecomposition",
     "from_edge_list",
     "parse_edge_list",
     "parse_graph6",
@@ -27,19 +28,18 @@ __all__ = [
     "is_connected",
     "induced_subgraph",
     "min_degree",
-    "find_pendant",
-    "lex_bfs",
     "is_perfect_elimination_ordering",
     "chordality",
     "blocks",
 ]
 
 
-# largest vertex count either parser accepts
+# largest vertex count the parsers and the family builders accept
 MAX_VERTICES = 2**16
 
 
-def _check_vertex_count(n: int) -> None:
+def check_vertex_count(n: int) -> None:
+    """Refuse a vertex count above MAX_VERTICES, before anything of that size exists."""
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds the input cap of {MAX_VERTICES}")
 
@@ -114,7 +114,7 @@ def parse_edge_list(text: str) -> Graph:
         n = int(lines[0])
     except ValueError:
         raise ValueError(f"bad vertex count line: {lines[0]!r}") from None
-    _check_vertex_count(n)
+    check_vertex_count(n)
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
@@ -172,7 +172,7 @@ def parse_graph6(text: str) -> Graph:
     n, used = _g6_decode_n(data)
     if n < 1:
         raise ValueError("graph6 value encodes an empty vertex set")
-    _check_vertex_count(n)
+    check_vertex_count(n)
     payload = data[used:]
     nbits = n * (n - 1) // 2
     nchars = (nbits + 5) // 6
@@ -180,22 +180,18 @@ def parse_graph6(text: str) -> Graph:
         raise ValueError(
             f"graph6 payload has {len(payload)} characters, expected {nchars}"
         )
-    bits = 0
-    for c in payload:
-        bits = bits << 6 | (ord(c) - 63)
-    pad = nchars * 6 - nbits
-    if pad and bits & ((1 << pad) - 1):
+    # one character per 6 bits, so the cost is linear in the payload
+    bits = "".join(f"{ord(c) - 63:06b}" for c in payload)
+    if "1" in bits[nbits:]:
         raise ValueError("nonzero padding bits in graph6 payload")
-    bits >>= pad
     adj = [0] * n
     # bit order: column-major upper triangle, (0,1), (0,2), (1,2), (0,3), ...
-    pos = nbits - 1
     for j in range(1, n):
-        for i in range(j):
-            if bits >> pos & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            pos -= 1
+        start = j * (j - 1) // 2
+        earlier = int(bits[start:start + j][::-1], 2)  # bit i: i ~ j, for i < j
+        adj[j] |= earlier
+        for i in _bits(earlier):
+            adj[i] |= 1 << j
     return Graph(n, tuple(adj))
 
 
@@ -258,41 +254,7 @@ def min_degree(g: Graph) -> int:
     return min(g.degree(v) for v in range(g.n))
 
 
-def find_pendant(g: Graph) -> int | None:
-    """Lowest-indexed degree-1 vertex, or None."""
-    for v in range(g.n):
-        if g.degree(v) == 1:
-            return v
-    return None
-
-
 # --- chordality -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EliminationOrdering:
-    """A vertex order in which each vertex's later neighbours form a clique."""
-
-    order: tuple[int, ...]
-
-
-def lex_bfs(g: Graph) -> list[int]:
-    """Lexicographic BFS visit order (ties broken by lowest vertex id)."""
-    n = g.n
-    labels: list[list[int]] = [[] for _ in range(n)]
-    visited = [False] * n
-    order = []
-    for step in range(n):
-        best = max(
-            (v for v in range(n) if not visited[v]),
-            key=lambda v: (labels[v], -v),
-        )
-        visited[best] = True
-        order.append(best)
-        for w in _bits(g.adj[best]):
-            if not visited[w]:
-                labels[w].append(n - step)
-    return order
 
 
 def is_perfect_elimination_ordering(g: Graph, order) -> bool:
@@ -317,79 +279,76 @@ def is_perfect_elimination_ordering(g: Graph, order) -> bool:
     return True
 
 
-def chordality(g: Graph) -> EliminationOrdering | None:
-    """A perfect elimination ordering if g is chordal, else None (Lex-BFS)."""
-    order = list(reversed(lex_bfs(g)))
-    peo = EliminationOrdering(tuple(order))
-    return peo if is_perfect_elimination_ordering(g, order) else None
+def chordality(g: Graph) -> tuple[int, ...] | None:
+    """A perfect elimination ordering if g is chordal, else None.
+
+    Deletes simplicial vertices, those whose remaining neighbours form a
+    clique, until none is left.  A chordal graph always has one and stays
+    chordal when it loses one (Fulkerson and Gross, Pacific J. Math. 15,
+    1965), so the deletions empty g exactly when g is chordal, and their
+    order is the elimination ordering.  A vertex can only become simplicial
+    when a neighbour goes, so after one pass over all vertices only the
+    neighbours of deleted vertices are looked at again.
+    """
+    left = todo = (1 << g.n) - 1
+    order = []
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length() - 1
+        nbrs = g.adj[v] & left
+        if all((nbrs & ~g.adj[u]) == 1 << u for u in _bits(nbrs)):
+            order.append(v)
+            left ^= low
+            todo |= nbrs
+    return None if left else tuple(order)
 
 
-# --- blocks / cut vertices ------------------------------------------------
+# --- blocks ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Maximal 2-connected blocks (bridges appear as K2 blocks) plus cut vertices."""
+def blocks(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The blocks of a connected graph, each a sorted vertex tuple, in sorted order.
 
-    blocks: tuple[tuple[int, ...], ...]
-    cut_vertices: frozenset[int]
-
-
-def blocks(g: Graph) -> BlockDecomposition:
-    """Hopcroft-Tarjan block/cut-vertex decomposition of a connected graph."""
+    A block is a maximal 2-connected subgraph or a bridge (a K2 block), and
+    g has a cut vertex exactly when it has more than one block.  Iterative
+    Hopcroft-Tarjan: when the DFS leaves v with ``low[v] >= disc[u]`` for
+    its parent u, u and the vertices found since v, not yet in a block,
+    form one block.
+    """
     if not is_connected(g):
         raise ValueError("block decomposition requires a connected graph")
-    n = g.n
-    if n == 1:
-        return BlockDecomposition(((0,),), frozenset())
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    edge_stack: list[tuple[int, int]] = []
-    found: list[tuple[int, ...]] = []
-    cuts: set[int] = set()
-    timer = 0
-    root = 0
-    root_children = 0
-
-    disc[root] = low[root] = timer
-    timer += 1
-    stack = [(root, iter(g.neighbors(root)))]
+    if g.n == 1:
+        return ((0,),)
+    disc = [-1] * g.n
+    low = [0] * g.n
+    disc[0] = 0
+    timer = 1
+    unplaced = [0]  # discovered vertices not yet in a block, in discovery order
+    found = []
+    stack = [(0, iter(g.neighbors(0)))]
     while stack:
         v, it = stack[-1]
-        advanced = False
         for w in it:
             if disc[w] == -1:
-                parent[w] = v
-                edge_stack.append((v, w))
                 disc[w] = low[w] = timer
                 timer += 1
-                if v == root:
-                    root_children += 1
+                unplaced.append(w)
                 stack.append((w, iter(g.neighbors(w))))
-                advanced = True
                 break
-            if w != parent[v] and disc[w] < disc[v]:
-                edge_stack.append((v, w))
-                low[v] = min(low[v], disc[w])
-        if advanced:
-            continue
-        stack.pop()
-        if not stack:
-            break
-        u = stack[-1][0]
-        low[u] = min(low[u], low[v])
-        if low[v] >= disc[u]:
-            # edges back to (u, v) form one block
-            members: set[int] = set()
-            while True:
-                a, b = edge_stack.pop()
-                members.add(a)
-                members.add(b)
-                if (a, b) == (u, v):
-                    break
-            found.append(tuple(sorted(members)))
-            if u != root or root_children > 1:
-                cuts.add(u)
-    found.sort()
-    return BlockDecomposition(tuple(found), frozenset(cuts))
+            low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if not stack:
+                break
+            u = stack[-1][0]
+            low[u] = min(low[u], low[v])
+            if low[v] >= disc[u]:
+                members = 1 << u
+                while True:
+                    w = unplaced.pop()
+                    members |= 1 << w
+                    if w == v:
+                        break
+                found.append(tuple(_bits(members)))
+    return tuple(sorted(found))

@@ -1,11 +1,13 @@
 """Exact minimum semidefinite rank for special families, and conjecture verdicts.
 
 The exact engine applies, in order: trees (msr = n-1), cycles (msr = n-2),
-connected chordal graphs (msr = clique cover number), pendant-vertex
-reduction (msr(G) = msr(G-v) + 1) and cut-vertex decomposition (msr is the
-sum over blocks).  All five are theorems, so any applicable order agrees;
-the fixed order is for determinism.  ``check_delta_conjecture`` produces
-the per-graph verdict.
+connected chordal graphs (msr = clique cover number) and the block sum
+(msr is the sum over the blocks of G; van der Holst, LAA 375, 2003).  All
+four are theorems, so any applicable order agrees; the fixed order is for
+determinism.  A pendant vertex v needs no rule of its own: its edge is a
+K2 block with msr 1, and the other blocks of G are those of G - v.  A block
+has no cut vertex, so the engine recurses at most one level.
+``check_delta_conjecture`` produces the per-graph verdict.
 """
 
 from __future__ import annotations
@@ -13,18 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (
-    EliminationOrdering,
     Graph,
     blocks,
     chordality,
-    find_pendant,
     induced_subgraph,
     is_connected,
     is_perfect_elimination_ordering,
     min_degree,
     to_graph6,
 )
-from .orthorep import GenericSampler, construct, verify_rep
+from .orthorep import GenericSampler, SelfCheckFailed, construct, verify_rep
 from .recognition import recognize_delta
 
 __all__ = [
@@ -55,7 +55,7 @@ class ConjectureReport:
         }
 
 
-def clique_cover_number_chordal(g: Graph, peo: EliminationOrdering) -> int:
+def clique_cover_number_chordal(g: Graph, peo: tuple[int, ...]) -> int:
     """Minimum number of cliques covering all vertices and edges of a chordal graph.
 
     Greedy along the perfect elimination ordering: take the closed later
@@ -63,7 +63,7 @@ def clique_cover_number_chordal(g: Graph, peo: EliminationOrdering) -> int:
     clique of an optimal cover containing that edge lies inside the same
     closed neighbourhood, which makes the greedy choice exchange-safe.
     """
-    order = list(peo.order)
+    order = list(peo)
     if not is_perfect_elimination_ordering(g, order):
         raise ValueError("ordering is not a perfect elimination ordering for g")
     later = 0
@@ -103,7 +103,7 @@ def _is_cycle(g: Graph) -> bool:
 
 
 def msr_exact(g: Graph) -> int | None:
-    """Exact msr when the recursive special-family engine applies, else None."""
+    """Exact msr when the tree, cycle, chordal or block-sum rule applies, else None."""
     if not is_connected(g):
         raise ValueError("msr_exact needs a connected graph")
     if _is_tree(g):
@@ -113,22 +113,16 @@ def msr_exact(g: Graph) -> int | None:
     peo = chordality(g)
     if peo is not None:
         return clique_cover_number_chordal(g, peo)
-    v = find_pendant(g)
-    if v is not None:
-        rest = [u for u in range(g.n) if u != v]
-        inner = msr_exact(induced_subgraph(g, rest))
-        if inner is not None:
-            return inner + 1
-    decomp = blocks(g)
-    if decomp.cut_vertices:
-        total = 0
-        for block in decomp.blocks:
-            part = msr_exact(induced_subgraph(g, block))
-            if part is None:
-                return None
-            total += part
-        return total
-    return None
+    parts = blocks(g)
+    if len(parts) == 1:
+        return None
+    total = 0
+    for block in parts:
+        part = msr_exact(induced_subgraph(g, block))
+        if part is None:
+            return None
+        total += part
+    return total
 
 
 def check_delta_conjecture(
@@ -155,7 +149,7 @@ def check_delta_conjecture(
         rep = construct(g, cert, GenericSampler(seed=seed))
         report = verify_rep(g, rep)
         if not report.all_ok:
-            raise RuntimeError("constructed representation failed verification")
+            raise SelfCheckFailed(report.failed_pair)
         assert report.bound == delta_bound
         return ConjectureReport(graph_id, n, delta_bound, report.bound, "holds-by-construction")
     value = msr_exact(g)

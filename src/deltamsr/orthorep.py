@@ -36,6 +36,7 @@ __all__ = [
     "MAX_RESAMPLES",
     "WIDEN_EVERY",
     "RetryBudgetExceeded",
+    "SelfCheckFailed",
     "GenericSampler",
     "RationalVector",
     "OrthoRep",
@@ -60,6 +61,14 @@ IntVector = tuple[int, ...]
 
 class RetryBudgetExceeded(RuntimeError):
     """Raised when a solve step keeps hitting nonzero-condition failures."""
+
+
+class SelfCheckFailed(RuntimeError):
+    """Raised when verify_rep rejects a representation that construct built."""
+
+    def __init__(self, failed_pair: tuple[int, int] | None) -> None:
+        where = "" if failed_pair is None else f", failed_pair {list(failed_pair)}"
+        super().__init__(f"constructed representation failed verification{where}")
 
 
 @dataclass
@@ -307,8 +316,10 @@ def rep_to_json_dict(rep: OrthoRep) -> dict:
 
 
 def rep_from_json_dict(d: dict) -> OrthoRep:
+    if type(d["dim"]) is not int:
+        raise TypeError("representation dim must be an integer")
     return OrthoRep(
-        dim=int(d["dim"]),
+        dim=d["dim"],
         vectors=tuple(tuple(fraction_from_str(s) for s in vec) for vec in d["vectors"]),
     )
 

@@ -30,7 +30,7 @@ it raises ``SearchBudgetExceeded``, the "undecided" outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .graphs import Graph, complement, is_connected
 
@@ -187,22 +187,26 @@ def recognize_delta(g: Graph) -> DeltaCertificate | None:
     the bounds of positions i + 4 .. n, a candidate with count t at position
     m is admitted only if ``total - inside - room[m-3] <= t <= floor(m/2) -
     1``, and a base triple with ``total - inside > room[0]`` is skipped.
-    Sets shown to have no completion are remembered for the whole call,
-    across base triples.  Exponential in the worst case; raises
-    ``SearchBudgetExceeded`` once ``SEARCH_BUDGET`` sets have been expanded.
+    A triple holds at most 3 non-edges, so when ``total - 3 > room[0]`` the
+    call returns None before it looks at any triple.  Sets shown to have no
+    completion are remembered for the whole call, across base triples.
+    Exponential in the worst case; raises ``SearchBudgetExceeded`` once
+    ``SEARCH_BUDGET`` sets have been expanded.
     """
     n = g.n
     if n < 4:
         return None
+    total = n * (n - 1) // 2 - g.edge_count  # |E(Gbar)|
+    bounds = [max_excluded(m) for m in range(4, n + 1)]
+    # room[i]: most non-edges positions i + 4 .. n can still take
+    room = list(accumulate(reversed(bounds), initial=0))[::-1]
+    if total - 3 > room[0]:
+        return None  # a base triple holds at most 3 non-edges, so none fits
     gbar = complement(g)
     if not (is_connected(g) and is_connected(gbar)):
         return None
     nonadj = list(gbar.adj)  # non-neighbour masks of g
     full = (1 << n) - 1
-    total = gbar.edge_count
-    bounds = [max_excluded(m) for m in range(4, n + 1)]
-    # room[i]: most non-edges positions i + 4 .. n can still take
-    room = [sum(bounds[i:]) for i in range(n - 2)]
     nodes = 0
 
     def candidates(used: int, inside: int, m: int) -> list[tuple[int, int]]:

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from deltamsr import complement, parse_graph6, recognition, to_graph6
+import deltamsr.cli
+import deltamsr.msr
+from deltamsr import OrthoRep, complement, from_edge_list, graphs, parse_graph6, recognition, to_graph6
 from deltamsr.cli import main
 from deltamsr.families import complete, cycle, path
 
@@ -19,6 +21,12 @@ PRISM = to_graph6(complement(cycle(6)))
 # a delta-graph on 24 vertices in which vertex m misses exactly
 # floor(m/2) - 1 of its priors; its search expands 379 vertex sets
 TIGHT24 = "Wue}~rEufIJEHaYeesWP|rqMBcye^bHlmIkyLgfuRnXu[vm"
+
+
+def subprocess_env(**extra):
+    """The environment for running this checkout's deltamsr in a fresh process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""), **extra)
 
 
 def run_cli(argv, stdin_text=""):
@@ -122,6 +130,38 @@ def test_certify_rejects_non_delta_graph():
     assert code == 1
 
 
+def duplicating_construct(real):
+    """construct, but with vertex 3's vector replaced by vertex 0's."""
+
+    def build(g, cert, sampler):
+        rep = real(g, cert, sampler)
+        vectors = list(rep.vectors)
+        vectors[3] = vectors[0]
+        return OrthoRep(rep.dim, tuple(vectors))
+
+    return build
+
+
+def test_certify_self_check_failure_is_an_internal_failure(monkeypatch, capsys):
+    monkeypatch.setattr(deltamsr.cli, "construct", duplicating_construct(deltamsr.cli.construct))
+    assert main(["certify", PRISM]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["failed_pair"] == [0, 3]
+    assert "failed verification" in error["error"]
+
+
+def test_batch_reports_self_check_failure_inline(monkeypatch):
+    monkeypatch.setattr(deltamsr.msr, "construct", duplicating_construct(deltamsr.msr.construct))
+    code, out = run_cli(["batch"], stdin_text=f"{PRISM}\n{C6}\n")
+    lines = [json.loads(l) for l in out.splitlines()]
+    assert code == 0 and len(lines) == 2
+    assert lines[0]["graph"] == PRISM
+    assert "failed verification, failed_pair [0, 3]" in lines[0]["error"]
+    assert lines[1]["graph"] == C6 and lines[1]["verdict"] == "holds"
+
+
 def test_certify_then_verify_roundtrip():
     _, out = run_cli(["certify", "--seed", "3", PRISM])
     code, report = run_cli(["verify"], stdin_text=out)
@@ -159,9 +199,17 @@ def test_verify_malformed_bundles_are_input_errors(capsys):
     del short["representation"]["vectors"][-1]
     not_text = json.loads(out)
     not_text["graph6"] = 5
+
+    def with_dim(dim):
+        bundle = json.loads(out)
+        bundle["representation"]["dim"] = dim
+        return bundle
+
     for bundle, message in (
         (short, "representation size does not match the graph"),
         (not_text, "graph6 must be a string"),
+        (with_dim(3.9), "dim must be an integer"),
+        (with_dim("3"), "dim must be an integer"),
     ):
         assert main(["verify", json.dumps(bundle)]) == 2
         captured = capsys.readouterr()
@@ -241,14 +289,12 @@ def test_batch_reports_search_budget_inline(monkeypatch):
 
 def test_batch_streams_each_report():
     # the report for one line arrives while stdin is still open
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.Popen(
         [sys.executable, "-m", "deltamsr", "batch"],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         text=True,
-        env=env,
+        env=subprocess_env(),
     )
     try:
         proc.stdin.write(C6 + "\n")
@@ -262,6 +308,27 @@ def test_batch_streams_each_report():
     finally:
         proc.kill()
         proc.wait()
+
+
+def test_batch_decides_a_cycle_with_a_long_pendant_path(tmp_path):
+    # C4 with a 1,100-vertex path hanging off it: n = 1,104, msr = 2 + 1,100
+    n = 1104
+    edges = [(i, (i + 1) % 4) for i in range(4)] + [(3, 4)]
+    edges += [(i, i + 1) for i in range(4, n - 1)]
+    line = to_graph6(from_edge_list(n, edges))
+    path = tmp_path / "pendant.g6"
+    path.write_text(line + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "deltamsr", "batch", str(path)],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["verdict"] == "holds"
+    assert report["certified_hi"] == 1102 and report["delta_bound"] == 1103
 
 
 def test_batch_flags_disconnected():
@@ -281,17 +348,11 @@ def test_batch_file_with_undecodable_bytes_reports_inline(tmp_path):
 
 
 def test_batch_stdin_with_undecodable_bytes_under_strict_encoding():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(
-        os.environ,
-        PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""),
-        PYTHONIOENCODING="utf-8",
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "deltamsr", "batch"],
         input=b"E?\xff\nC~\n",
         capture_output=True,
-        env=env,
+        env=subprocess_env(PYTHONIOENCODING="utf-8"),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -368,6 +429,31 @@ def test_gen_corona_of_two_k1_is_k2():
 def test_gen_rejects_bad_parameters():
     code, _ = run_cli(["gen", "cycle", "2"])
     assert code == 2
+
+
+def test_gen_caps_vertex_count(monkeypatch, capsys):
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 10)
+    k3 = to_graph6(complete(3))
+    for argv, ok in (
+        (["cycle", "10"], True),
+        (["cycle", "11"], False),
+        (["path", "11"], False),
+        (["complete", "11"], False),
+        (["star", "9"], True),
+        (["star", "10"], False),
+        (["mobius", "12"], False),
+        (["cartesian", k3, k3], True),
+        (["cartesian", k3, K4], False),
+        (["corona", k3, "A_"], True),
+        (["corona", k3, k3], False),
+    ):
+        code = main(["gen", *argv])
+        captured = capsys.readouterr()
+        if ok:
+            assert code == 0 and parse_graph6(captured.out.strip()).n <= 10, argv
+        else:
+            assert code == 2 and captured.out == "", argv
+            assert "input cap of 10" in json.loads(captured.err)["error"], argv
 
 
 def test_module_entry_point():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,7 +9,6 @@ from deltamsr import (
     blocks,
     chordality,
     complement,
-    find_pendant,
     from_edge_list,
     induced_subgraph,
     is_connected,
@@ -100,6 +101,14 @@ def test_graph6_long_form():
     s = to_graph6(g)
     assert s.startswith("~")
     assert parse_graph6(s) == g
+    rng = random.Random(5)
+    dense = from_edge_list(300, [(i, j) for j in range(300) for i in range(j) if rng.random() < 0.5])
+    assert parse_graph6(to_graph6(dense)) == dense
+
+
+@given(graphs(max_n=14))
+def test_graph6_roundtrip(g):
+    assert parse_graph6(to_graph6(g)) == g
 
 
 def test_graph6_roundtrip_atlas():
@@ -191,19 +200,13 @@ def test_induced_rejects(vs):
         induced_subgraph(BOWTIE, vs)
 
 
-def test_find_pendant():
-    assert find_pendant(path(4)) == 0
-    assert find_pendant(cycle(6)) is None
-    assert find_pendant(star(3)) == 1
-
-
 # --- chordality --------------------------------------------------------------
 
 
 def test_chordality_complete_graph():
     peo = chordality(complete(4))
     assert peo is not None
-    assert is_perfect_elimination_ordering(complete(4), peo.order)
+    assert is_perfect_elimination_ordering(complete(4), peo)
 
 
 def test_chordality_c4_absent():
@@ -221,28 +224,36 @@ def test_chordality_agrees_with_brute_force_up_to_6():
         peo = chordality(g)
         assert (peo is not None) == helpers.is_chordal_brute(g), to_graph6(g)
         if peo is not None:
-            assert is_perfect_elimination_ordering(g, peo.order)
+            assert is_perfect_elimination_ordering(g, peo)
 
 
 # --- blocks ------------------------------------------------------------------
 
 
+def cut_vertices(g):
+    """Vertices whose deletion disconnects g, found by deleting each in turn."""
+    if g.n == 1:
+        return set()
+    return {
+        v
+        for v in range(g.n)
+        if not is_connected(induced_subgraph(g, [u for u in range(g.n) if u != v]))
+    }
+
+
 def test_blocks_bowtie():
-    d = blocks(BOWTIE)
-    assert d.blocks == ((0, 1, 2), (2, 3, 4))
-    assert d.cut_vertices == {2}
+    assert blocks(BOWTIE) == ((0, 1, 2), (2, 3, 4))
+    assert cut_vertices(BOWTIE) == {2}
 
 
 def test_blocks_cycle_single_block():
-    d = blocks(cycle(6))
-    assert d.blocks == (tuple(range(6)),)
-    assert not d.cut_vertices
+    assert blocks(cycle(6)) == (tuple(range(6)),)
+    assert not cut_vertices(cycle(6))
 
 
 def test_blocks_path():
-    d = blocks(path(4))
-    assert d.blocks == ((0, 1), (1, 2), (2, 3))
-    assert d.cut_vertices == {1, 2}
+    assert blocks(path(4)) == ((0, 1), (1, 2), (2, 3))
+    assert cut_vertices(path(4)) == {1, 2}
 
 
 def test_blocks_rejects_disconnected():
@@ -254,25 +265,28 @@ def test_blocks_invariants_on_atlas():
     for g in helpers.atlas_graphs(max_n=6):
         if not is_connected(g):
             continue
-        d = blocks(g)
+        parts = blocks(g)
+        cuts = cut_vertices(g)
         seen = {}
-        for bi, block in enumerate(d.blocks):
+        for bi, block in enumerate(parts):
             bs = set(block)
             for u, v in g.edges():
                 if u in bs and v in bs:
                     assert seen.setdefault((u, v), bi) == bi
         for u, v in g.edges():
             assert (u, v) in seen, "every edge lies in exactly one block"
-        for i in range(len(d.blocks)):
-            for j in range(i + 1, len(d.blocks)):
-                shared = set(d.blocks[i]) & set(d.blocks[j])
+        for i in range(len(parts)):
+            for j in range(i + 1, len(parts)):
+                shared = set(parts[i]) & set(parts[j])
                 assert len(shared) <= 1
-                assert shared <= d.cut_vertices
+                assert shared <= cuts
+        # a cut vertex exists exactly when there is more than one block
+        assert (len(parts) > 1) == bool(cuts)
         # block-cut tree identity, and the tree characterization via edges
-        assert sum(len(b) - 1 for b in d.blocks) == g.n - 1
+        assert sum(len(b) - 1 for b in parts) == g.n - 1
         block_edges = sum(
             1
-            for block in d.blocks
+            for block in parts
             for u, v in g.edges()
             if u in set(block) and v in set(block)
         )

@@ -3,12 +3,11 @@ import random
 import pytest
 
 from deltamsr import (
-    EliminationOrdering,
+    blocks,
     check_delta_conjecture,
     chordality,
     clique_cover_number_chordal,
     complement,
-    find_pendant,
     from_edge_list,
     induced_subgraph,
     is_connected,
@@ -50,7 +49,7 @@ def test_msr_exact_rejects_disconnected():
 
 
 def test_msr_exact_unresolved_on_prism():
-    # 2-connected, not chordal, no pendant: outside the engine's reach
+    # 2-connected, not a cycle, not chordal: outside the engine's reach
     assert msr_exact(PRISM) is None
 
 
@@ -81,7 +80,7 @@ def test_clique_cover_values(g, expected):
 
 def test_clique_cover_rejects_bad_peo():
     with pytest.raises(ValueError):
-        clique_cover_number_chordal(path(4), EliminationOrdering((1, 0, 2, 3)))
+        clique_cover_number_chordal(path(4), (1, 0, 2, 3))
 
 
 def test_clique_cover_matches_brute_force_up_to_6():
@@ -97,34 +96,65 @@ def test_clique_cover_matches_brute_force_up_to_6():
 
 
 def test_chordal_and_pendant_rules_agree():
-    # engine consistency: on chordal graphs with a pendant vertex the clique
-    # cover equals one plus the msr of the graph with the pendant removed
+    # engine consistency: removing a pendant vertex lowers msr by exactly
+    # one, the msr of its K2 block
     checked = 0
     for g in helpers.atlas_graphs(max_n=7):
-        if not is_connected(g):
+        if g.n < 3 or not is_connected(g):
             continue
-        peo = chordality(g)
-        v = find_pendant(g)
-        if peo is None or v is None or g.n < 2:
-            continue
-        rest = induced_subgraph(g, [u for u in range(g.n) if u != v])
-        assert clique_cover_number_chordal(g, peo) == msr_exact(rest) + 1
-        checked += 1
+        value = msr_exact(g)
+        for v in range(g.n):
+            if g.degree(v) != 1:
+                continue
+            inner = msr_exact(induced_subgraph(g, [u for u in range(g.n) if u != v]))
+            assert (value is None) == (inner is None), to_graph6(g)
+            if value is not None:
+                assert value == inner + 1, to_graph6(g)
+                checked += 1
     assert checked > 100
 
 
 def test_block_rule_consistent_with_chordal_rule():
-    from deltamsr import blocks
-
     for g in helpers.atlas_graphs(max_n=6):
         if not is_connected(g) or g.n < 3:
             continue
         peo = chordality(g)
-        decomp = blocks(g)
-        if peo is None or not decomp.cut_vertices:
+        parts = blocks(g)
+        if peo is None or len(parts) == 1:
             continue
-        total = sum(msr_exact(induced_subgraph(g, b)) for b in decomp.blocks)
+        total = sum(msr_exact(induced_subgraph(g, b)) for b in parts)
         assert total == clique_cover_number_chordal(g, peo), to_graph6(g)
+
+
+def glued_graph(rng: random.Random, pieces: int):
+    """Cycles, cliques and single edges glued one at a time at random cut vertices.
+
+    Returns the graph and its msr as the sum over the pieces, each of which
+    is one block: k - 2 for C_k, 1 for K_k, 1 for a bridge.
+    """
+    edges: list[tuple[int, int]] = []
+    n = 1
+    expected = 0
+    for _ in range(pieces):
+        at = rng.randrange(n)
+        kind = rng.choice(("cycle", "clique", "edge"))
+        k = 2 if kind == "edge" else rng.randint(3 if kind == "clique" else 4, 7)
+        verts = [at] + list(range(n, n + k - 1))
+        n += k - 1
+        if kind == "cycle":
+            edges += [(verts[i], verts[(i + 1) % k]) for i in range(k)]
+            expected += k - 2
+        else:
+            edges += [(verts[i], verts[j]) for i in range(k) for j in range(i + 1, k)]
+            expected += 1
+    return from_edge_list(n, edges), expected
+
+
+def test_block_sum_on_glued_graphs():
+    rng = random.Random(11)
+    for _ in range(60):
+        g, expected = glued_graph(rng, rng.randint(2, 8))
+        assert msr_exact(g) == expected, to_graph6(g)
 
 
 # --- conjecture reports ------------------------------------------------------------

@@ -264,6 +264,20 @@ def test_non_edge_count_rejects_before_any_expansion(monkeypatch):
     assert recognize_delta(parse_graph6("MZd[`jK}F{h\\z@gt?")) is None  # connected G(14, 0.5)
 
 
+def test_no_base_triple_is_tried_when_none_fits_the_non_edge_count(monkeypatch):
+    # P_40 has 741 non-edges; a base triple holds at most 3 and positions
+    # 4..40 take at most 361 more, so no triple can start an ordering
+    g = path(40)
+    room = sum(max_excluded(m) for m in range(4, g.n + 1))
+    assert (complement(g).edge_count, room) == (741, 361)
+
+    def no_triples(g):
+        raise AssertionError("base triples were enumerated")
+
+    monkeypatch.setattr(recognition, "_base_triples", no_triples)
+    assert recognize_delta(g) is None
+
+
 # delta-graphs in which vertex m misses exactly floor(m/2) - 1 of its priors;
 # a search without the non-edge count runs out of its 1,000,000 sets on each
 TIGHT_DELTA_GRAPHS = [
