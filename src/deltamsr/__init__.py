@@ -41,4 +41,4 @@ from .msr import (
 )
 from . import families
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -42,10 +42,6 @@ from .recognition import SearchBudgetExceeded, recognize_c_delta, recognize_delt
 __all__ = ["main"]
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("GRAPH_SEED", "0"))
-
-
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -53,12 +49,6 @@ def _print_json(obj) -> None:
 def _fail(message: str, code: int, **details) -> int:
     print(json.dumps({"error": message, **details}), file=sys.stderr)
     return code
-
-
-def _read_text(source: str | None) -> str:
-    if source is None or source == "-":
-        return sys.stdin.read()
-    return source
 
 
 def _parse_file_or_literal(source: str | None, parse):
@@ -84,10 +74,8 @@ def _checks(report: RepReport) -> dict:
 
 
 def _load_graph(args) -> Graph:
-    if args.format == "edgelist":
-        return _parse_file_or_literal(args.graph, parse_edge_list)
-    text = _read_text(args.graph).strip()
-    return parse_graph6(text)
+    parse = parse_edge_list if args.format == "edgelist" else parse_graph6
+    return _parse_file_or_literal(args.graph, parse)
 
 
 def _cmd_recognize(args) -> int:
@@ -152,7 +140,7 @@ def _cmd_verify(args) -> int:
         report = verify_rep(g, rep)
     except OSError as exc:
         return _fail(str(exc), 2)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         return _fail(f"bad bundle: {exc}", 2)
     result = {"bound": report.bound, "checks": _checks(report)}
     if not report.all_ok:
@@ -224,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_graph_input(p):
-        p.add_argument("graph", nargs="?", help="graph6 string (default: stdin)")
+        p.add_argument("graph", nargs="?", help="graph file or literal (default: stdin)")
         p.add_argument(
             "--format",
             choices=("g6", "edgelist"),
@@ -239,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="certificate + representation bundle")
     add_graph_input(p)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=os.environ.get("GRAPH_SEED", "0"))
     p.add_argument("--emit-gram", action="store_true")
     p.set_defaults(func=_cmd_certify)
 
@@ -249,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="Delta Conjecture report per graph6 line")
     p.add_argument("input", nargs="?", help="file of graph6 lines (default: stdin)")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=os.environ.get("GRAPH_SEED", "0"))
     p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser("gen", help="emit a named family member as graph6")

@@ -15,8 +15,11 @@ and the combination is redrawn on failure.  Each condition fails only on a
 proper subvariety, so random coefficients from a widening window make the
 bounded retry loop succeed with overwhelming probability.
 
-verify_rep accepts rational vectors too, such as a bundle read back from
-JSON: it rescales each one to a primitive integer vector before checking.
+Dependence is decided one way throughout, on inner products already taken:
+nonzero u and v are dependent iff (u.v)^2 = (u.u)(v.v), the equality case
+of Cauchy-Schwarz.  verify_rep accepts rational vectors too, such as a
+bundle read back from JSON: it rescales each one to a primitive integer
+vector and reads every check off their gram matrix.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 
 from .graphs import Graph, min_degree
@@ -131,15 +135,6 @@ class RepReport:
         )
 
 
-def _line(vec: IntVector) -> IntVector:
-    """Sign-normalised primitive vector: u and v share it iff v = +-u.
-
-    vec is a nonzero primitive integer vector; its first nonzero entry
-    becomes positive.
-    """
-    return vec if next(x for x in vec if x) > 0 else tuple(-x for x in vec)
-
-
 def _solve_vector(
     priors: list[tuple[IntVector, bool]],
     d: int,
@@ -151,6 +146,10 @@ def _solve_vector(
     function returns, with True (inner product must be nonzero) or False
     (must be zero).  Requires fewer than d zero constraints, which any
     valid certificate guarantees.
+
+    The new vector x is orthogonal to every (nonzero) non-neighbour, so only
+    a neighbour u can be a multiple of x: (x.u)^2 = (x.x)(u.u) is tested on
+    the x.u that the nonzero condition already takes.
     """
     zero_rows = [vec for vec, adjacent in priors if not adjacent]
     t = len(zero_rows)
@@ -161,8 +160,7 @@ def _solve_vector(
         )
     basis = int_nullspace_basis(zero_rows, d)
     columns = list(zip(*basis))
-    neighbours = [vec for vec, adjacent in priors if adjacent]
-    lines = {_line(vec) for vec, _ in priors}
+    neighbours = [(vec, dot(vec, vec)) for vec, adjacent in priors if adjacent]
 
     for attempt in range(MAX_RESAMPLES):
         if attempt and attempt % WIDEN_EVERY == 0:
@@ -172,11 +170,9 @@ def _solve_vector(
         if not all(x):
             continue
         xt = primitive_int_vector(x)
-        if any(dot(xt, vec) == 0 for vec in neighbours):
-            continue
-        if _line(xt) in lines:
-            continue
-        return xt
+        xx = dot(xt, xt)
+        if all((xu := dot(xt, u)) and xu * xu != xx * uu for u, uu in neighbours):
+            return xt
     raise RetryBudgetExceeded(
         f"no admissible vector after {MAX_RESAMPLES} resamples "
         f"(dimension {d}, {len(priors)} priors, {t} orthogonality constraints)"
@@ -228,10 +224,14 @@ def verify_rep(g: Graph, rep: OrthoRep) -> RepReport:
     Each vector is first scaled to a primitive integer vector, which keeps
     every zero coordinate, every zero/nonzero inner product and every
     pairwise dependence, so rational input verifies as it would unscaled.
+    The zero pattern and the dependences are read off one gram matrix m of
+    the scaled vectors: (i, j) is dependent iff m[i][i] != 0 and m[i][j]^2 =
+    m[i][i] m[j][j], so a zero vector is dependent on every nonzero vector
+    before it and on nothing else.
     """
     if len(rep.vectors) != g.n:
         raise ValueError("representation size does not match the graph")
-    vecs = [primitive_int_vector(v) for v in rep.vectors]
+    vecs = tuple(primitive_int_vector(v) for v in rep.vectors)
     dimension_ok = rep.dim == g.n - min_degree(g) and all(
         len(v) == rep.dim for v in vecs
     )
@@ -241,16 +241,12 @@ def verify_rep(g: Graph, rep: OrthoRep) -> RepReport:
     comparable = len({len(v) for v in vecs}) == 1
     pattern_pair = dependent_pair = None
     if comparable:
-        pattern_pair = next(
-            (
-                (i, j)
-                for i in range(g.n)
-                for j in range(i + 1, g.n)
-                if (dot(vecs[i], vecs[j]) != 0) != g.has_edge(i, j)
-            ),
-            None,
-        )
-        dependent_pair = _first_dependent_pair(vecs)
+        m = gram(OrthoRep(rep.dim, vecs))
+        for i, j in combinations(range(g.n), 2):
+            if pattern_pair is None and (m[i][j] != 0) != g.has_edge(i, j):
+                pattern_pair = (i, j)
+            if dependent_pair is None and m[i][i] and m[i][j] ** 2 == m[i][i] * m[j][j]:
+                dependent_pair = (i, j)
     failed = [p for p in (pattern_pair, dependent_pair) if p is not None]
     pattern_ok = comparable and pattern_pair is None
     independent_ok = comparable and dependent_pair is None
@@ -259,28 +255,6 @@ def verify_rep(g: Graph, rep: OrthoRep) -> RepReport:
     return RepReport(
         pattern_ok, nonzero_ok, independent_ok, dimension_ok, bound, min(failed, default=None)
     )
-
-
-def _first_dependent_pair(vecs: list[IntVector]) -> tuple[int, int] | None:
-    """First (i, j), i < j, in row-major order with vecs[j] a multiple of vecs[i].
-
-    Only a nonzero vecs[i] counts, so a zero vector is dependent on every
-    nonzero vector before it and on nothing else.  For each j the smallest
-    such i is the first index of its line, found in one pass.
-    """
-    first_of_line: dict[IntVector, int] = {}
-    first_nonzero = None
-    found = None
-    for j, vec in enumerate(vecs):
-        if any(vec):
-            i = first_of_line.setdefault(_line(vec), j)
-            if first_nonzero is None:
-                first_nonzero = j
-        else:
-            i = j if first_nonzero is None else first_nonzero
-        if i != j and (found is None or (i, j) < found):
-            found = (i, j)
-    return found
 
 
 # --- serialization ----------------------------------------------------------

@@ -71,8 +71,7 @@ class DeltaCertificate:
 
     ``excluded_counts[m-4]`` is t_m: in delta form the number of prior
     vertices *not* adjacent to v_m, in complement form the number of prior
-    vertices adjacent to v_m.  Certificates written by deltamsr 0.1.0 carry a
-    ``mode`` key; it only ever labelled the same bound and is ignored.
+    vertices adjacent to v_m.
     """
 
     ordering: tuple[int, ...]
@@ -89,14 +88,6 @@ class DeltaCertificate:
             "base_kind": self.base_kind,
             "excluded_counts": list(self.excluded_counts),
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DeltaCertificate":
-        return cls(
-            ordering=tuple(d["ordering"]),
-            base_kind=d["base_kind"],
-            excluded_counts=tuple(d["excluded_counts"]),
-        )
 
 
 def max_excluded(m: int) -> int:

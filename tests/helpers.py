@@ -5,8 +5,8 @@ and elimination code: isomorphism and clique covers run raw backtracking,
 chordality and delta-graph recognition try every ordering, the first
 certificate in the search's order comes from a plain recursive scan with
 no memo, girth runs BFS from every root, rank is plain Fraction
-elimination, and random delta-graphs are drawn along the definition's own
-ordering.
+elimination, representation checks take plain Fraction dots and rank, and
+random delta-graphs are drawn along the definition's own ordering.
 """
 
 from __future__ import annotations
@@ -66,6 +66,33 @@ def rank(rows) -> int:
             mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
         r += 1
     return r
+
+
+def rep_checks(g: Graph, dim: int, vecs) -> tuple[bool, bool, bool, bool, tuple[int, int] | None]:
+    """verify_rep's pattern, nonzero, independent and dimension flags, and
+    its first failing pair in row-major order, from the definitions.
+
+    Inner products are plain Fraction sums.  A pair i < j is dependent when
+    vecs[i] is nonzero and the two vectors have rank at most 1.  Ragged
+    vectors leave no pair to compare, so neither pair flag holds.
+    """
+    vecs = [[Fraction(x) for x in vec] for vec in vecs]
+    dimension_ok = dim == g.n - min(map(g.degree, range(g.n))) and all(
+        len(vec) == dim for vec in vecs
+    )
+    nonzero_ok = all(x != 0 for vec in vecs for x in vec)
+    if len({len(vec) for vec in vecs}) != 1:
+        return False, nonzero_ok, False, dimension_ok, None
+    pattern_ok = independent_ok = True
+    failed = None
+    for i, j in combinations(range(g.n), 2):
+        wrong = (sum(a * b for a, b in zip(vecs[i], vecs[j])) != 0) != g.has_edge(i, j)
+        dependent = any(vecs[i]) and rank([vecs[i], vecs[j]]) <= 1
+        pattern_ok = pattern_ok and not wrong
+        independent_ok = independent_ok and not dependent
+        if failed is None and (wrong or dependent):
+            failed = (i, j)
+    return pattern_ok, nonzero_ok, independent_ok, dimension_ok, failed
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

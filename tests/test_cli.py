@@ -66,6 +66,12 @@ def test_recognize_reads_stdin():
     assert code == 0
 
 
+def test_recognize_reads_a_graph6_file(tmp_path):
+    path = tmp_path / "c6.g6"
+    path.write_text(C6 + "\n")
+    assert run_cli(["recognize", "--c-delta", str(path)]) == run_cli(["recognize", "--c-delta", C6])
+
+
 def test_search_budget_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(recognition, "SEARCH_BUDGET", 100)
     tight_complement = to_graph6(complement(parse_graph6(TIGHT24)))
@@ -123,6 +129,29 @@ def test_certify_env_seed(monkeypatch):
     env_out = run_cli(["certify", PRISM])
     flag_out = run_cli(["certify", "--seed", "7", PRISM])
     assert env_out == flag_out
+
+
+def test_non_integer_env_seed_is_an_error_only_where_a_seed_is_taken():
+    env = subprocess_env(GRAPH_SEED="abc")
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "deltamsr", *argv],
+            input="",
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    gen = run("gen", "cycle", "6")
+    assert gen.returncode == 0 and gen.stdout.strip() == C6, gen.stderr
+    recognize = run("recognize", "--c-delta", C6)
+    assert recognize.returncode == 0, recognize.stderr
+    for argv in (("certify", PRISM), ("batch",)):
+        proc = run(*argv)
+        assert proc.returncode == 2 and "invalid int value: 'abc'" in proc.stderr, argv
+        assert "Traceback" not in proc.stderr
 
 
 def test_certify_rejects_non_delta_graph():
@@ -248,6 +277,19 @@ def test_verify_rejects_garbage():
     assert code == 2
 
 
+@pytest.mark.parametrize("as_file", [False, True], ids=["literal", "file"])
+def test_verify_deeply_nested_bundle_is_an_input_error(as_file, tmp_path, capsys):
+    text = "[" * 100_000 + "]" * 100_000
+    if as_file:
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        text = str(path)
+    assert main(["verify", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"].startswith("bad bundle")
+
+
 # --- batch ------------------------------------------------------------------------
 
 
@@ -364,8 +406,12 @@ def test_batch_stdin_with_undecodable_bytes_under_strict_encoding():
 
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "{dir}/missing.json"], ["recognize", "--format", "edgelist", "{dir}/missing.txt"]],
-    ids=["verify", "recognize-edgelist"],
+    [
+        ["verify", "{dir}/missing.json"],
+        ["recognize", "--format", "edgelist", "{dir}/missing.txt"],
+        ["recognize", "{dir}/missing.g6"],
+    ],
+    ids=["verify", "recognize-edgelist", "recognize-graph6"],
 )
 def test_missing_input_file_is_named(argv, tmp_path, capsys):
     argv = [a.format(dir=tmp_path) for a in argv]

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,24 @@ def test_extend_k2k1_case():
     assert dot(v4, triple[0]) != 0
     assert dot(v4, triple[1]) != 0
     assert dot(v4, triple[2]) == 0
+
+
+class ScriptedSampler(GenericSampler):
+    """Sampler that hands out a fixed sequence of coefficients."""
+
+    def __init__(self, values):
+        super().__init__()
+        self.values = iter(values)
+
+    def nonzero(self):
+        return next(self.values)
+
+
+def test_extend_redraws_a_multiple_of_a_neighbour():
+    # with no zero rows the basis is e1, e2, so x is the drawn pair itself:
+    # 2u and -u are dependent on the neighbour u = (1, 2), (3, 1) is not
+    s = ScriptedSampler([2, 4, -1, -2, 3, 1])
+    assert _solve_vector([((1, 2), True)], 2, s) == (3, 1)
 
 
 def test_construct_prism():
@@ -430,3 +449,56 @@ def test_verify_rep_ignores_rational_scaling():
         for dim in (3, 4):
             expected = verify_rep(PRISM, OrthoRep(dim, tuple(vecs)))
             assert verify_rep(PRISM, OrthoRep(dim, scaled)) == expected, (name, dim)
+
+
+def tamper(vecs, rng):
+    """vecs broken by one to three seeded tamperings, applied in turn."""
+    vecs = [list(vec) for vec in vecs]
+    n, d = len(vecs), len(vecs[0])
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.sample(range(n), 2)
+        kind = rng.choice(("zero", "multiple", "coordinate", "swap", "small", "rescale", "ragged"))
+        if kind == "zero":
+            for k in rng.sample(range(n), rng.randint(1, 2)):
+                vecs[k] = [0] * len(vecs[k])
+        elif kind == "multiple":
+            k = rng.choice((-3, -2, -1, 1, 2, 3))
+            vecs[a] = [k * x for x in vecs[b]]
+        elif kind == "coordinate":
+            vecs[a][rng.randrange(len(vecs[a]))] = 0
+        elif kind == "swap":
+            vecs[a], vecs[b] = vecs[b], vecs[a]
+        elif kind == "small":
+            for k in rng.sample(range(n), rng.randint(1, n)):
+                vecs[k] = [rng.randint(-1, 1) for _ in range(d)]
+        elif kind == "rescale":
+            vecs = [
+                [x * Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for x in vec]
+                for vec in vecs
+            ]
+        else:
+            vecs[a] = vecs[a][:-1] if rng.random() < 0.5 else vecs[a] + [1]
+    return vecs
+
+
+def test_verify_rep_agrees_with_oracle_on_tampered_reps():
+    rng = random.Random(9)
+    failures = set()
+    for g in (PRISM, complement(mobius_ladder(12))):
+        vecs = construct(g, recognize_delta(g), GenericSampler(seed=2)).vectors
+        d = len(vecs[0])
+        for trial in range(300):
+            broken = vecs if trial == 0 else tamper(vecs, rng)
+            for dim in (d, d + 1):
+                report = verify_rep(g, OrthoRep(dim, tuple(map(tuple, broken))))
+                got = (
+                    report.pattern_ok,
+                    report.nonzero_ok,
+                    report.independent_ok,
+                    report.dimension_ok,
+                    report.failed_pair,
+                )
+                assert got == helpers.rep_checks(g, dim, broken), (trial, dim, broken)
+                failures.update(i for i, ok in enumerate(got[:4]) if not ok)
+    # every check was seen to fail
+    assert failures == {0, 1, 2, 3}
