@@ -1,4 +1,8 @@
-"""Delta-graph recognition and exact msr certification."""
+"""Delta-graph recognition and exact msr certification.
+
+``GenericSampler`` is resolved on first use, so that importing the package
+does not import ``dataclasses``, which only the sampler needs.
+"""
 
 from .graphs import (
     MAX_VERTICES,
@@ -25,7 +29,6 @@ from .recognition import (
     recognize_delta,
 )
 from .orthorep import (
-    GenericSampler,
     OrthoRep,
     RepReport,
     RetryBudgetExceeded,
@@ -41,4 +44,12 @@ from .msr import (
 )
 from . import families
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
+
+
+def __getattr__(name: str):
+    if name == "GenericSampler":
+        from .sampler import GenericSampler
+
+        return GenericSampler
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

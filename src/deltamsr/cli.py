@@ -26,7 +26,6 @@ from . import families
 from .graphs import Graph, is_connected, min_degree, parse_edge_list, parse_graph6, to_graph6
 from .msr import check_delta_conjecture
 from .orthorep import (
-    GenericSampler,
     RepReport,
     RetryBudgetExceeded,
     SelfCheckFailed,
@@ -106,6 +105,9 @@ def _cmd_certify(args) -> int:
         return _fail(str(exc), 4)
     if cert is None:
         return _fail("graph was not recognized as a delta-graph", 1)
+    # imported where it is used: the other subcommands start without dataclasses
+    from .sampler import GenericSampler
+
     try:
         rep = construct(g, cert, GenericSampler(seed=args.seed))
     except RetryBudgetExceeded as exc:

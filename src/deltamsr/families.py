@@ -4,12 +4,15 @@ Cycles, paths, complete graphs and stars; Cartesian products (K_n x P_m),
 Moebius ladders, coronas of a star with paths, and the Robertson (4,5)-cage.
 Vertex labellings are canonical and documented per generator, so outputs
 are reproducible byte-for-byte through graph6.  Each builder checks its
-vertex count against ``MAX_VERTICES`` before it builds an edge list.
+vertex count against ``MAX_VERTICES`` before it builds an edge list, and
+the builders whose edge count can outgrow their vertex count (complete
+graphs, Cartesian products, coronas) compute it and check it against
+``MAX_EDGES`` too.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, check_vertex_count, from_edge_list
+from .graphs import Graph, check_edge_count, check_vertex_count, from_edge_list
 
 __all__ = [
     "cycle",
@@ -43,6 +46,7 @@ def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("a complete graph needs at least one vertex")
     check_vertex_count(n)
+    check_edge_count(n * (n - 1) // 2)
     return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
@@ -57,6 +61,7 @@ def star(n: int) -> Graph:
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Box product: (a,b) ~ (c,d) iff a=c, b~d or b=d, a~c; (a,b) -> a*|h|+b."""
     check_vertex_count(g.n * h.n)
+    check_edge_count(g.n * h.edge_count + h.n * g.edge_count)
     edges = []
     for a in range(g.n):
         for b in range(h.n):
@@ -87,6 +92,7 @@ def corona(g: Graph, h: Graph) -> Graph:
     """
     ng, nh = g.n, h.n
     check_vertex_count(ng * (1 + nh))
+    check_edge_count(g.edge_count + ng * (h.edge_count + nh))
     edges = list(g.edges())
     for i in range(ng):
         base = ng + i * nh

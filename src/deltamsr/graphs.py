@@ -6,19 +6,22 @@ per vertex, which keeps complementation, degree counts and neighbourhood
 intersections cheap at desk scale (fast below 64 vertices, correct for
 any n).  graph6 is the interchange format; a plain edge-list text format
 is accepted for hand input.  Both parsers refuse vertex counts above
-``MAX_VERTICES`` before allocating anything of that size.  The structural
+``MAX_VERTICES`` before allocating anything of that size; the family
+builders also hold their edge count to ``MAX_EDGES``.  The structural
 part is what the exact msr engine needs: chordality by simplicial
 elimination and the blocks of a connected graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 __all__ = [
     "MAX_VERTICES",
+    "MAX_EDGES",
     "check_vertex_count",
+    "check_edge_count",
     "Graph",
     "from_edge_list",
     "parse_edge_list",
@@ -44,6 +47,17 @@ def check_vertex_count(n: int) -> None:
         raise ValueError(f"vertex count {n} exceeds the input cap of {MAX_VERTICES}")
 
 
+# largest edge count the family builders produce; K_1449 is the first
+# complete graph above it
+MAX_EDGES = 2**20
+
+
+def check_edge_count(m: int) -> None:
+    """Refuse an edge count above MAX_EDGES, before any edge list is built."""
+    if m > MAX_EDGES:
+        raise ValueError(f"edge count {m} exceeds the cap of {MAX_EDGES}")
+
+
 def _bits(mask: int):
     """Yield set bit positions of mask in increasing order."""
     while mask:
@@ -52,27 +66,39 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple graph; ``adj[v]`` is the neighbour bitmask of vertex v."""
-
+class _GraphFields(NamedTuple):
     n: int
     adj: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+
+class Graph(_GraphFields):
+    """Simple graph; ``adj[v]`` is the neighbour bitmask of vertex v."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, adj: tuple[int, ...]) -> Graph:
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        if len(self.adj) != self.n:
+        if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
-        full = (1 << self.n) - 1
-        for v, mask in enumerate(self.adj):
+        full = (1 << n) - 1
+        for v, mask in enumerate(adj):
             if mask & ~full:
                 raise ValueError(f"adjacency of vertex {v} has out-of-range bits")
             if mask >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
             for u in _bits(mask):
-                if not self.adj[u] >> v & 1:
+                if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        return super().__new__(cls, n, adj)
+
+    @classmethod
+    def _make(cls, iterable) -> Graph:
+        """Graph from an (n, adj) iterable, through the checks of Graph(n, adj).
+
+        The NamedTuple's own _make, which _replace calls too, skips them.
+        """
+        return cls(*iterable)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()

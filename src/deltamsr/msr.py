@@ -12,7 +12,7 @@ has no cut vertex, so the engine recurses at most one level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import (
     Graph,
@@ -24,7 +24,7 @@ from .graphs import (
     min_degree,
     to_graph6,
 )
-from .orthorep import GenericSampler, SelfCheckFailed, construct, verify_rep
+from .orthorep import SelfCheckFailed, construct, verify_rep
 from .recognition import recognize_delta
 
 __all__ = [
@@ -35,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     """Delta Conjecture verdict for one graph."""
 
     graph_id: str
@@ -146,6 +145,9 @@ def check_delta_conjecture(
     delta_bound = n - min_degree(g)
     cert = recognize_delta(g)
     if cert is not None:
+        # imported where it is used: a batch that constructs nothing starts without dataclasses
+        from .sampler import GenericSampler
+
         rep = construct(g, cert, GenericSampler(seed=seed))
         report = verify_rep(g, rep)
         if not report.all_ok:

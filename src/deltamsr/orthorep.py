@@ -15,33 +15,40 @@ and the combination is redrawn on failure.  Each condition fails only on a
 proper subvariety, so random coefficients from a widening window make the
 bounded retry loop succeed with overwhelming probability.
 
-Dependence is decided one way throughout, on inner products already taken:
-nonzero u and v are dependent iff (u.v)^2 = (u.u)(v.v), the equality case
-of Cauchy-Schwarz.  verify_rep accepts rational vectors too, such as a
-bundle read back from JSON: it rescales each one to a primitive integer
-vector and reads every check off their gram matrix.
+Dependence is decided one way throughout, on inner products already taken.
+Two nonzero primitive integer vectors u and v are dependent iff v = +-u,
+that is iff u.u = v.v and |u.v| = u.u: the equality case of Cauchy-Schwarz
+for equal norms, tested without multiplying big integers.  verify_rep
+accepts rational vectors too, such as a bundle read back from JSON: it
+rescales each one to a primitive integer vector and reads every check off
+their norms and pairwise inner products.
+
+The records here are NamedTuples.  The sampler, the package's one
+dataclass, lives in ``deltamsr.sampler``, and only the callers that build a
+representation import it.
 """
 
 from __future__ import annotations
 
-import random
 import re
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graphs import Graph, min_degree
 from .linalg import dot, int_nullspace_basis, primitive_int_vector
 from .recognition import DeltaCertificate, check_certificate
+
+if TYPE_CHECKING:
+    from .sampler import GenericSampler
 
 __all__ = [
     "MAX_RESAMPLES",
     "WIDEN_EVERY",
     "RetryBudgetExceeded",
     "SelfCheckFailed",
-    "GenericSampler",
     "RationalVector",
     "OrthoRep",
     "RepReport",
@@ -75,29 +82,7 @@ class SelfCheckFailed(RuntimeError):
         super().__init__(f"constructed representation failed verification{where}")
 
 
-@dataclass
-class GenericSampler:
-    """Seeded source of nonzero integers from a growing magnitude window."""
-
-    seed: int = 0
-    magnitude: int = 10_000
-    _rng: random.Random = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._rng = random.Random(self.seed)
-
-    def nonzero(self) -> int:
-        value = self._rng.randint(1, self.magnitude)
-        if self._rng.random() < 0.5:
-            value = -value
-        return value
-
-    def widen(self) -> None:
-        self.magnitude *= 2
-
-
-@dataclass(frozen=True)
-class OrthoRep:
+class OrthoRep(NamedTuple):
     """One rational vector per vertex, all in dimension ``dim``.
 
     ``construct`` fills it with primitive integer vectors; a bundle read
@@ -108,8 +93,7 @@ class OrthoRep:
     vectors: tuple[RationalVector, ...]
 
 
-@dataclass(frozen=True)
-class RepReport:
+class RepReport(NamedTuple):
     """Verification outcome; bound is |G| - min_degree(G) when all checks pass.
 
     failed_pair is the first vertex pair (i, j), i < j, in row-major order
@@ -148,8 +132,9 @@ def _solve_vector(
     valid certificate guarantees.
 
     The new vector x is orthogonal to every (nonzero) non-neighbour, so only
-    a neighbour u can be a multiple of x: (x.u)^2 = (x.x)(u.u) is tested on
-    the x.u that the nonzero condition already takes.
+    a neighbour u can be a multiple of x.  Both are primitive, so that means
+    u = +-x: x.x = u.u and |x.u| = x.x, tested on the x.u that the nonzero
+    condition already takes.
     """
     zero_rows = [vec for vec, adjacent in priors if not adjacent]
     t = len(zero_rows)
@@ -171,7 +156,7 @@ def _solve_vector(
             continue
         xt = primitive_int_vector(x)
         xx = dot(xt, xt)
-        if all((xu := dot(xt, u)) and xu * xu != xx * uu for u, uu in neighbours):
+        if all((xu := dot(xt, u)) and (xx != uu or abs(xu) != xx) for u, uu in neighbours):
             return xt
     raise RetryBudgetExceeded(
         f"no admissible vector after {MAX_RESAMPLES} resamples "
@@ -179,22 +164,18 @@ def _solve_vector(
     )
 
 
-def construct(
-    g: Graph, cert: DeltaCertificate, sampler: GenericSampler | None = None
-) -> OrthoRep:
+def construct(g: Graph, cert: DeltaCertificate, sampler: GenericSampler) -> OrthoRep:
     """Representation of g in dimension |g| - min_degree(g).
 
     That dimension is max_degree(complement(g)) + 1.  Walks the certificate
-    ordering with one solve per vertex.  Vectors in the result are indexed
-    by vertex id.
+    ordering with one solve per vertex, drawing every coefficient from
+    sampler.  Vectors in the result are indexed by vertex id.
     """
     if cert.is_complement_form:
         raise ValueError("construction needs the delta-form certificate")
     chk = check_certificate(g, cert)
     if not chk.ok:
         raise ValueError(f"invalid certificate: {chk.reason}")
-    if sampler is None:
-        sampler = GenericSampler()
     d = g.n - min_degree(g)
     order = cert.ordering
     built: list[IntVector] = []
@@ -224,10 +205,11 @@ def verify_rep(g: Graph, rep: OrthoRep) -> RepReport:
     Each vector is first scaled to a primitive integer vector, which keeps
     every zero coordinate, every zero/nonzero inner product and every
     pairwise dependence, so rational input verifies as it would unscaled.
-    The zero pattern and the dependences are read off one gram matrix m of
-    the scaled vectors: (i, j) is dependent iff m[i][i] != 0 and m[i][j]^2 =
-    m[i][i] m[j][j], so a zero vector is dependent on every nonzero vector
-    before it and on nothing else.
+    The zero pattern and the dependences are read off the scaled vectors'
+    norms and one inner product per pair.  A zero vector is dependent on
+    every nonzero vector before it and on nothing else; nonzero primitive
+    u, v are dependent iff u.u = v.v = |u.v|, the equality case of
+    Cauchy-Schwarz for equal norms.
     """
     if len(rep.vectors) != g.n:
         raise ValueError("representation size does not match the graph")
@@ -241,11 +223,13 @@ def verify_rep(g: Graph, rep: OrthoRep) -> RepReport:
     comparable = len({len(v) for v in vecs}) == 1
     pattern_pair = dependent_pair = None
     if comparable:
-        m = gram(OrthoRep(rep.dim, vecs))
+        norms = [dot(v, v) for v in vecs]
         for i, j in combinations(range(g.n), 2):
-            if pattern_pair is None and (m[i][j] != 0) != g.has_edge(i, j):
+            uv = dot(vecs[i], vecs[j])
+            if pattern_pair is None and (uv != 0) != g.has_edge(i, j):
                 pattern_pair = (i, j)
-            if dependent_pair is None and m[i][i] and m[i][j] ** 2 == m[i][i] * m[j][j]:
+            uu, vv = norms[i], norms[j]
+            if dependent_pair is None and uu and (not vv or uu == vv == abs(uv)):
                 dependent_pair = (i, j)
     failed = [p for p in (pattern_pair, dependent_pair) if p is not None]
     pattern_ok = comparable and pattern_pair is None

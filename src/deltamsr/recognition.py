@@ -29,8 +29,8 @@ it raises ``SearchBudgetExceeded``, the "undecided" outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations
+from typing import NamedTuple
 
 from .graphs import Graph, complement, is_connected
 
@@ -65,8 +65,7 @@ class SearchBudgetExceeded(RuntimeError):
         self.nodes = nodes
 
 
-@dataclass(frozen=True)
-class DeltaCertificate:
+class DeltaCertificate(NamedTuple):
     """Vertex ordering witnessing the delta (or C-delta) ordering condition.
 
     ``excluded_counts[m-4]`` is t_m: in delta form the number of prior
@@ -101,8 +100,7 @@ def _triple_edge_count(g: Graph, a: int, b: int, c: int) -> int:
     return int(g.has_edge(a, b)) + int(g.has_edge(a, c)) + int(g.has_edge(b, c))
 
 
-@dataclass(frozen=True)
-class CertificateCheck:
+class CertificateCheck(NamedTuple):
     """Outcome of a certificate check; failed_at is the first violated position m."""
 
     ok: bool

@@ -502,6 +502,68 @@ def test_gen_caps_vertex_count(monkeypatch, capsys):
             assert "input cap of 10" in json.loads(captured.err)["error"], argv
 
 
+def test_gen_caps_edge_count(monkeypatch, capsys):
+    # the builders count their edges arithmetically; each case names the
+    # true count, so the error message checks that arithmetic
+    monkeypatch.setattr(graphs, "MAX_EDGES", 10)
+    k1, k2, k3 = (to_graph6(complete(n)) for n in (1, 2, 3))
+    p4, p5 = to_graph6(path(4)), to_graph6(path(5))
+    for argv, edges in (
+        (["complete", "5"], 10),
+        (["complete", "6"], 15),
+        (["cartesian", k2, p4], 10),
+        (["cartesian", k2, p5], 13),
+        (["cartesian", k3, k3], 18),
+        (["corona", K4, k1], 10),
+        (["corona", k3, k2], 12),
+    ):
+        code = main(["gen", *argv])
+        captured = capsys.readouterr()
+        if edges <= 10:
+            assert code == 0 and parse_graph6(captured.out.strip()).edge_count == edges, argv
+        else:
+            assert code == 2 and captured.out == "", argv
+            error = json.loads(captured.err)["error"]
+            assert f"edge count {edges} exceeds the cap of 10" in error, argv
+
+
+# What `python3 -m deltamsr` does, as the benchmark launches it, reporting at
+# exit which of the named modules the program itself imported.
+COLD_START = """\
+import atexit, json, runpy, sys
+HEAVY = {"dataclasses", "inspect"}
+preloaded = HEAVY & set(sys.modules)
+atexit.register(lambda: print(json.dumps(sorted(HEAVY & set(sys.modules) - preloaded)), file=sys.stderr))
+runpy.run_module("deltamsr", run_name="__main__", alter_sys=True)
+"""
+
+
+def cold_start(argv, stdin: str) -> tuple[int, str, list[str]]:
+    """Exit code, stdout and the heavy modules imported, of one fresh process."""
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    return proc.returncode, proc.stdout, json.loads(proc.stderr.splitlines()[-1])
+
+
+def test_cold_start_without_dataclasses_where_nothing_is_constructed():
+    # C6 is not a delta-graph: batch decides it by the cycle rule
+    code, out, heavy = cold_start(["batch"], C6 + "\n")
+    assert code == 0 and json.loads(out)["verdict"] == "holds"
+    assert heavy == []
+    bundle = run_cli(["certify", "--seed", "0", PRISM])[1]
+    code, out, heavy = cold_start(["verify"], bundle)
+    assert code == 0 and json.loads(out)["bound"] == 3
+    assert heavy == []
+    # certify builds a GenericSampler, a dataclass, so the hook sees the import there
+    code, out, heavy = cold_start(["certify", "--seed", "0", PRISM], "")
+    assert code == 0 and out == bundle and heavy == ["dataclasses", "inspect"]
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "deltamsr", "recognize", "--c-delta", C6],

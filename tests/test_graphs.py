@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from deltamsr import (
     MAX_VERTICES,
+    Graph,
     blocks,
     chordality,
     complement,
@@ -57,6 +58,27 @@ def test_from_edge_list_c6():
 def test_from_edge_list_collapses_duplicates():
     g = from_edge_list(3, [(0, 1), (1, 0), (0, 1)])
     assert g.edge_count == 1
+
+
+@pytest.mark.parametrize(
+    "n, adj, message",
+    [
+        (0, (), "at least one vertex"),
+        (2, (2,), "length"),
+        (2, (4, 0), "out-of-range"),
+        (2, (1, 0), "loop"),
+        (2, (0, 1), "asymmetric"),
+    ],
+)
+def test_graph_rejects_invalid_adjacency(n, adj, message):
+    # every way of building a Graph runs the same checks
+    k2 = Graph(2, (2, 1))
+    with pytest.raises(ValueError, match=message):
+        Graph(n, adj)
+    with pytest.raises(ValueError, match=message):
+        Graph._make((n, adj))
+    with pytest.raises(ValueError, match=message):
+        k2._replace(n=n, adj=adj)
 
 
 @pytest.mark.parametrize("bad", [[(0, 3)], [(-1, 0)], [(1, 1)]])

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,35 @@ def test_sampler_is_deterministic_and_nonzero():
     assert all(v != 0 for v in va)
     a.widen()
     assert a.magnitude == 2 * b.magnitude
+
+
+@dataclass
+class CountingSampler(GenericSampler):
+    """A dataclass subclass with counters, as a tracing harness declares one."""
+
+    draws: int = 0
+    widenings: int = 0
+
+    def nonzero(self):
+        self.draws += 1
+        return super().nonzero()
+
+    def widen(self) -> None:
+        self.widenings += 1
+        super().widen()
+
+
+def test_dataclass_subclass_of_the_sampler_takes_seed_and_draws_the_same():
+    counting = CountingSampler(seed=11)
+    assert counting.seed == 11 and counting.draws == 0
+    plain = GenericSampler(seed=11)
+    assert [counting.nonzero() for _ in range(20)] == [plain.nonzero() for _ in range(20)]
+    assert counting.draws == 20
+    cert = recognize_delta(PRISM)
+    counting = CountingSampler(seed=3)
+    rep = construct(PRISM, cert, counting)
+    assert rep == construct(PRISM, cert, GenericSampler(seed=3))
+    assert counting.draws >= PRISM.n
 
 
 def test_seed_triple_3k1():
@@ -123,6 +153,13 @@ def test_extend_redraws_a_multiple_of_a_neighbour():
     # 2u and -u are dependent on the neighbour u = (1, 2), (3, 1) is not
     s = ScriptedSampler([2, 4, -1, -2, 3, 1])
     assert _solve_vector([((1, 2), True)], 2, s) == (3, 1)
+
+
+def test_extend_keeps_an_independent_vector_that_meets_one_equality():
+    # x = (2, 1) has the norm of u = (1, 2), and x = (1, 1) has x.x = x.u
+    # for u = (3, -1); neither is a multiple of its neighbour
+    assert _solve_vector([((1, 2), True)], 2, ScriptedSampler([2, 1])) == (2, 1)
+    assert _solve_vector([((3, -1), True)], 2, ScriptedSampler([1, 1])) == (1, 1)
 
 
 def test_construct_prism():
