@@ -44,7 +44,7 @@ from .msr import (
 )
 from . import families
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 
 def __getattr__(name: str):

@@ -9,8 +9,7 @@ Exit codes: 0 success or present, 1 clean negative, 2 input error,
 3 internal failure (resampling budget exhausted, or a constructed
 representation that fails its own verification), 4 undecided (the
 recognition search budget ran out).  ``batch`` reports each of these
-failures inline and goes on.  The GRAPH_SEED environment variable supplies
-the default --seed.
+failures inline and goes on.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .orthorep import (
     RepReport,
     RetryBudgetExceeded,
     SelfCheckFailed,
-    construct,
+    construct_verified,
     gram,
     gram_to_json_dict,
     rep_from_json_dict,
@@ -105,16 +104,12 @@ def _cmd_certify(args) -> int:
         return _fail(str(exc), 4)
     if cert is None:
         return _fail("graph was not recognized as a delta-graph", 1)
-    # imported where it is used: the other subcommands start without dataclasses
-    from .sampler import GenericSampler
-
     try:
-        rep = construct(g, cert, GenericSampler(seed=args.seed))
+        rep, report = construct_verified(g, cert, args.seed)
     except RetryBudgetExceeded as exc:
         return _fail(str(exc), 3)
-    report = verify_rep(g, rep)
-    if not report.all_ok:
-        return _fail(str(SelfCheckFailed(report.failed_pair)), 3, failed_pair=report.failed_pair)
+    except SelfCheckFailed as exc:
+        return _fail(str(exc), 3, failed_pair=exc.failed_pair)
     bundle = {
         "graph6": to_graph6(g),
         "n": g.n,
@@ -184,22 +179,26 @@ def _cmd_batch(args) -> int:
     return 0
 
 
-# gen family -> builder from the parsed arguments
-_GEN_BUILDERS = {
-    "cycle": lambda a: families.cycle(a.n),
-    "path": lambda a: families.path(a.n),
-    "complete": lambda a: families.complete(a.n),
-    "star": lambda a: families.star(a.n),
-    "mobius": lambda a: families.mobius_ladder(a.n),
-    "robertson": lambda a: families.robertson_cage(),
-    "cartesian": lambda a: families.cartesian_product(parse_graph6(a.g), parse_graph6(a.h)),
-    "corona": lambda a: families.corona(parse_graph6(a.g), parse_graph6(a.h)),
+# gen family -> (help text, positional arguments, builder); n is an int,
+# g and h are graph6 text
+_GEN_FAMILIES = {
+    "cycle": ("cycle C_n", "n", families.cycle),
+    "path": ("path P_n", "n", families.path),
+    "complete": ("complete graph K_n", "n", families.complete),
+    "star": ("star K_{1,n} with n leaves", "n", families.star),
+    "mobius": ("Moebius ladder on n vertices (even n >= 6)", "n", families.mobius_ladder),
+    "robertson": ("Robertson (4,5)-cage", "", families.robertson_cage),
+    "cartesian": (
+        "Cartesian (box) product of two graph6 graphs", "gh", families.cartesian_product
+    ),
+    "corona": ("corona of two graph6 graphs", "gh", families.corona),
 }
 
 
 def _cmd_gen(args) -> int:
+    _, params, build = _GEN_FAMILIES[args.family]
     try:
-        g = _GEN_BUILDERS[args.family](args)
+        g = build(*(args.n if p == "n" else parse_graph6(getattr(args, p)) for p in params))
     except ValueError as exc:
         return _fail(str(exc), 2)
     print(to_graph6(g))
@@ -229,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="certificate + representation bundle")
     add_graph_input(p)
-    p.add_argument("--seed", type=int, default=os.environ.get("GRAPH_SEED", "0"))
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--emit-gram", action="store_true")
     p.set_defaults(func=_cmd_certify)
 
@@ -239,31 +238,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="Delta Conjecture report per graph6 line")
     p.add_argument("input", nargs="?", help="file of graph6 lines (default: stdin)")
-    p.add_argument("--seed", type=int, default=os.environ.get("GRAPH_SEED", "0"))
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser("gen", help="emit a named family member as graph6")
     gen_sub = p.add_subparsers(dest="family", required=True)
-    for name, helptext in (
-        ("cycle", "cycle C_n"),
-        ("path", "path P_n"),
-        ("complete", "complete graph K_n"),
-        ("star", "star K_{1,n} with n leaves"),
-        ("mobius", "Moebius ladder on n vertices (even n >= 6)"),
-    ):
+    for name, (helptext, params, _) in _GEN_FAMILIES.items():
         q = gen_sub.add_parser(name, help=helptext)
-        q.add_argument("n", type=int)
-        q.set_defaults(func=_cmd_gen)
-    q = gen_sub.add_parser("robertson", help="Robertson (4,5)-cage")
-    q.set_defaults(func=_cmd_gen)
-    for name, helptext in (
-        ("cartesian", "Cartesian (box) product of two graph6 graphs"),
-        ("corona", "corona of two graph6 graphs"),
-    ):
-        q = gen_sub.add_parser(name, help=helptext)
-        q.add_argument("g")
-        q.add_argument("h")
-        q.set_defaults(func=_cmd_gen)
+        for param in params:
+            q.add_argument(param, type=int if param == "n" else str)
+    p.set_defaults(func=_cmd_gen)
 
     return parser
 

@@ -153,6 +153,9 @@ def parse_edge_list(text: str) -> Graph:
 # --- graph6 ---------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
+# each graph6 payload character and the 6 bits it stands for, most significant first
+_G6_BITS = {c: f"{c - 63:06b}" for c in range(63, 127)}
+_G6_CHARS = {bits: chr(c) for c, bits in _G6_BITS.items()}
 
 
 def _g6_encode_n(n: int) -> str:
@@ -160,29 +163,20 @@ def _g6_encode_n(n: int) -> str:
         return chr(n + 63)
     if n <= 258047:
         return "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
-    if n <= 68719476735:
-        return "~~" + "".join(chr((n >> s & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
     raise ValueError("graph too large for graph6")
 
 
 def _g6_decode_n(data: str) -> tuple[int, int]:
-    """Return (n, number of characters consumed)."""
-    if not data:
-        raise ValueError("empty graph6 string")
+    """Return (n, number of characters consumed).
+
+    The 8-character size field of graph6, for n above 258,047, is not read:
+    its "~~" prefix decodes as a 4-character field above the input cap.
+    """
     if data[0] != "~":
         return ord(data[0]) - 63, 1
-    if len(data) >= 2 and data[1] != "~":
-        if len(data) < 4:
-            raise ValueError("truncated graph6 size field")
-        vals = [ord(c) - 63 for c in data[1:4]]
-        return (vals[0] << 12) | (vals[1] << 6) | vals[2], 4
-    if len(data) < 8:
+    if len(data) < 4:
         raise ValueError("truncated graph6 size field")
-    vals = [ord(c) - 63 for c in data[2:8]]
-    n = 0
-    for v in vals:
-        n = n << 6 | v
-    return n, 8
+    return (ord(data[1]) - 63) << 12 | (ord(data[2]) - 63) << 6 | ord(data[3]) - 63, 4
 
 
 def parse_graph6(text: str) -> Graph:
@@ -192,9 +186,9 @@ def parse_graph6(text: str) -> Graph:
         data = data[len(_G6_HEADER):]
     if not data:
         raise ValueError("empty graph6 string")
-    for c in data:
-        if not 63 <= ord(c) <= 126:
-            raise ValueError(f"invalid graph6 character {c!r}")
+    if not ("?" <= min(data) and max(data) <= "~"):
+        bad = next(c for c in data if not "?" <= c <= "~")
+        raise ValueError(f"invalid graph6 character {bad!r}")
     n, used = _g6_decode_n(data)
     if n < 1:
         raise ValueError("graph6 value encodes an empty vertex set")
@@ -206,8 +200,7 @@ def parse_graph6(text: str) -> Graph:
         raise ValueError(
             f"graph6 payload has {len(payload)} characters, expected {nchars}"
         )
-    # one character per 6 bits, so the cost is linear in the payload
-    bits = "".join(f"{ord(c) - 63:06b}" for c in payload)
+    bits = payload.translate(_G6_BITS)
     if "1" in bits[nbits:]:
         raise ValueError("nonzero padding bits in graph6 payload")
     adj = [0] * n
@@ -223,19 +216,13 @@ def parse_graph6(text: str) -> Graph:
 
 def to_graph6(g: Graph) -> str:
     """Encode in canonical graph6 (no optional header)."""
-    out = [_g6_encode_n(g.n)]
-    bits = 0
-    nbits = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            bits = bits << 1 | (g.adj[i] >> j & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(bits + 63))
-                bits = nbits = 0
-    if nbits:
-        out.append(chr((bits << (6 - nbits)) + 63))
-    return "".join(out)
+    # column j holds the bits (0, j), (1, j), ..., (j - 1, j): the low j bits
+    # of adj[j], lowest first
+    bits = "".join(f"{g.adj[j] & ((1 << j) - 1):0{j}b}"[::-1] for j in range(1, g.n))
+    bits += "0" * (-len(bits) % 6)
+    return _g6_encode_n(g.n) + "".join(
+        _G6_CHARS[bits[k:k + 6]] for k in range(0, len(bits), 6)
+    )
 
 
 # --- structural predicates ------------------------------------------------

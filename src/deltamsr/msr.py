@@ -1,12 +1,9 @@
 """Exact minimum semidefinite rank for special families, and conjecture verdicts.
 
-The exact engine applies, in order: trees (msr = n-1), cycles (msr = n-2),
-connected chordal graphs (msr = clique cover number) and the block sum
-(msr is the sum over the blocks of G; van der Holst, LAA 375, 2003).  All
-four are theorems, so any applicable order agrees; the fixed order is for
-determinism.  A pendant vertex v needs no rule of its own: its edge is a
-K2 block with msr 1, and the other blocks of G are those of G - v.  A block
-has no cut vertex, so the engine recurses at most one level.
+The msr of a connected graph is the sum of the msr of its blocks (van der
+Holst, LAA 375, 2003).  The engine knows three kinds of block: K1 or K2
+(msr |B| - 1), a cycle (|B| - 2) and a chordal block (its clique cover
+number).  A graph with any other block gets no exact value.
 ``check_delta_conjecture`` produces the per-graph verdict.
 """
 
@@ -24,7 +21,7 @@ from .graphs import (
     min_degree,
     to_graph6,
 )
-from .orthorep import SelfCheckFailed, construct, verify_rep
+from .orthorep import construct_verified
 from .recognition import recognize_delta
 
 __all__ = [
@@ -55,7 +52,7 @@ class ConjectureReport(NamedTuple):
 
 
 def clique_cover_number_chordal(g: Graph, peo: tuple[int, ...]) -> int:
-    """Minimum number of cliques covering all vertices and edges of a chordal graph.
+    """Minimum number of cliques covering all edges of a chordal graph.
 
     Greedy along the perfect elimination ordering: take the closed later
     neighbourhood of v whenever some edge at v is still uncovered.  Any
@@ -71,19 +68,12 @@ def clique_cover_number_chordal(g: Graph, peo: tuple[int, ...]) -> int:
         later_masks[v] = g.adj[v] & later
         later |= 1 << v
     covered_adj = [0] * g.n
-    covered_vertices = 0
     count = 0
     for v in order:
         mask = later_masks[v]
-        if not mask:
-            if not covered_vertices >> v & 1:
-                count += 1
-                covered_vertices |= 1 << v
-            continue
         if mask & ~covered_adj[v]:
             count += 1
             clique = mask | (1 << v)
-            covered_vertices |= clique
             rest = clique
             while rest:
                 low = rest & -rest
@@ -93,34 +83,26 @@ def clique_cover_number_chordal(g: Graph, peo: tuple[int, ...]) -> int:
     return count
 
 
-def _is_tree(g: Graph) -> bool:
-    return g.edge_count == g.n - 1
-
-
-def _is_cycle(g: Graph) -> bool:
-    return g.n >= 3 and all(g.degree(v) == 2 for v in range(g.n))
-
-
 def msr_exact(g: Graph) -> int | None:
-    """Exact msr when the tree, cycle, chordal or block-sum rule applies, else None."""
-    if not is_connected(g):
-        raise ValueError("msr_exact needs a connected graph")
-    if _is_tree(g):
-        return g.n - 1
-    if _is_cycle(g):
-        return g.n - 2
-    peo = chordality(g)
-    if peo is not None:
-        return clique_cover_number_chordal(g, peo)
+    """Exact msr of a connected graph as the sum over its blocks, or None.
+
+    None means that some block is not K1, K2, a cycle or chordal.
+    """
     parts = blocks(g)
-    if len(parts) == 1:
-        return None
     total = 0
     for block in parts:
-        part = msr_exact(induced_subgraph(g, block))
-        if part is None:
+        if len(block) <= 2:
+            total += len(block) - 1
+            continue
+        part = g if len(parts) == 1 else induced_subgraph(g, block)
+        # a 2-connected graph with as many edges as vertices is a cycle
+        if part.edge_count == part.n:
+            total += part.n - 2
+            continue
+        peo = chordality(part)
+        if peo is None:
             return None
-        total += part
+        total += clique_cover_number_chordal(part, peo)
     return total
 
 
@@ -145,14 +127,7 @@ def check_delta_conjecture(
     delta_bound = n - min_degree(g)
     cert = recognize_delta(g)
     if cert is not None:
-        # imported where it is used: a batch that constructs nothing starts without dataclasses
-        from .sampler import GenericSampler
-
-        rep = construct(g, cert, GenericSampler(seed=seed))
-        report = verify_rep(g, rep)
-        if not report.all_ok:
-            raise SelfCheckFailed(report.failed_pair)
-        assert report.bound == delta_bound
+        _, report = construct_verified(g, cert, seed)
         return ConjectureReport(graph_id, n, delta_bound, report.bound, "holds-by-construction")
     value = msr_exact(g)
     if value is None:

@@ -24,8 +24,9 @@ rescales each one to a primitive integer vector and reads every check off
 their norms and pairwise inner products.
 
 The records here are NamedTuples.  The sampler, the package's one
-dataclass, lives in ``deltamsr.sampler``, and only the callers that build a
-representation import it.
+dataclass, lives in ``deltamsr.sampler``; ``construct_verified``, the one
+construct-and-check step of the CLI and the conjecture verdicts, imports
+it where it is used.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ __all__ = [
     "OrthoRep",
     "RepReport",
     "construct",
+    "construct_verified",
     "gram",
     "verify_rep",
     "fraction_to_str",
@@ -75,9 +77,13 @@ class RetryBudgetExceeded(RuntimeError):
 
 
 class SelfCheckFailed(RuntimeError):
-    """Raised when verify_rep rejects a representation that construct built."""
+    """Raised when verify_rep rejects a representation that construct built.
+
+    ``failed_pair`` is the report's first failing vertex pair, or None.
+    """
 
     def __init__(self, failed_pair: tuple[int, int] | None) -> None:
+        self.failed_pair = failed_pair
         where = "" if failed_pair is None else f", failed_pair {list(failed_pair)}"
         super().__init__(f"constructed representation failed verification{where}")
 
@@ -178,15 +184,28 @@ def construct(g: Graph, cert: DeltaCertificate, sampler: GenericSampler) -> Orth
         raise ValueError(f"invalid certificate: {chk.reason}")
     d = g.n - min_degree(g)
     order = cert.ordering
-    built: list[IntVector] = []
-    for i in range(g.n):
-        v = order[i]
-        priors = [(built[j], g.has_edge(order[j], v)) for j in range(i)]
-        built.append(_solve_vector(priors, d, sampler))
-    by_vertex: list[IntVector | None] = [None] * g.n
+    vectors: list[IntVector] = [()] * g.n
     for i, v in enumerate(order):
-        by_vertex[v] = built[i]
-    return OrthoRep(dim=d, vectors=tuple(by_vertex))  # type: ignore[arg-type]
+        priors = [(vectors[u], g.has_edge(u, v)) for u in order[:i]]
+        vectors[v] = _solve_vector(priors, d, sampler)
+    return OrthoRep(dim=d, vectors=tuple(vectors))
+
+
+def construct_verified(g: Graph, cert: DeltaCertificate, seed: int) -> tuple[OrthoRep, RepReport]:
+    """construct with a GenericSampler(seed), checked by verify_rep.
+
+    Raises SelfCheckFailed, naming the first failing pair, when the check
+    rejects what construct built.
+    """
+    # imported where it is used: a process that builds no representation
+    # starts without dataclasses
+    from .sampler import GenericSampler
+
+    rep = construct(g, cert, GenericSampler(seed=seed))
+    report = verify_rep(g, rep)
+    if not report.all_ok:
+        raise SelfCheckFailed(report.failed_pair)
+    return rep, report
 
 
 def gram(rep: OrthoRep) -> tuple[tuple[int, ...], ...]:

@@ -8,8 +8,7 @@ from pathlib import Path
 
 import pytest
 
-import deltamsr.cli
-import deltamsr.msr
+import deltamsr.orthorep
 from deltamsr import OrthoRep, complement, from_edge_list, graphs, parse_graph6, recognition, to_graph6
 from deltamsr.cli import main
 from deltamsr.families import complete, cycle, path
@@ -124,14 +123,7 @@ def test_certify_deterministic_under_seed():
     assert r1 != r3
 
 
-def test_certify_env_seed(monkeypatch):
-    monkeypatch.setenv("GRAPH_SEED", "7")
-    env_out = run_cli(["certify", PRISM])
-    flag_out = run_cli(["certify", "--seed", "7", PRISM])
-    assert env_out == flag_out
-
-
-def test_non_integer_env_seed_is_an_error_only_where_a_seed_is_taken():
+def test_graph_seed_environment_variable_is_not_read():
     env = subprocess_env(GRAPH_SEED="abc")
 
     def run(*argv):
@@ -148,10 +140,11 @@ def test_non_integer_env_seed_is_an_error_only_where_a_seed_is_taken():
     assert gen.returncode == 0 and gen.stdout.strip() == C6, gen.stderr
     recognize = run("recognize", "--c-delta", C6)
     assert recognize.returncode == 0, recognize.stderr
-    for argv in (("certify", PRISM), ("batch",)):
-        proc = run(*argv)
-        assert proc.returncode == 2 and "invalid int value: 'abc'" in proc.stderr, argv
-        assert "Traceback" not in proc.stderr
+    batch = run("batch")
+    assert batch.returncode == 0 and batch.stdout == batch.stderr == "", batch.stderr
+    certify = run("certify", PRISM)
+    assert certify.returncode == 0, certify.stderr
+    assert (0, certify.stdout) == run_cli(["certify", "--seed", "0", PRISM])
 
 
 def test_certify_rejects_non_delta_graph():
@@ -172,7 +165,8 @@ def duplicating_construct(real):
 
 
 def test_certify_self_check_failure_is_an_internal_failure(monkeypatch, capsys):
-    monkeypatch.setattr(deltamsr.cli, "construct", duplicating_construct(deltamsr.cli.construct))
+    real = deltamsr.orthorep.construct
+    monkeypatch.setattr(deltamsr.orthorep, "construct", duplicating_construct(real))
     assert main(["certify", PRISM]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -182,12 +176,27 @@ def test_certify_self_check_failure_is_an_internal_failure(monkeypatch, capsys):
 
 
 def test_batch_reports_self_check_failure_inline(monkeypatch):
-    monkeypatch.setattr(deltamsr.msr, "construct", duplicating_construct(deltamsr.msr.construct))
+    real = deltamsr.orthorep.construct
+    monkeypatch.setattr(deltamsr.orthorep, "construct", duplicating_construct(real))
     code, out = run_cli(["batch"], stdin_text=f"{PRISM}\n{C6}\n")
     lines = [json.loads(l) for l in out.splitlines()]
     assert code == 0 and len(lines) == 2
     assert lines[0]["graph"] == PRISM
     assert "failed verification, failed_pair [0, 3]" in lines[0]["error"]
+    assert lines[1]["graph"] == C6 and lines[1]["verdict"] == "holds"
+
+
+def test_retry_budget_exhausted_is_an_internal_failure(monkeypatch, capsys):
+    monkeypatch.setattr(deltamsr.orthorep, "MAX_RESAMPLES", 0)
+    assert main(["certify", PRISM]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"].startswith("no admissible vector after 0 resamples")
+    code, out = run_cli(["batch"], stdin_text=f"{PRISM}\n{C6}\n")
+    lines = [json.loads(l) for l in out.splitlines()]
+    assert code == 0 and len(lines) == 2
+    assert lines[0]["graph"] == PRISM
+    assert lines[0]["error"].startswith("no admissible vector after 0 resamples")
     assert lines[1]["graph"] == C6 and lines[1]["verdict"] == "holds"
 
 

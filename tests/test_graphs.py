@@ -151,6 +151,9 @@ def test_parsers_cap_vertex_count_before_allocating():
     size = "~~" + "".join(chr((n >> s & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
     with pytest.raises(ValueError, match="input cap"):
         parse_graph6(size)
+    size = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+    with pytest.raises(ValueError, match="input cap"):
+        parse_graph6(size)
 
 
 def test_parse_edge_list_rejects_junk():

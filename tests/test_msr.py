@@ -22,6 +22,10 @@ import helpers
 
 BOWTIE = from_edge_list(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 PRISM = complement(cycle(6))
+# K5 on 0..4 with the paths 0-5-6-7 and 2-8-9: one K5 block and five K2 blocks
+K5_TWO_PATHS = from_edge_list(
+    10, [(i, j) for j in range(5) for i in range(j)] + [(0, 5), (5, 6), (6, 7), (2, 8), (8, 9)]
+)
 
 
 # --- exact engine -------------------------------------------------------------
@@ -37,6 +41,8 @@ PRISM = complement(cycle(6))
         (star(3), 3),
         (complete(1), 0),
         (cycle(3), 1),
+        (helpers.random_tree(200, random.Random(12)), 199),
+        (K5_TWO_PATHS, 1 + 5),
     ],
 )
 def test_msr_exact_values(g, expected):
