@@ -123,7 +123,16 @@ def test_certify_deterministic_under_seed():
     assert r1 != r3
 
 
-def test_graph_seed_environment_variable_is_not_read():
+def test_certify_env_seed(monkeypatch):
+    # GRAPH_SEED is not read: certify prints what --seed 0 prints
+    monkeypatch.setenv("GRAPH_SEED", "7")
+    env_out = run_cli(["certify", PRISM])
+    assert env_out == run_cli(["certify", "--seed", "0", PRISM])
+    assert env_out != run_cli(["certify", "--seed", "7", PRISM])
+
+
+def test_non_integer_env_seed_is_an_error_only_where_a_seed_is_taken():
+    # a seed is taken from --seed alone, so GRAPH_SEED=abc breaks no command
     env = subprocess_env(GRAPH_SEED="abc")
 
     def run(*argv):
@@ -145,6 +154,10 @@ def test_graph_seed_environment_variable_is_not_read():
     certify = run("certify", PRISM)
     assert certify.returncode == 0, certify.stderr
     assert (0, certify.stdout) == run_cli(["certify", "--seed", "0", PRISM])
+    for argv in (("certify", "--seed", "abc", PRISM), ("batch", "--seed", "abc")):
+        proc = run(*argv)
+        assert proc.returncode == 2 and "invalid int value: 'abc'" in proc.stderr, argv
+        assert "Traceback" not in proc.stderr
 
 
 def test_certify_rejects_non_delta_graph():
