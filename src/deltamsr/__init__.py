@@ -8,12 +8,9 @@ from .graphs import (
     MAX_VERTICES,
     Graph,
     blocks,
-    chordality,
     complement,
     from_edge_list,
-    induced_subgraph,
     is_connected,
-    is_perfect_elimination_ordering,
     min_degree,
     parse_edge_list,
     parse_graph6,
@@ -39,12 +36,12 @@ from .orthorep import (
 from .msr import (
     ConjectureReport,
     check_delta_conjecture,
-    clique_cover_number_chordal,
+    clique_cover_number,
     msr_exact,
 )
 from . import families
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 
 def __getattr__(name: str):

@@ -8,13 +8,13 @@ any n).  graph6 is the interchange format; a plain edge-list text format
 is accepted for hand input.  Both parsers refuse vertex counts above
 ``MAX_VERTICES`` before allocating anything of that size; the family
 builders also hold their edge count to ``MAX_EDGES``.  The structural
-part is what the exact msr engine needs: chordality by simplicial
-elimination and the blocks of a connected graph.
+part is what the exact msr engine needs: the blocks of a connected graph,
+each as the bitmask of its vertices, on which the engine counts clique
+covers without building a subgraph.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import NamedTuple
 
 __all__ = [
@@ -29,10 +29,7 @@ __all__ = [
     "to_graph6",
     "complement",
     "is_connected",
-    "induced_subgraph",
     "min_degree",
-    "is_perfect_elimination_ordering",
-    "chordality",
     "blocks",
 ]
 
@@ -245,83 +242,15 @@ def is_connected(g: Graph) -> bool:
     return seen == (1 << g.n) - 1
 
 
-def induced_subgraph(g: Graph, vs) -> Graph:
-    """Subgraph induced on vs, relabeled 0..len(vs)-1 in the order given."""
-    vs = list(vs)
-    if not vs:
-        raise ValueError("induced subgraph needs at least one vertex")
-    if len(set(vs)) != len(vs):
-        raise ValueError("duplicate vertices in induced subgraph")
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-    edges = [
-        (i, j)
-        for i, j in combinations(range(len(vs)), 2)
-        if g.has_edge(vs[i], vs[j])
-    ]
-    return from_edge_list(len(vs), edges)
-
-
 def min_degree(g: Graph) -> int:
     return min(g.degree(v) for v in range(g.n))
-
-
-# --- chordality -----------------------------------------------------------
-
-
-def is_perfect_elimination_ordering(g: Graph, order) -> bool:
-    order = list(order)
-    if sorted(order) != list(range(g.n)):
-        return False
-    pos = {w: i for i, w in enumerate(order)}
-    later = 0
-    later_masks = [0] * g.n
-    for v in reversed(order):
-        later_masks[v] = g.adj[v] & later
-        later |= 1 << v
-    for v in order:
-        mask = later_masks[v]
-        if not mask:
-            continue
-        # it suffices to check the earliest later neighbour against the rest
-        u = min(_bits(mask), key=lambda w: pos[w])
-        rest = mask & ~(1 << u)
-        if rest & ~g.adj[u]:
-            return False
-    return True
-
-
-def chordality(g: Graph) -> tuple[int, ...] | None:
-    """A perfect elimination ordering if g is chordal, else None.
-
-    Deletes simplicial vertices, those whose remaining neighbours form a
-    clique, until none is left.  A chordal graph always has one and stays
-    chordal when it loses one (Fulkerson and Gross, Pacific J. Math. 15,
-    1965), so the deletions empty g exactly when g is chordal, and their
-    order is the elimination ordering.  A vertex can only become simplicial
-    when a neighbour goes, so after one pass over all vertices only the
-    neighbours of deleted vertices are looked at again.
-    """
-    left = todo = (1 << g.n) - 1
-    order = []
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        v = low.bit_length() - 1
-        nbrs = g.adj[v] & left
-        if all((nbrs & ~g.adj[u]) == 1 << u for u in _bits(nbrs)):
-            order.append(v)
-            left ^= low
-            todo |= nbrs
-    return None if left else tuple(order)
 
 
 # --- blocks ---------------------------------------------------------------
 
 
-def blocks(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """The blocks of a connected graph, each a sorted vertex tuple, in sorted order.
+def blocks(g: Graph) -> list[int]:
+    """The blocks of a connected graph, each the bitmask of its vertices.
 
     A block is a maximal 2-connected subgraph or a bridge (a K2 block), and
     g has a cut vertex exactly when it has more than one block.  Iterative
@@ -332,7 +261,7 @@ def blocks(g: Graph) -> tuple[tuple[int, ...], ...]:
     if not is_connected(g):
         raise ValueError("block decomposition requires a connected graph")
     if g.n == 1:
-        return ((0,),)
+        return [1]
     disc = [-1] * g.n
     low = [0] * g.n
     disc[0] = 0
@@ -363,5 +292,5 @@ def blocks(g: Graph) -> tuple[tuple[int, ...], ...]:
                     members |= 1 << w
                     if w == v:
                         break
-                found.append(tuple(_bits(members)))
-    return tuple(sorted(found))
+                found.append(members)
+    return found

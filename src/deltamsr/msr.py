@@ -3,7 +3,9 @@
 The msr of a connected graph is the sum of the msr of its blocks (van der
 Holst, LAA 375, 2003).  The engine knows three kinds of block: K1 or K2
 (msr |B| - 1), a cycle (|B| - 2) and a chordal block (its clique cover
-number).  A graph with any other block gets no exact value.
+number).  A graph with any other block gets no exact value.  Each block
+stays a vertex bitmask of the whole graph: one simplicial elimination on
+it both tests chordality and counts the clique cover.
 ``check_delta_conjecture`` produces the per-graph verdict.
 """
 
@@ -11,23 +13,14 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import (
-    Graph,
-    blocks,
-    chordality,
-    induced_subgraph,
-    is_connected,
-    is_perfect_elimination_ordering,
-    min_degree,
-    to_graph6,
-)
+from .graphs import Graph, _bits, blocks, is_connected, min_degree
 from .orthorep import construct_verified
 from .recognition import recognize_delta
 
 __all__ = [
     "ConjectureReport",
     "msr_exact",
-    "clique_cover_number_chordal",
+    "clique_cover_number",
     "check_delta_conjecture",
 ]
 
@@ -51,36 +44,40 @@ class ConjectureReport(NamedTuple):
         }
 
 
-def clique_cover_number_chordal(g: Graph, peo: tuple[int, ...]) -> int:
-    """Minimum number of cliques covering all edges of a chordal graph.
+def clique_cover_number(g: Graph, within: int) -> int | None:
+    """Fewest cliques covering the edges of g[within] if it is chordal, else None.
 
-    Greedy along the perfect elimination ordering: take the closed later
-    neighbourhood of v whenever some edge at v is still uncovered.  Any
-    clique of an optimal cover containing that edge lies inside the same
-    closed neighbourhood, which makes the greedy choice exchange-safe.
+    Deletes simplicial vertices of g[within], those whose remaining
+    neighbours form a clique, until none is left.  A chordal graph always
+    has one and stays chordal when it loses one (Fulkerson and Gross,
+    Pacific J. Math. 15, 1965), so the deletions empty g[within] exactly
+    when it is chordal.  A vertex can only become simplicial when a
+    neighbour goes, so after one pass only the neighbours of deleted
+    vertices are looked at again.
+
+    The deletions come in perfect elimination order, and the cover is
+    counted along them: a deleted vertex and its remaining neighbours are
+    one clique of the cover whenever some edge at the vertex is still
+    uncovered.  Any clique of an optimal cover containing that edge lies
+    inside the same closed neighbourhood, which makes the greedy choice
+    exchange-safe.
     """
-    order = list(peo)
-    if not is_perfect_elimination_ordering(g, order):
-        raise ValueError("ordering is not a perfect elimination ordering for g")
-    later = 0
-    later_masks = [0] * g.n
-    for v in reversed(order):
-        later_masks[v] = g.adj[v] & later
-        later |= 1 << v
-    covered_adj = [0] * g.n
+    left = todo = within
+    covered = {}  # vertex -> bitmask of the vertices it shares a counted clique with
     count = 0
-    for v in order:
-        mask = later_masks[v]
-        if mask & ~covered_adj[v]:
-            count += 1
-            clique = mask | (1 << v)
-            rest = clique
-            while rest:
-                low = rest & -rest
-                u = low.bit_length() - 1
-                covered_adj[u] |= clique & ~low
-                rest ^= low
-    return count
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length() - 1
+        nbrs = g.adj[v] & left
+        if all((nbrs & ~g.adj[u]) == 1 << u for u in _bits(nbrs)):
+            left ^= low
+            todo |= nbrs
+            if nbrs & ~covered.get(v, 0):
+                count += 1
+                for u in _bits(nbrs):
+                    covered[u] = covered.get(u, 0) | nbrs
+    return None if left else count
 
 
 def msr_exact(g: Graph) -> int | None:
@@ -88,29 +85,25 @@ def msr_exact(g: Graph) -> int | None:
 
     None means that some block is not K1, K2, a cycle or chordal.
     """
-    parts = blocks(g)
     total = 0
-    for block in parts:
-        if len(block) <= 2:
-            total += len(block) - 1
+    for block in blocks(g):
+        size = block.bit_count()
+        if size <= 2:
+            total += size - 1
             continue
-        part = g if len(parts) == 1 else induced_subgraph(g, block)
-        # a 2-connected graph with as many edges as vertices is a cycle
-        if part.edge_count == part.n:
-            total += part.n - 2
+        # a 2-connected graph with as many edges as vertices is a cycle; the
+        # degree sum inside the block counts each edge twice
+        if sum((g.adj[v] & block).bit_count() for v in _bits(block)) == 2 * size:
+            total += size - 2
             continue
-        peo = chordality(part)
-        if peo is None:
+        cover = clique_cover_number(g, block)
+        if cover is None:
             return None
-        total += clique_cover_number_chordal(part, peo)
+        total += cover
     return total
 
 
-def check_delta_conjecture(
-    g: Graph,
-    seed: int = 0,
-    graph_id: str | None = None,
-) -> ConjectureReport:
+def check_delta_conjecture(g: Graph, seed: int, graph_id: str) -> ConjectureReport:
     """Delta Conjecture verdict: construct a certificate, or fall back to msr.
 
     holds-by-construction: a delta-graph certificate plus a verified
@@ -121,8 +114,6 @@ def check_delta_conjecture(
     """
     if not is_connected(g):
         raise ValueError("check_delta_conjecture needs a connected graph")
-    if graph_id is None:
-        graph_id = to_graph6(g)
     n = g.n
     delta_bound = n - min_degree(g)
     cert = recognize_delta(g)

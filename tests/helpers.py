@@ -2,7 +2,9 @@
 
 Everything here is deliberately independent of the library's own search
 and elimination code: isomorphism and clique covers run raw backtracking,
-chordality and delta-graph recognition try every ordering, the first
+induced subgraphs test every vertex pair, perfect elimination orderings
+are checked pair by pair, chordality and delta-graph recognition try
+every ordering, the first
 certificate in the search's order comes from a plain recursive scan with
 no memo, girth runs BFS from every root, rank is plain Fraction
 elimination, representation checks take plain Fraction dots and rank, and
@@ -22,7 +24,6 @@ from deltamsr import (
     complement,
     from_edge_list,
     is_connected,
-    is_perfect_elimination_ordering,
     parse_graph6,
 )
 
@@ -93,6 +94,34 @@ def rep_checks(g: Graph, dim: int, vecs) -> tuple[bool, bool, bool, bool, tuple[
         if failed is None and (wrong or dependent):
             failed = (i, j)
     return pattern_ok, nonzero_ok, independent_ok, dimension_ok, failed
+
+
+def induced_subgraph(g: Graph, vs) -> Graph:
+    """Subgraph induced on vs, relabelled 0..len(vs)-1 in the order given."""
+    vs = list(vs)
+    if not vs or len(set(vs)) != len(vs) or not set(vs) <= set(range(g.n)):
+        raise ValueError(f"not a nonempty set of vertices of g: {vs}")
+    return from_edge_list(
+        len(vs),
+        [(i, j) for i, j in combinations(range(len(vs)), 2) if g.has_edge(vs[i], vs[j])],
+    )
+
+
+def mask_vertices(mask: int) -> list[int]:
+    """The vertices of a bitmask in increasing order."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def is_perfect_elimination_ordering(g: Graph, order) -> bool:
+    """Every vertex's neighbours later in order are pairwise adjacent."""
+    order = list(order)
+    if sorted(order) != list(range(g.n)):
+        return False
+    for i, v in enumerate(order):
+        later = [u for u in order[i + 1:] if g.has_edge(u, v)]
+        if not all(g.has_edge(a, b) for a, b in combinations(later, 2)):
+            return False
+    return True
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -8,12 +8,10 @@ from deltamsr import (
     MAX_VERTICES,
     Graph,
     blocks,
-    chordality,
+    clique_cover_number,
     complement,
     from_edge_list,
-    induced_subgraph,
     is_connected,
-    is_perfect_elimination_ordering,
     min_degree,
     parse_edge_list,
     parse_graph6,
@@ -199,57 +197,61 @@ def test_degrees_examples():
     assert (min_degree(star(4)), helpers.max_degree(star(4))) == (1, 4)
 
 
-# --- induced subgraphs -------------------------------------------------------
+# --- induced subgraphs ---------------------------------------------------------
+# The engine reads a set of vertices as a bitmask of the whole graph; the
+# oracle relabels the same set into a graph of its own, and both agree.
 
 
 def test_induced_consecutive_cycle_vertices_give_path():
-    assert induced_subgraph(cycle(6), [0, 1, 2]) == path(3)
+    assert helpers.induced_subgraph(cycle(6), [0, 1, 2]) == path(3)
+    assert clique_cover_number(cycle(6), 0b111) == clique_cover_number(path(3), 0b111) == 2
 
 
 def test_induced_single_vertex():
-    assert induced_subgraph(PRISM, [4]).n == 1
+    assert helpers.induced_subgraph(PRISM, [4]).n == 1
+    assert clique_cover_number(PRISM, 1 << 4) == 0
 
 
 def test_induced_triangle_face_of_prism():
     # complement(C6) has triangles on the even and odd vertices
-    assert induced_subgraph(PRISM, [0, 2, 4]) == complete(3)
+    assert helpers.induced_subgraph(PRISM, [0, 2, 4]) == complete(3)
+    assert clique_cover_number(PRISM, 0b010101) == clique_cover_number(PRISM, 0b101010) == 1
 
 
 def test_induced_identity_on_all_vertices():
-    assert induced_subgraph(BOWTIE, range(5)) == BOWTIE
+    assert helpers.induced_subgraph(BOWTIE, range(5)) == BOWTIE
+    assert clique_cover_number(BOWTIE, 0b11111) == 2
 
 
 @pytest.mark.parametrize("vs", [[], [0, 0], [9]])
 def test_induced_rejects(vs):
     with pytest.raises(ValueError):
-        induced_subgraph(BOWTIE, vs)
+        helpers.induced_subgraph(BOWTIE, vs)
 
 
 # --- chordality --------------------------------------------------------------
+# clique_cover_number(g, mask) is None exactly when g[mask] is not chordal.
 
 
 def test_chordality_complete_graph():
-    peo = chordality(complete(4))
-    assert peo is not None
-    assert is_perfect_elimination_ordering(complete(4), peo)
+    assert clique_cover_number(complete(4), 0b1111) == 1
 
 
 def test_chordality_c4_absent():
-    assert chordality(cycle(4)) is None
+    assert clique_cover_number(cycle(4), 0b1111) is None
 
 
 def test_chordality_bowtie_matches_exhaustive_check():
-    peo = chordality(BOWTIE)
-    assert peo is not None
+    assert clique_cover_number(BOWTIE, 0b11111) is not None
     assert helpers.is_chordal_brute(BOWTIE)
 
 
 def test_chordality_agrees_with_brute_force_up_to_6():
     for g in helpers.atlas_graphs(max_n=6):
-        peo = chordality(g)
-        assert (peo is not None) == helpers.is_chordal_brute(g), to_graph6(g)
-        if peo is not None:
-            assert is_perfect_elimination_ordering(g, peo)
+        cover = clique_cover_number(g, (1 << g.n) - 1)
+        assert (cover is not None) == helpers.is_chordal_brute(g), to_graph6(g)
+        if cover is not None:
+            assert cover == helpers.min_edge_clique_cover(g), to_graph6(g)
 
 
 # --- blocks ------------------------------------------------------------------
@@ -262,22 +264,26 @@ def cut_vertices(g):
     return {
         v
         for v in range(g.n)
-        if not is_connected(induced_subgraph(g, [u for u in range(g.n) if u != v]))
+        if not is_connected(helpers.induced_subgraph(g, [u for u in range(g.n) if u != v]))
     }
 
 
+def block_vertex_lists(g):
+    return sorted(map(helpers.mask_vertices, blocks(g)))
+
+
 def test_blocks_bowtie():
-    assert blocks(BOWTIE) == ((0, 1, 2), (2, 3, 4))
+    assert block_vertex_lists(BOWTIE) == [[0, 1, 2], [2, 3, 4]]
     assert cut_vertices(BOWTIE) == {2}
 
 
 def test_blocks_cycle_single_block():
-    assert blocks(cycle(6)) == (tuple(range(6)),)
+    assert blocks(cycle(6)) == [0b111111]
     assert not cut_vertices(cycle(6))
 
 
 def test_blocks_path():
-    assert blocks(path(4)) == ((0, 1), (1, 2), (2, 3))
+    assert block_vertex_lists(path(4)) == [[0, 1], [1, 2], [2, 3]]
     assert cut_vertices(path(4)) == {1, 2}
 
 
@@ -290,19 +296,19 @@ def test_blocks_invariants_on_atlas():
     for g in helpers.atlas_graphs(max_n=6):
         if not is_connected(g):
             continue
-        parts = blocks(g)
+        parts = [set(helpers.mask_vertices(b)) for b in blocks(g)]
+        assert set().union(*parts) == set(range(g.n))
         cuts = cut_vertices(g)
         seen = {}
         for bi, block in enumerate(parts):
-            bs = set(block)
             for u, v in g.edges():
-                if u in bs and v in bs:
+                if u in block and v in block:
                     assert seen.setdefault((u, v), bi) == bi
         for u, v in g.edges():
             assert (u, v) in seen, "every edge lies in exactly one block"
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
-                shared = set(parts[i]) & set(parts[j])
+                shared = parts[i] & parts[j]
                 assert len(shared) <= 1
                 assert shared <= cuts
         # a cut vertex exists exactly when there is more than one block
@@ -313,7 +319,7 @@ def test_blocks_invariants_on_atlas():
             1
             for block in parts
             for u, v in g.edges()
-            if u in set(block) and v in set(block)
+            if u in block and v in block
         )
         is_tree = g.edge_count == g.n - 1
         assert block_edges >= g.n - 1

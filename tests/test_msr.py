@@ -5,11 +5,9 @@ import pytest
 from deltamsr import (
     blocks,
     check_delta_conjecture,
-    chordality,
-    clique_cover_number_chordal,
+    clique_cover_number,
     complement,
     from_edge_list,
-    induced_subgraph,
     is_connected,
     min_degree,
     msr_exact,
@@ -27,6 +25,17 @@ K5_TWO_PATHS = from_edge_list(
     10, [(i, j) for j in range(5) for i in range(j)] + [(0, 5), (5, 6), (6, 7), (2, 8), (8, 9)]
 )
 
+def clique_edges(vs):
+    return [(u, v) for i, v in enumerate(vs) for u in vs[:i]]
+
+
+# K4 on 0..3 and C5 on 3..7, sharing the cut vertex 3
+K4_C5 = from_edge_list(8, clique_edges(range(4)) + [(3, 4), (4, 5), (5, 6), (6, 7), (7, 3)])
+# K_200 with one pendant vertex: a large chordal block beside a K2 block
+K200_PENDANT = from_edge_list(201, clique_edges(range(200)) + [(0, 200)])
+# K4 on 0..3 and the prism on 3..8, sharing the cut vertex 3
+K4_PRISM = from_edge_list(9, clique_edges(range(4)) + [(u + 3, v + 3) for u, v in PRISM.edges()])
+
 
 # --- exact engine -------------------------------------------------------------
 
@@ -43,6 +52,9 @@ K5_TWO_PATHS = from_edge_list(
         (cycle(3), 1),
         (helpers.random_tree(200, random.Random(12)), 199),
         (K5_TWO_PATHS, 1 + 5),
+        (K4_C5, 1 + 3),
+        (K200_PENDANT, 2),
+        (K4_PRISM, None),
     ],
 )
 def test_msr_exact_values(g, expected):
@@ -79,26 +91,39 @@ def test_cycles():
     [(complete(4), 1), (path(4), 3), (star(3), 3), (BOWTIE, 2)],
 )
 def test_clique_cover_values(g, expected):
-    peo = chordality(g)
-    assert peo is not None
-    assert clique_cover_number_chordal(g, peo) == expected
+    assert clique_cover_number(g, (1 << g.n) - 1) == expected
 
 
 def test_clique_cover_rejects_bad_peo():
-    with pytest.raises(ValueError):
-        clique_cover_number_chordal(path(4), (1, 0, 2, 3))
+    # a non-chordal block inside a larger graph has no cover, while the
+    # chordal block beside it and a chordal part of the prism have one
+    prism_block = 0b111111000
+    assert clique_cover_number(K4_PRISM, prism_block) is None
+    assert clique_cover_number(K4_PRISM, 0b1111) == 1
+    assert clique_cover_number(K4_PRISM, 0b010101000) == 1  # a triangle face of the prism
 
 
 def test_clique_cover_matches_brute_force_up_to_6():
     for g in helpers.atlas_graphs(max_n=6):
         if g.n < 2 or not is_connected(g):
             continue
-        peo = chordality(g)
-        if peo is None:
+        cover = clique_cover_number(g, (1 << g.n) - 1)
+        if cover is None:
             continue
-        assert clique_cover_number_chordal(g, peo) == helpers.min_edge_clique_cover(
-            g
-        ), to_graph6(g)
+        assert cover == helpers.min_edge_clique_cover(g), to_graph6(g)
+
+
+def test_clique_cover_of_every_block_matches_the_induced_oracle():
+    checked = 0
+    for g in helpers.atlas_graphs(max_n=6):
+        if not is_connected(g):
+            continue
+        for block in blocks(g):
+            h = helpers.induced_subgraph(g, helpers.mask_vertices(block))
+            expected = helpers.min_edge_clique_cover(h) if helpers.is_chordal_brute(h) else None
+            assert clique_cover_number(g, block) == expected, (to_graph6(g), bin(block))
+            checked += 1
+    assert checked > 250
 
 
 def test_chordal_and_pendant_rules_agree():
@@ -112,7 +137,7 @@ def test_chordal_and_pendant_rules_agree():
         for v in range(g.n):
             if g.degree(v) != 1:
                 continue
-            inner = msr_exact(induced_subgraph(g, [u for u in range(g.n) if u != v]))
+            inner = msr_exact(helpers.induced_subgraph(g, [u for u in range(g.n) if u != v]))
             assert (value is None) == (inner is None), to_graph6(g)
             if value is not None:
                 assert value == inner + 1, to_graph6(g)
@@ -124,12 +149,14 @@ def test_block_rule_consistent_with_chordal_rule():
     for g in helpers.atlas_graphs(max_n=6):
         if not is_connected(g) or g.n < 3:
             continue
-        peo = chordality(g)
+        cover = clique_cover_number(g, (1 << g.n) - 1)
         parts = blocks(g)
-        if peo is None or len(parts) == 1:
+        if cover is None or len(parts) == 1:
             continue
-        total = sum(msr_exact(induced_subgraph(g, b)) for b in parts)
-        assert total == clique_cover_number_chordal(g, peo), to_graph6(g)
+        total = sum(
+            msr_exact(helpers.induced_subgraph(g, helpers.mask_vertices(b))) for b in parts
+        )
+        assert total == cover, to_graph6(g)
 
 
 def glued_graph(rng: random.Random, pieces: int):
@@ -167,20 +194,20 @@ def test_block_sum_on_glued_graphs():
 
 
 def test_conjecture_prism():
-    r = check_delta_conjecture(PRISM)
+    r = check_delta_conjecture(PRISM, seed=0, graph_id=to_graph6(PRISM))
     assert r.verdict == "holds-by-construction"
     assert r.certified_hi == r.delta_bound == 3
 
 
 def test_conjecture_tree():
     t = helpers.random_tree(9, random.Random(3))
-    r = check_delta_conjecture(t)
+    r = check_delta_conjecture(t, seed=0, graph_id=to_graph6(t))
     assert r.verdict in ("holds", "holds-by-construction")
     assert r.certified_hi <= r.delta_bound == t.n - 1
 
 
 def test_conjecture_c6():
-    r = check_delta_conjecture(cycle(6))
+    r = check_delta_conjecture(cycle(6), seed=0, graph_id="C6")
     assert r.verdict == "holds"
     assert r.certified_hi == 4 == 6 - 2
 
@@ -188,11 +215,11 @@ def test_conjecture_c6():
 def test_conjecture_refuted_when_exact_value_exceeds_bound(monkeypatch):
     # C6 is not a delta-graph, so the verdict rests on the exact engine
     monkeypatch.setattr(deltamsr.msr, "msr_exact", lambda g: 5)
-    r = check_delta_conjecture(cycle(6))
+    r = check_delta_conjecture(cycle(6), seed=0, graph_id="C6")
     assert r.verdict == "refuted"
     assert r.certified_hi == 5 > r.delta_bound == 4
     monkeypatch.setattr(deltamsr.msr, "msr_exact", lambda g: None)
-    r = check_delta_conjecture(cycle(6))
+    r = check_delta_conjecture(cycle(6), seed=0, graph_id="C6")
     assert r.verdict == "unresolved" and r.certified_hi == 5
 
 
@@ -200,7 +227,7 @@ def test_conjecture_reports_on_small_atlas():
     for g in helpers.atlas_graphs(max_n=5):
         if not is_connected(g):
             continue
-        r = check_delta_conjecture(g)
+        r = check_delta_conjecture(g, seed=0, graph_id=to_graph6(g))
         if r.verdict != "unresolved":
             assert r.certified_hi <= r.delta_bound, r
 
