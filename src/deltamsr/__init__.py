@@ -22,7 +22,6 @@ from .recognition import (
     SearchBudgetExceeded,
     check_certificate,
     max_excluded,
-    recognize_c_delta,
     recognize_delta,
 )
 from .orthorep import (
@@ -41,7 +40,7 @@ from .msr import (
 )
 from . import families
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 
 def __getattr__(name: str):

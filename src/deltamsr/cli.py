@@ -22,7 +22,9 @@ import os
 import sys
 
 from . import families
-from .graphs import Graph, is_connected, min_degree, parse_edge_list, parse_graph6, to_graph6
+from .graphs import (
+    Graph, complement, is_connected, min_degree, parse_edge_list, parse_graph6, to_graph6
+)
 from .msr import check_delta_conjecture
 from .orthorep import (
     RepReport,
@@ -35,7 +37,7 @@ from .orthorep import (
     rep_to_json_dict,
     verify_rep,
 )
-from .recognition import SearchBudgetExceeded, recognize_c_delta, recognize_delta
+from .recognition import SearchBudgetExceeded, recognize_delta
 
 __all__ = ["main"]
 
@@ -76,20 +78,26 @@ def _load_graph(args) -> Graph:
     return _parse_file_or_literal(args.graph, parse)
 
 
+# the complement's base triple as G induces it; the ordering and counts carry over
+_C_DELTA_BASE_KIND = {"3K1": "K3", "K2+K1": "P3"}
+
+
 def _cmd_recognize(args) -> int:
     try:
         g = _load_graph(args)
     except (ValueError, OSError) as exc:
         return _fail(str(exc), 2)
-    recognizer = recognize_c_delta if args.c_delta else recognize_delta
     try:
-        cert = recognizer(g)
+        cert = recognize_delta(complement(g) if args.c_delta else g)
     except SearchBudgetExceeded as exc:
         return _fail(str(exc), 4)
     if cert is None:
         print("absent")
         return 1
-    _print_json(cert.to_json_dict())
+    out = cert.to_json_dict()
+    if args.c_delta:
+        out["base_kind"] = _C_DELTA_BASE_KIND[cert.base_kind]
+    _print_json(out)
     return 0
 
 
@@ -223,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recognize", help="find a delta or C-delta certificate")
     add_graph_input(p)
-    p.add_argument("--c-delta", action="store_true", help="recognize the complement form")
+    p.add_argument("--c-delta", action="store_true", help="search the complement (C-delta)")
     p.set_defaults(func=_cmd_recognize)
 
     p = sub.add_parser("certify", help="certificate + representation bundle")

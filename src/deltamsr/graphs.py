@@ -15,6 +15,7 @@ covers without building a subgraph.
 
 from __future__ import annotations
 
+import binascii
 from typing import NamedTuple
 
 __all__ = [
@@ -152,7 +153,9 @@ def parse_edge_list(text: str) -> Graph:
 _G6_HEADER = ">>graph6<<"
 # each graph6 payload character and the 6 bits it stands for, most significant first
 _G6_BITS = {c: f"{c - 63:06b}" for c in range(63, 127)}
-_G6_CHARS = {bits: chr(c) for c, bits in _G6_BITS.items()}
+# base64 also writes 6 bits per character, most significant first: digit k -> chr(63 + k)
+_B64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_B64_TO_G6 = bytes.maketrans(_B64_DIGITS, bytes(range(63, 127)))
 
 
 def _g6_encode_n(n: int) -> str:
@@ -216,10 +219,11 @@ def to_graph6(g: Graph) -> str:
     # column j holds the bits (0, j), (1, j), ..., (j - 1, j): the low j bits
     # of adj[j], lowest first
     bits = "".join(f"{g.adj[j] & ((1 << j) - 1):0{j}b}"[::-1] for j in range(1, g.n))
-    bits += "0" * (-len(bits) % 6)
-    return _g6_encode_n(g.n) + "".join(
-        _G6_CHARS[bits[k:k + 6]] for k in range(0, len(bits), 6)
-    )
+    nchars = -(-len(bits) // 6)
+    bits += "0" * (-len(bits) % 24)  # whole 3-byte groups, so base64 writes no "="
+    data = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    payload = binascii.b2a_base64(data, newline=False).translate(_B64_TO_G6)
+    return _g6_encode_n(g.n) + payload[:nchars].decode("ascii")
 
 
 # --- structural predicates ------------------------------------------------

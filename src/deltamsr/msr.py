@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import Graph, _bits, blocks, is_connected, min_degree
+from .graphs import Graph, _bits, blocks, min_degree
 from .orthorep import construct_verified
 from .recognition import recognize_delta
 
@@ -110,10 +110,9 @@ def check_delta_conjecture(g: Graph, seed: int, graph_id: str) -> ConjectureRepo
     representation pins msr <= |G| - min_degree.  holds: the exact engine
     value already satisfies the bound.  refuted: the exact engine value
     exceeds the bound, a counterexample to the conjecture, with that value
-    as ``certified_hi``.  unresolved: neither route applies.
+    as ``certified_hi``.  unresolved: neither route applies.  A disconnected
+    g is no delta-graph, and ``msr_exact`` raises ValueError on it.
     """
-    if not is_connected(g):
-        raise ValueError("check_delta_conjecture needs a connected graph")
     n = g.n
     delta_bound = n - min_degree(g)
     cert = recognize_delta(g)

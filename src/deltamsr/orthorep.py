@@ -177,8 +177,6 @@ def construct(g: Graph, cert: DeltaCertificate, sampler: GenericSampler) -> Orth
     ordering with one solve per vertex, drawing every coefficient from
     sampler.  Vectors in the result are indexed by vertex id.
     """
-    if cert.is_complement_form:
-        raise ValueError("construction needs the delta-form certificate")
     chk = check_certificate(g, cert)
     if not chk.ok:
         raise ValueError(f"invalid certificate: {chk.reason}")

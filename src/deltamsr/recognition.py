@@ -1,11 +1,11 @@
-"""Recognition of delta-graphs and their complements (C-delta graphs).
+"""Recognition of delta-graphs.
 
 A delta-graph is a connected graph with connected complement, on at least
 four vertices, whose vertices can be ordered so that the first three induce
 3K1 or K2+K1 and every later vertex v_m is adjacent to all prior vertices
 except at most floor(m/2)-1 of them.  A C-delta graph is a graph whose
-complement is a delta-graph; in complement form the first three vertices
-induce K3 or P3 and v_m is adjacent to at most floor(m/2)-1 priors.
+complement is a delta-graph, so it is recognized as ``recognize_delta`` of
+the complement: there is one certificate form.
 
 ``recognize_delta`` is a complete depth-first search over the sets of
 placed vertices.  Whether a prefix can be completed depends only on which
@@ -35,7 +35,6 @@ from typing import NamedTuple
 from .graphs import Graph, complement, is_connected
 
 __all__ = [
-    "CDELTA_BASE_KINDS",
     "SEARCH_BUDGET",
     "SearchBudgetExceeded",
     "DeltaCertificate",
@@ -43,15 +42,10 @@ __all__ = [
     "max_excluded",
     "check_certificate",
     "recognize_delta",
-    "recognize_c_delta",
 ]
 
-CDELTA_BASE_KINDS = ("K3", "P3")
-
 # induced edge count among the first three ordered vertices, per base kind
-_BASE_EDGE_COUNT = {"3K1": 0, "K2+K1": 1, "P3": 2, "K3": 3}
-
-_TO_COMPLEMENT_KIND = {"3K1": "K3", "K2+K1": "P3", "K3": "3K1", "P3": "K2+K1"}
+_BASE_EDGE_COUNT = {"3K1": 0, "K2+K1": 1}
 
 # expanded vertex sets per recognize_delta call, over all base triples
 SEARCH_BUDGET = 1_000_000
@@ -66,20 +60,15 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 class DeltaCertificate(NamedTuple):
-    """Vertex ordering witnessing the delta (or C-delta) ordering condition.
+    """Vertex ordering witnessing the delta ordering condition.
 
-    ``excluded_counts[m-4]`` is t_m: in delta form the number of prior
-    vertices *not* adjacent to v_m, in complement form the number of prior
-    vertices adjacent to v_m.
+    ``excluded_counts[m-4]`` is t_m, the number of priors *not* adjacent to v_m;
+    a C-delta graph is certified by its complement's certificate.
     """
 
     ordering: tuple[int, ...]
     base_kind: str
     excluded_counts: tuple[int, ...]
-
-    @property
-    def is_complement_form(self) -> bool:
-        return self.base_kind in CDELTA_BASE_KINDS
 
     def to_json_dict(self) -> dict:
         return {
@@ -119,7 +108,8 @@ def check_certificate(g: Graph, cert: DeltaCertificate) -> CertificateCheck:
         return CertificateCheck(False, reason="fewer than four vertices")
     if not is_connected(g):
         return CertificateCheck(False, reason="graph is disconnected")
-    if not is_connected(complement(g)):
+    gbar = complement(g)
+    if not is_connected(gbar):
         return CertificateCheck(False, reason="complement is disconnected")
     if len(cert.excluded_counts) != n - 3:
         return CertificateCheck(False, reason="excluded_counts has wrong length")
@@ -130,16 +120,10 @@ def check_certificate(g: Graph, cert: DeltaCertificate) -> CertificateCheck:
             False, reason=f"first three vertices do not induce {cert.base_kind}"
         )
 
-    comp_form = cert.is_complement_form
     prior = (1 << a) | (1 << b) | (1 << c)
-    full = (1 << n) - 1
     for m in range(4, n + 1):
         v = cert.ordering[m - 1]
-        if comp_form:
-            t = (g.adj[v] & prior).bit_count()
-        else:
-            nonadj = ~g.adj[v] & full & ~(1 << v)
-            t = (nonadj & prior).bit_count()
+        t = (gbar.adj[v] & prior).bit_count()
         if t != cert.excluded_counts[m - 4]:
             return CertificateCheck(
                 False, failed_at=m, reason="stored excluded-count differs from graph"
@@ -250,16 +234,3 @@ def recognize_delta(g: Graph) -> DeltaCertificate | None:
                 )
             stack.append(candidates(used, inside, len(order) + 1))
     return None
-
-
-def recognize_c_delta(g: Graph) -> DeltaCertificate | None:
-    """Certificate for g being a C-delta graph (its complement a delta-graph)."""
-    cert = recognize_delta(complement(g))
-    if cert is None:
-        return None
-    # same ordering and counts; non-adjacency in the complement is adjacency here
-    return DeltaCertificate(
-        ordering=cert.ordering,
-        base_kind=_TO_COMPLEMENT_KIND[cert.base_kind],
-        excluded_counts=cert.excluded_counts,
-    )

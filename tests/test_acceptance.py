@@ -22,7 +22,6 @@ from deltamsr import (
     min_degree,
     msr_exact,
     parse_graph6,
-    recognize_c_delta,
     recognize_delta,
     to_graph6,
     verify_rep,
@@ -75,12 +74,11 @@ def test_criterion_1_cycle_family():
     start = time.monotonic()
     failures = []
     for n in range(6, 11):
-        cn = cycle(n)
-        if recognize_c_delta(cn) is None:
+        gbar = complement(cycle(n))
+        cert = recognize_delta(gbar)
+        if cert is None:
             failures.append(f"C{n} not recognized")
             continue
-        gbar = complement(cn)
-        cert = recognize_delta(gbar)
         rep = construct(gbar, cert, GenericSampler(seed=0))
         report = verify_rep(gbar, rep)
         if not (report.all_ok and rep.dim == 3):
@@ -161,10 +159,10 @@ def test_criterion_5_robertson_cage():
     if not (cage.n == 19 and min_degree(cage) == 4 and helpers.girth(cage) == 5
             and cage.edge_count == 38):
         failures.append("cage parameters wrong")
-    if recognize_c_delta(cage) is None:
-        failures.append("cage not recognized as C-delta")
     gbar = complement(cage)
     cert = recognize_delta(gbar)
+    if cert is None:
+        failures.append("cage not recognized as C-delta")
     rep = construct(gbar, cert, GenericSampler(seed=0))
     report = verify_rep(gbar, rep)
     if not (report.all_ok and rep.dim == 5):

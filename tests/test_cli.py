@@ -50,6 +50,25 @@ def test_recognize_c6_c_delta():
     assert sorted(cert["ordering"]) == list(range(6))
 
 
+def test_recognize_c_delta_prints_the_complement_certificate_as_g_induces_it():
+    import helpers
+
+    kinds = set()
+    for g in helpers.atlas_graphs(min_n=4, max_n=7):
+        line = to_graph6(g)
+        code, out = run_cli(["recognize", "--c-delta", line])
+        code_bar, out_bar = run_cli(["recognize", to_graph6(complement(g))])
+        assert code == code_bar, line
+        if code != 0:
+            assert out == out_bar, line
+            continue
+        cert, expected = json.loads(out), json.loads(out_bar)
+        expected["base_kind"] = {"3K1": "K3", "K2+K1": "P3"}[expected["base_kind"]]
+        assert cert == expected, line
+        kinds.add(cert["base_kind"])
+    assert kinds == {"K3", "P3"}
+
+
 def test_recognize_k4_absent():
     code, out = run_cli(["recognize", K4])
     assert code == 1 and out.strip() == "absent"
@@ -398,7 +417,7 @@ def test_batch_decides_a_cycle_with_a_long_pendant_path(tmp_path):
 def test_batch_flags_disconnected():
     code, out = run_cli(["batch"], stdin_text="A?\n")
     lines = [json.loads(l) for l in out.splitlines()]
-    assert code == 0 and "error" in lines[0]
+    assert code == 0 and lines == [{"graph": "A?", "error": "graph is disconnected"}]
 
 
 def test_batch_file_with_undecodable_bytes_reports_inline(tmp_path):

@@ -6,7 +6,6 @@ from deltamsr import (
     construct,
     from_edge_list,
     min_degree,
-    recognize_c_delta,
     recognize_delta,
     to_graph6,
     verify_rep,
@@ -116,7 +115,7 @@ def test_small_mobius_ladders_cannot_be_c_delta():
         g = mobius_ladder(k)
         budget = 2 + sum(m // 2 - 1 for m in range(4, k + 1))
         assert g.edge_count > budget
-        assert recognize_c_delta(g) is None
+        assert recognize_delta(complement(g)) is None
         assert brute_force_recognize(complement(g)) is None
 
 
@@ -131,11 +130,10 @@ def _family_corpus():
 
 def test_family_corpus_members_are_c_delta_with_verified_reps():
     for g in _family_corpus():
-        cert = recognize_c_delta(g)
-        assert cert is not None, to_graph6(g)
         gbar = complement(g)
-        dcert = recognize_delta(gbar)
-        rep = construct(gbar, dcert, GenericSampler(seed=0))
+        cert = recognize_delta(gbar)
+        assert cert is not None, to_graph6(g)
+        rep = construct(gbar, cert, GenericSampler(seed=0))
         report = verify_rep(gbar, rep)
         assert report.all_ok, to_graph6(g)
         assert report.bound == gbar.n - min_degree(gbar)

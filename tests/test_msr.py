@@ -223,6 +223,12 @@ def test_conjecture_refuted_when_exact_value_exceeds_bound(monkeypatch):
     assert r.verdict == "unresolved" and r.certified_hi == 5
 
 
+def test_conjecture_rejects_disconnected():
+    # no delta-graph is disconnected, and the exact engine refuses it
+    with pytest.raises(ValueError, match="connected graph"):
+        check_delta_conjecture(from_edge_list(4, [(0, 1), (2, 3)]), seed=0, graph_id="2K2")
+
+
 def test_conjecture_reports_on_small_atlas():
     for g in helpers.atlas_graphs(max_n=5):
         if not is_connected(g):

@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from deltamsr import (
+    DeltaCertificate,
     GenericSampler,
     OrthoRep,
     complement,
     construct,
     gram,
     is_connected,
-    recognize_c_delta,
     recognize_delta,
     to_graph6,
     verify_rep,
@@ -188,8 +188,10 @@ def test_construct_p4():
 
 
 def test_construct_rejects_complement_form_certificate():
-    cert = recognize_c_delta(cycle(6))
-    with pytest.raises(ValueError):
+    # C6's clockwise order read in C6 itself: base P3, later vertices adjacent
+    # to 1, 1 and 2 priors; construction takes only the delta form
+    cert = DeltaCertificate((0, 1, 2, 3, 4, 5), "P3", (1, 1, 2))
+    with pytest.raises(ValueError, match="unknown base kind 'P3'"):
         construct(cycle(6), cert, GenericSampler())
 
 
@@ -280,8 +282,6 @@ def test_verify_rep_handles_ragged_vectors():
 
 def test_construct_handles_noncanonical_base_arrangement():
     # base triple listed with the adjacent pair in positions 2 and 3
-    from deltamsr import DeltaCertificate
-
     cert = DeltaCertificate((0, 2, 3, 1), "K2+K1", (1,))
     rep = construct(path(4), cert, GenericSampler(seed=0))
     assert verify_rep(path(4), rep).all_ok

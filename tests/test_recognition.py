@@ -14,7 +14,6 @@ from deltamsr import (
     is_connected,
     max_excluded,
     parse_graph6,
-    recognize_c_delta,
     recognize_delta,
     to_graph6,
 )
@@ -34,9 +33,10 @@ from helpers import brute_force_recognize
 PRISM = complement(cycle(6))
 P4 = path(4)
 
-# Worked example: C6 labelled clockwise is a C-delta graph, first three
-# vertices induce P3, later vertices see 1, 1 and 2 priors.
-C6_CERT = DeltaCertificate((0, 1, 2, 3, 4, 5), "P3", (1, 1, 2))
+# Worked example: C6 labelled clockwise is a C-delta graph.  Its complement,
+# the prism, takes the clockwise order: the first three vertices induce K2+K1
+# there (P3 in C6), and later vertices miss 1, 1 and 2 priors (see them in C6).
+C6_CERT = DeltaCertificate((0, 1, 2, 3, 4, 5), "K2+K1", (1, 1, 2))
 PRISM_CERT = DeltaCertificate((0, 1, 2, 3, 4, 5), "K2+K1", (1, 1, 2))
 
 
@@ -80,7 +80,8 @@ def test_modes_coincide_for_all_positions():
 
 
 def test_c6_clockwise_certificate():
-    assert check_certificate(cycle(6), C6_CERT).ok
+    assert check_certificate(complement(cycle(6)), C6_CERT).ok
+    assert [cycle(6).has_edge(u, v) for u, v in ((0, 1), (0, 2), (1, 2))] == [True, False, True]
 
 
 def test_prism_certificate_from_complementing_c6():
@@ -89,23 +90,30 @@ def test_prism_certificate_from_complementing_c6():
 
 def test_k4_certificates_always_fail():
     for cert in (
-        DeltaCertificate((0, 1, 2, 3), "K3", (1,)),
-        DeltaCertificate((3, 2, 1, 0), "K3", (1,)),
+        DeltaCertificate((0, 1, 2, 3), "3K1", (1,)),
+        DeltaCertificate((3, 2, 1, 0), "3K1", (1,)),
     ):
         chk = check_certificate(complete(4), cert)
         assert not chk.ok
         assert chk.reason == "complement is disconnected"
+        chk = check_certificate(complement(complete(4)), cert)
+        assert not chk.ok
+        assert chk.reason == "graph is disconnected"
+    # the complement-form base kinds are gone: a C-delta graph is certified
+    # by its complement's certificate
+    with pytest.raises(ValueError, match="unknown base kind 'K3'"):
+        check_certificate(complete(4), DeltaCertificate((0, 1, 2, 3), "K3", (1,)))
 
 
 def test_check_certificate_reports_first_violation():
-    bad = DeltaCertificate((0, 1, 2, 3, 4, 5), "P3", (1, 2, 2))
-    chk = check_certificate(cycle(6), bad)
+    bad = DeltaCertificate((0, 1, 2, 3, 4, 5), "K2+K1", (1, 2, 2))
+    chk = check_certificate(PRISM, bad)
     assert not chk.ok and chk.failed_at == 5
 
 
 def test_check_certificate_rejects_non_permutation():
-    with pytest.raises(ValueError):
-        check_certificate(cycle(6), DeltaCertificate((0, 0, 2, 3, 4, 5), "P3", (1, 1, 2)))
+    with pytest.raises(ValueError, match="permutation"):
+        check_certificate(PRISM, DeltaCertificate((0, 0, 2, 3, 4, 5), "K2+K1", (1, 1, 2)))
 
 
 def test_certificate_json_roundtrip():
@@ -122,7 +130,7 @@ def test_certificate_json_roundtrip():
 
 def test_recognize_prism_is_delta():
     cert = recognize_delta(PRISM)
-    assert cert is not None and not cert.is_complement_form
+    assert cert is not None and cert.base_kind in ("3K1", "K2+K1")
     assert check_certificate(PRISM, cert).ok
 
 
@@ -138,9 +146,9 @@ def test_recognize_c4_absent():
 
 
 def test_recognize_c_delta_examples():
-    assert recognize_c_delta(cycle(6)) is not None
-    assert recognize_c_delta(robertson_cage()) is not None
-    assert recognize_c_delta(complete(4)) is None
+    assert recognize_delta(complement(cycle(6))) is not None
+    assert recognize_delta(complement(robertson_cage())) is not None
+    assert recognize_delta(complement(complete(4))) is None
 
 
 def test_small_graphs_are_never_delta():
@@ -175,12 +183,20 @@ def test_recognize_agrees_with_oracle_small_atlas():
 
 
 def test_c_delta_matches_delta_of_complement():
+    # the complement's certificate read in g: the base triple has 3 - e edges
+    # where the complement's has e, and v_m is adjacent to t_m of its priors
     for g in helpers.atlas_graphs(min_n=4, max_n=6):
-        cd = recognize_c_delta(g)
-        d = recognize_delta(complement(g))
-        assert (cd is None) == (d is None)
-        if cd is not None:
-            assert check_certificate(g, cd).ok
+        gbar = complement(g)
+        cert = recognize_delta(gbar)
+        if cert is None:
+            continue
+        assert check_certificate(gbar, cert).ok
+        order = cert.ordering
+        a, b, c = order[:3]
+        base_edges = g.has_edge(a, b) + g.has_edge(a, c) + g.has_edge(b, c)
+        assert base_edges == {"3K1": 3, "K2+K1": 2}[cert.base_kind]
+        for m, t in enumerate(cert.excluded_counts, start=4):
+            assert sum(g.has_edge(u, order[m - 1]) for u in order[:m - 1]) == t
 
 
 def test_strict_certificate_valid_in_relaxed_mode():
