@@ -5,17 +5,19 @@ Subcommands: ``recognize`` (delta / C-delta membership), ``certify``
 emitted bundle), ``batch`` (one Delta Conjecture report per graph6 line)
 and ``gen`` (family generators emitting graph6).
 
-Exit codes: 0 success or present, 1 clean negative, 2 input error,
-3 internal failure (resampling budget exhausted, or a constructed
-representation that fails its own verification), 4 undecided (the
-recognition search budget ran out).  ``batch`` reports each of these
-failures inline and goes on.
+Exit codes: 0 success or present, 1 clean negative (for ``verify``, a
+failed check or a bundled Gram entry that differs from the inner
+product), 2 input error, 3 internal failure (resampling and restart budget
+exhausted, or a constructed representation that fails its own
+verification), 4 undecided (the recognition search budget ran out).
+``batch`` reports each of these failures inline and goes on.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -32,6 +34,7 @@ from .orthorep import (
     SelfCheckFailed,
     construct_verified,
     gram,
+    gram_mismatch,
     gram_to_json_dict,
     rep_from_json_dict,
     rep_to_json_dict,
@@ -143,15 +146,21 @@ def _cmd_verify(args) -> int:
         g = parse_graph6(data["graph6"])
         rep = rep_from_json_dict(data["representation"])
         report = verify_rep(g, rep)
+        gram_entry = gram_mismatch(rep, data["gram"]) if "gram" in data else None
     except OSError as exc:
         return _fail(str(exc), 2)
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         return _fail(f"bad bundle: {exc}", 2)
-    result = {"bound": report.bound, "checks": _checks(report)}
+    checks = _checks(report)
+    if "gram" in data:
+        checks["gram"] = gram_entry is None
+    result = {"bound": None if gram_entry else report.bound, "checks": checks}
     if not report.all_ok:
         result["failed_pair"] = report.failed_pair
+    if gram_entry:
+        result["gram_entry"] = gram_entry
     _print_json(result)
-    return 0 if report.all_ok else 1
+    return 0 if report.all_ok and not gram_entry else 1
 
 
 def _batch_line(line: str, seed: int) -> dict:
@@ -213,7 +222,9 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole argparse tree, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="deltamsr",
         description="delta-graph recognition and msr certification",

@@ -10,10 +10,20 @@ argument of Lovasz, Saks and Schrijver: each new vector is a random integer
 combination of a fraction-free integer basis of the nullspace of its prior
 non-neighbours, a system of t < d rows in d columns.  Every remaining
 condition (nonzero coordinates, nonzero inner product with each prior
-neighbour, independence from every prior) is checked in integer arithmetic
-and the combination is redrawn on failure.  Each condition fails only on a
-proper subvariety, so random coefficients from a widening window make the
-bounded retry loop succeed with overwhelming probability.
+neighbour, independence from every prior) is checked in integer arithmetic.
+Each condition fails only on a proper subvariety, so by Schwartz-Zippel a
+draw from the sampler's window fails with probability at most the
+subvariety's degree over the window's width, a bound that halves each time
+the window doubles.  The window starts small (16), which keeps every
+vector, and so every later layer, short.
+
+A failed step is redrawn, up to MAX_RESAMPLES times with the window doubled
+every WIDEN_EVERY draws, when its nullspace basis has two or more vectors.
+A basis of one vector is drawn once: x is then +-that vector, every
+condition is sign-invariant, and no redraw can change the outcome.  Such a
+step can only be mended by different earlier vectors, so construct widens
+the window and starts over from the first vertex, on the same sampler
+stream, up to MAX_RESTARTS times before RetryBudgetExceeded escapes.
 
 Dependence is decided one way throughout, on inner products already taken.
 Two nonzero primitive integer vectors u and v are dependent iff v = +-u,
@@ -47,6 +57,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MAX_RESAMPLES",
+    "MAX_RESTARTS",
     "WIDEN_EVERY",
     "RetryBudgetExceeded",
     "SelfCheckFailed",
@@ -62,18 +73,24 @@ __all__ = [
     "rep_to_json_dict",
     "rep_from_json_dict",
     "gram_to_json_dict",
+    "gram_mismatch",
 ]
 
-# per-step retry budget; exceeding it signals a bug, not expected behaviour
+# per-step redraw budget, and the restarts of a whole construction that
+# follow a step out of draws; exhausting both signals a bug
 MAX_RESAMPLES = 32
 WIDEN_EVERY = 8
+MAX_RESTARTS = 8
 
 RationalVector = tuple[Fraction | int, ...]
 IntVector = tuple[int, ...]
 
 
 class RetryBudgetExceeded(RuntimeError):
-    """Raised when a solve step keeps hitting nonzero-condition failures."""
+    """Raised when a solve step finds no admissible vector in its draws.
+
+    construct raises it only after MAX_RESTARTS widened restarts failed too.
+    """
 
 
 class SelfCheckFailed(RuntimeError):
@@ -153,7 +170,9 @@ def _solve_vector(
     columns = list(zip(*basis))
     neighbours = [(vec, dot(vec, vec)) for vec, adjacent in priors if adjacent]
 
-    for attempt in range(MAX_RESAMPLES):
+    # a one-vector basis gives x = +-basis[0] on every draw
+    draws = min(MAX_RESAMPLES, 1) if len(basis) == 1 else MAX_RESAMPLES
+    for attempt in range(draws):
         if attempt and attempt % WIDEN_EVERY == 0:
             sampler.widen()
         coeffs = [sampler.nonzero() for _ in basis]
@@ -165,7 +184,7 @@ def _solve_vector(
         if all((xu := dot(xt, u)) and (xx != uu or abs(xu) != xx) for u, uu in neighbours):
             return xt
     raise RetryBudgetExceeded(
-        f"no admissible vector after {MAX_RESAMPLES} resamples "
+        f"no admissible vector after {draws} resamples "
         f"(dimension {d}, {len(priors)} priors, {t} orthogonality constraints)"
     )
 
@@ -175,18 +194,28 @@ def construct(g: Graph, cert: DeltaCertificate, sampler: GenericSampler) -> Orth
 
     That dimension is max_degree(complement(g)) + 1.  Walks the certificate
     ordering with one solve per vertex, drawing every coefficient from
-    sampler.  Vectors in the result are indexed by vertex id.
+    sampler.  When a solve runs out of draws, widens the sampler's window
+    and walks the ordering again, up to MAX_RESTARTS times.  Vectors in the
+    result are indexed by vertex id.
     """
     chk = check_certificate(g, cert)
     if not chk.ok:
         raise ValueError(f"invalid certificate: {chk.reason}")
     d = g.n - min_degree(g)
     order = cert.ordering
-    vectors: list[IntVector] = [()] * g.n
-    for i, v in enumerate(order):
-        priors = [(vectors[u], g.has_edge(u, v)) for u in order[:i]]
-        vectors[v] = _solve_vector(priors, d, sampler)
-    return OrthoRep(dim=d, vectors=tuple(vectors))
+    for restart in range(MAX_RESTARTS + 1):
+        if restart:
+            sampler.widen()
+        vectors: list[IntVector] = [()] * g.n
+        try:
+            for i, v in enumerate(order):
+                priors = [(vectors[u], g.has_edge(u, v)) for u in order[:i]]
+                vectors[v] = _solve_vector(priors, d, sampler)
+        except RetryBudgetExceeded as exc:
+            failure = exc
+            continue
+        return OrthoRep(dim=d, vectors=tuple(vectors))
+    raise RetryBudgetExceeded(f"{failure}, then {MAX_RESTARTS} widened restarts")
 
 
 def construct_verified(g: Graph, cert: DeltaCertificate, seed: int) -> tuple[OrthoRep, RepReport]:
@@ -240,10 +269,11 @@ def verify_rep(g: Graph, rep: OrthoRep) -> RepReport:
     comparable = len({len(v) for v in vecs}) == 1
     pattern_pair = dependent_pair = None
     if comparable:
+        adj = g.adj
         norms = [dot(v, v) for v in vecs]
         for i, j in combinations(range(g.n), 2):
             uv = dot(vecs[i], vecs[j])
-            if pattern_pair is None and (uv != 0) != g.has_edge(i, j):
+            if pattern_pair is None and (uv != 0) != adj[i] >> j & 1:
                 pattern_pair = (i, j)
             uu, vv = norms[i], norms[j]
             if dependent_pair is None and uu and (not vv or uu == vv == abs(uv)):
@@ -271,8 +301,8 @@ def fraction_to_str(x: Fraction) -> str:
     return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
-def fraction_from_str(s: str) -> Fraction:
-    """Inverse of fraction_to_str; also accepts a bare integer."""
+def _fraction_parts(s: str) -> tuple[int, int]:
+    """Numerator and nonzero denominator of p/q text, as written."""
     match = _FRACTION_TEXT.fullmatch(s)
     if match is None:
         raise ValueError(f"not a fraction p/q: {s[:40]!r}")
@@ -280,7 +310,12 @@ def fraction_from_str(s: str) -> Fraction:
     denominator = int(Decimal(den))
     if denominator == 0:
         raise ValueError("fraction with zero denominator")
-    return Fraction(int(Decimal(num)), denominator)
+    return int(Decimal(num)), denominator
+
+
+def fraction_from_str(s: str) -> Fraction:
+    """Inverse of fraction_to_str; also accepts a bare integer."""
+    return Fraction(*_fraction_parts(s))
 
 
 def rep_to_json_dict(rep: OrthoRep) -> dict:
@@ -304,3 +339,36 @@ def gram_to_json_dict(m: tuple[tuple[int, ...], ...]) -> dict:
         "n": len(m),
         "entries": [[fraction_to_str(x) for x in row] for row in m],
     }
+
+
+def gram_mismatch(rep: OrthoRep, m: dict) -> tuple[int, int] | None:
+    """First entry (i, j), in row-major order, of a Gram matrix that rep contradicts.
+
+    m is a Gram matrix as gram_to_json_dict writes it; entry (i, j) must
+    equal the inner product of rep's vectors i and j.  Returns None when
+    every entry does.  Vectors of different lengths have no inner product,
+    so their entries never agree.  Raises ValueError when m is not n x n
+    for rep's n vectors, as verify_rep does for a representation of the
+    wrong size.
+
+    Compared in integers, with one Fraction per vector and none per entry:
+    each vector v is s * p for its primitive integer vector p and a rational
+    s = a / b, so entry num / den agrees iff
+    num * b_i * b_j == den * a_i * a_j * (p_i . p_j).
+    """
+    n = len(rep.vectors)
+    entries = m["entries"]
+    if m["n"] != n or len(entries) != n or any(len(row) != n for row in entries):
+        raise ValueError(f"gram is not {n} x {n}")
+    prims = [primitive_int_vector(v) for v in rep.vectors]
+    # s = v[k] / p[k] at any nonzero p[k]; a zero vector's scale does not matter
+    scales = []
+    for v, p in zip(rep.vectors, prims):
+        s = next((Fraction(x) / y for x, y in zip(v, p) if y), Fraction(1))
+        scales.append((s.numerator, s.denominator))
+    for i, (row, p, (ai, bi)) in enumerate(zip(entries, prims, scales)):
+        for j, (text, q, (aj, bj)) in enumerate(zip(row, prims, scales)):
+            num, den = _fraction_parts(text)
+            if len(p) != len(q) or num * bi * bj != den * ai * aj * dot(p, q):
+                return (i, j)
+    return None

@@ -17,10 +17,18 @@ __all__ = ["GenericSampler"]
 
 @dataclass
 class GenericSampler:
-    """Seeded source of nonzero integers from a growing magnitude window."""
+    """Seeded source of nonzero integers from a growing magnitude window.
+
+    nonzero() draws uniformly from [-magnitude, -1] and [1, magnitude], and
+    widen() doubles magnitude.  The window starts at 16, about 4 bits a
+    coefficient: construct redraws a failed step from a window that doubles
+    every WIDEN_EVERY draws, and widens once more before each of its up to
+    MAX_RESTARTS restarts, so a window that proves too small grows until
+    the failing conditions are avoided.
+    """
 
     seed: int = 0
-    magnitude: int = 10_000
+    magnitude: int = 16
     _rng: random.Random = field(init=False, repr=False)
 
     def __post_init__(self) -> None:

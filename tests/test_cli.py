@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import deltamsr.orthorep
+import deltamsr.sampler
 from deltamsr import OrthoRep, complement, from_edge_list, graphs, parse_graph6, recognition, to_graph6
 from deltamsr.cli import main
 from deltamsr.families import complete, cycle, path
@@ -232,6 +234,28 @@ def test_retry_budget_exhausted_is_an_internal_failure(monkeypatch, capsys):
     assert lines[1]["graph"] == C6 and lines[1]["verdict"] == "holds"
 
 
+def test_restarts_recover_a_tiny_window_until_their_budget_runs_out(monkeypatch, capsys):
+    # with coefficients of +-1, co-C12 at seed 0 still fails after one
+    # widened restart, and succeeds within the default MAX_RESTARTS
+    co_c12 = to_graph6(complement(cycle(12)))
+    tiny = functools.partial(deltamsr.sampler.GenericSampler, magnitude=1)
+    monkeypatch.setattr(deltamsr.sampler, "GenericSampler", tiny)
+    code, out = run_cli(["certify", co_c12])
+    assert code == 0 and all(json.loads(out)["checks"].values())
+    monkeypatch.setattr(deltamsr.orthorep, "MAX_RESTARTS", 1)
+    assert main(["certify", co_c12]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error.startswith("no admissible vector after ")
+    assert error.endswith(", then 1 widened restarts")
+    code, out = run_cli(["batch"], stdin_text=f"{co_c12}\n{C6}\n")
+    lines = [json.loads(l) for l in out.splitlines()]
+    assert code == 0 and len(lines) == 2
+    assert lines[0] == {"graph": co_c12, "error": error}
+    assert lines[1]["graph"] == C6 and lines[1]["verdict"] == "holds"
+
+
 def test_certify_then_verify_roundtrip():
     _, out = run_cli(["certify", "--seed", "3", PRISM])
     code, report = run_cli(["verify"], stdin_text=out)
@@ -261,6 +285,41 @@ def test_verify_names_the_first_failing_pair():
     result = json.loads(report)
     assert result["failed_pair"] == [0, 3]
     assert not result["checks"]["independent"] and not result["checks"]["pattern"]
+
+
+def test_verify_checks_the_bundled_gram(capsys):
+    _, out = run_cli(["certify", "--seed", "3", "--emit-gram", PRISM])
+    code, report = run_cli(["verify"], stdin_text=out)
+    assert code == 0
+    checks = ("pattern", "nonzero", "independent", "dimension", "gram")
+    assert json.loads(report) == {"bound": 3, "checks": dict.fromkeys(checks, True)}
+
+    def tampered(*edits):
+        bundle = json.loads(out)
+        for i, j, text in edits:
+            bundle["gram"]["entries"][i][j] = text
+        return bundle
+
+    # both copies of entry (2, 4) raised by one; entry (3, 1) alone set to 0,
+    # though 1 ~ 3 is a prism edge.  The first differing entry in row-major
+    # order is named
+    num, den = json.loads(out)["gram"]["entries"][2][4].split("/")
+    bumped = f"{int(num) + int(den)}/{den}"
+    changed = tampered((2, 4, bumped), (4, 2, bumped))
+    asymmetric = tampered((3, 1, "0/1"))
+    for bundle, entry in ((changed, [2, 4]), (asymmetric, [3, 1])):
+        code, report = run_cli(["verify"], stdin_text=json.dumps(bundle))
+        result = json.loads(report)
+        assert code == 1
+        assert result["gram_entry"] == entry and result["bound"] is None
+        assert not result["checks"].pop("gram") and all(result["checks"].values())
+        assert "failed_pair" not in result
+    wrong_n = json.loads(out)
+    wrong_n["gram"]["n"] = 7
+    assert main(["verify", json.dumps(wrong_n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gram is not 6 x 6" in json.loads(captured.err)["error"]
 
 
 def test_verify_malformed_bundles_are_input_errors(capsys):

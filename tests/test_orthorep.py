@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,8 +21,12 @@ from deltamsr import (
 from deltamsr.families import cartesian_product, complete, cycle, mobius_ladder, path
 from deltamsr.linalg import dot
 from deltamsr.orthorep import (
+    MAX_RESAMPLES,
+    WIDEN_EVERY,
+    RetryBudgetExceeded,
     _solve_vector,
     fraction_from_str,
+    gram_mismatch,
     gram_to_json_dict,
     rep_from_json_dict,
     rep_to_json_dict,
@@ -162,6 +167,22 @@ def test_extend_keeps_an_independent_vector_that_meets_one_equality():
     assert _solve_vector([((3, -1), True)], 2, ScriptedSampler([1, 1])) == (1, 1)
 
 
+def test_a_one_vector_step_draws_once():
+    # the nullspace of (1, 1) is the line of (1, -1), which is the neighbour
+    # itself: no draw can help, so the step gives up after one
+    s = CountingSampler(seed=1)
+    with pytest.raises(RetryBudgetExceeded, match="^no admissible vector after 1 resamples"):
+        _solve_vector([((1, 1), False), ((1, -1), True)], 2, s)
+    assert s.draws == 1 and s.widenings == 0
+    # a two-vector basis (e2, e3) always leaves a zero coordinate: every draw
+    # is made, two coefficients each, widening every WIDEN_EVERY draws
+    s = CountingSampler(seed=1)
+    with pytest.raises(RetryBudgetExceeded, match=f"^no admissible vector after {MAX_RESAMPLES} "):
+        _solve_vector([((1, 0, 0), False)], 3, s)
+    assert s.draws == 2 * MAX_RESAMPLES
+    assert s.widenings == (MAX_RESAMPLES - 1) // WIDEN_EVERY
+
+
 def test_construct_prism():
     cert = recognize_delta(PRISM)
     rep = construct(PRISM, cert, GenericSampler(seed=0))
@@ -208,6 +229,34 @@ def test_construct_is_deterministic_per_seed():
     r3 = construct(PRISM, cert, GenericSampler(seed=10))
     assert r1 == r2
     assert r1 != r3  # different seed, different generic vectors
+
+
+@dataclass
+class RestartCountingSampler(GenericSampler):
+    """Counts the widenings that construct makes before starting over."""
+
+    restarts: int = 0
+
+    def widen(self) -> None:
+        if sys._getframe(1).f_code.co_name == "construct":
+            self.restarts += 1
+        super().widen()
+
+
+def test_construct_recovers_from_a_tiny_window_by_widening_and_restarting():
+    # a window of 2 makes one-vector steps fail often on these long orderings
+    # in dimension 3 and 4; construct widens and starts over until it succeeds
+    cases = [(complement(cycle(n)), (0,)) for n in range(32, 81)]
+    cases += [(complement(mobius_ladder(k)), range(4)) for k in (32, 48, 64, 80)]
+    restarted = 0
+    for g, seeds in cases:
+        cert = recognize_delta(g)
+        for seed in seeds:
+            sampler = RestartCountingSampler(seed=seed, magnitude=2)
+            rep = construct(g, cert, sampler)
+            assert verify_rep(g, rep).all_ok, (to_graph6(g), seed)
+            restarted += sampler.restarts > 0
+    assert restarted > 0
 
 
 def test_gram_identity_and_diagonal():
@@ -330,6 +379,29 @@ def test_gram_exports():
                 assert d["entries"][i][j] == "0/1"
 
 
+def test_gram_mismatch_compares_rescaled_vectors_exactly():
+    rep = construct(PRISM, recognize_delta(PRISM), GenericSampler(seed=7))
+    m = gram_to_json_dict(gram(rep))
+    assert gram_mismatch(rep, m) is None
+    # v0 / 2 and 3 v5 / 7 as Fractions: entries in row and column 0 halve,
+    # those in row and column 5 scale by 3/7
+    scaled = list(rep.vectors)
+    scaled[0] = tuple(Fraction(x, 2) for x in scaled[0])
+    scaled[5] = tuple(Fraction(3 * x, 7) for x in scaled[5])
+    scaled = OrthoRep(rep.dim, tuple(scaled))
+    assert gram_mismatch(scaled, m) == (0, 0)
+    assert gram_mismatch(scaled, gram_to_json_dict(gram(scaled))) is None
+    # a zero vector's row and column are all 0; v1 is orthogonal to v0 anyway
+    zero = OrthoRep(rep.dim, rep.vectors[:1] + ((0, 0, 0),) + rep.vectors[2:])
+    assert gram_mismatch(zero, gram_to_json_dict(gram(zero))) is None
+    assert gram_mismatch(zero, m) == (1, 1)
+    # a vector of another length has no inner product with the rest
+    ragged = OrthoRep(rep.dim, rep.vectors[:2] + (rep.vectors[2][:2],) + rep.vectors[3:])
+    assert gram_mismatch(ragged, m) == (0, 2)
+    with pytest.raises(ValueError, match="gram is not 6 x 6"):
+        gram_mismatch(rep, {"n": 5, "entries": m["entries"][:5]})
+
+
 def test_construction_holds_for_all_small_delta_graphs():
     for g in helpers.atlas_graphs(min_n=4, max_n=6):
         if not (is_connected(g) and is_connected(complement(g))):
@@ -357,71 +429,51 @@ def test_coordinates_stay_small_on_long_orderings():
                     assert x.denominator.bit_length() <= 1024
 
 
-# construct's vectors, by vertex, as 0.3.0 built them at seeds 0 and 1
+# construct's vectors, by vertex, as 0.13.0 builds them at seeds 0 and 1
 PINNED_VECTORS = {
     ("PRISM", 0): [
-        (6312, -6891, -8377),
-        (60563949, 10456880, 37032504),
-        (19580194304, 216758373471, -93228105494),
-        (-145491825847499, 30427621948416, 40188348808960),
-        (330924462537920768, 634780836172638137, 717420193254017569),
-        (-186908256452377302835, 3650255241249760584532, -3143568554635251966516),
+        (13, -14, -16),
+        (166, 65, 78),
+        (-65, 1162, -830),
+        (3154, 260, 117),
+        (299, -7885, 9462),
+        (-258628, -127790, -98319),
     ],
     ("PRISM", 1): [
-        (1101, -517, 4059),
-        (4327433, 4259769, -631240),
-        (-2004174155, 670752115, -9213104857),
-        (-109540311529, 38226755, 23831651260),
-        (40061327964995, 410666627922221, 183480021811075),
-        (80079773364210037, 1791026082003585, -21493439268193988),
+        (5, -3, 16),
+        (32, 16, -7),
+        (-46, 1, -208),
+        (-935, 46, 207),
+        (299, 1870, 935),
+        (32725, -109, -10247),
     ],
     ("ML12_COMPLEMENT", 0): [
-        (6312, -6891, -8377, 4970),
-        (6866689, 1543021, 2823831, -1821801),
-        (1907354637, 10670834706, 28187758345, 59918728214),
-        (-3212831533473032448, -4540621065036191050, 3606111732911011974, -785530359613255011),
-        (9862, -5082, 1209, -5410),
-        (-28438187, -42120602, 88659380, 7539499),
-        (
-            -3375095812184504391817,
-            -488651920721229259900,
-            -1418340226394989529662,
-            1218283361027721046519,
-        ),
-        (-20082506683, 44873812615, 130467091, -37485255251),
-        (2142392409733517119, 941186230341728563, -453114158976366807, -22651888867657719),
-        (-1650, 5181, 3351, -7816),
-        (-76336280625, -106627076788, 75866702846, -22038216552),
-        (
-            -63018329566076719358466,
-            17041706727690389135215,
-            -18308553156247062790021,
-            72803892855474663808732,
-        ),
+        (13, -14, -16, 10),
+        (380, 156, 91, -130),
+        (-104, 38, 342, -19),
+        (20235, 5543, 5653, 2080),
+        (3, -11, -4, 11),
+        (268, 39, 3, -33),
+        (-425562, -4989148, -1935449, -9528295),
+        (-260, 1045, -1140, -304),
+        (-43605, -14856, -10241, 24630),
+        (7, -16, -9, -1),
+        (-526, -241, 29, -87),
+        (86370, -274118, 578837, 430093),
     ],
     ("ML12_COMPLEMENT", 1): [
-        (1101, -517, 4059, 3869),
-        (22303678, -3787440, 170655, -7032087),
-        (25684835943, 390314365, 97333250792, 83616488822),
-        (-12398136665936343551, -12729420946885491131, 605987822613765003, 3162412355829902056),
-        (1675, -502, -8871, 6246),
-        (14182281, 1267305, 2522885, -118255),
-        (
-            -259842522272294699455,
-            -2047316921114760335808,
-            2363525390403599762820,
-            -2679226102569849073869,
-        ),
-        (-16610097774, 101671316163, -36555728242, -108328964046),
-        (19351620452575678046, 4297405200654298364, -8505386290473706233, 3936261447864900959),
-        (6916, -8645, 7175, -9059),
-        (-417890176343, -421859510393, 8572509699, 90336103858),
-        (
-            1889636030576378791350,
-            99110432792902858433,
-            -10195509290354026015303,
-            10171704066589901608852,
-        ),
+        (5, -3, 16, 16),
+        (171, -35, 5, -65),
+        (170, 57, 513, 456),
+        (-11856, 51695, -9223, 8334),
+        (4, -1, 1, 13),
+        (-23, 4, 5, 7),
+        (315837, 1448363, -130358, 303227),
+        (625, -684, -1710, 1881),
+        (36936, -273733, 65021, -52702),
+        (7, 4, 8, -6),
+        (-22, -55, 46, -1),
+        (743, 6545, 8028, -7033),
     ],
 }
 
