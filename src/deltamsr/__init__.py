@@ -40,7 +40,7 @@ from .msr import (
 )
 from . import families
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 
 def __getattr__(name: str):

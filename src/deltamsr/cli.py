@@ -9,8 +9,10 @@ Exit codes: 0 success or present, 1 clean negative (for ``verify``, a
 failed check or a bundled Gram entry that differs from the inner
 product), 2 input error, 3 internal failure (resampling and restart budget
 exhausted, or a constructed representation that fails its own
-verification), 4 undecided (the recognition search budget ran out).
-``batch`` reports each of these failures inline and goes on.
+verification), 4 undecided (the recognition search budget ran out), 141
+output closed by its reader (as a shell reports a program that SIGPIPE
+ends; no traceback is printed).  ``batch`` reports each of the failures
+2 to 4 inline and goes on.
 """
 
 from __future__ import annotations
@@ -273,7 +275,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; the interpreter flushes it again at
+        # exit, so point it at devnull to keep that flush quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        # what a shell reports for a program that SIGPIPE ends: 128 + 13
+        return 141
+    return code
 
 
 if __name__ == "__main__":

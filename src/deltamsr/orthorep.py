@@ -29,9 +29,9 @@ Dependence is decided one way throughout, on inner products already taken.
 Two nonzero primitive integer vectors u and v are dependent iff v = +-u,
 that is iff u.u = v.v and |u.v| = u.u: the equality case of Cauchy-Schwarz
 for equal norms, tested without multiplying big integers.  verify_rep
-accepts rational vectors too, such as a bundle read back from JSON: it
-rescales each one to a primitive integer vector and reads every check off
-their norms and pairwise inner products.
+accepts rational vectors too, such as a bundle with "p/q" coordinates read
+back from JSON: it rescales each one to a primitive integer vector and
+reads every check off their norms and pairwise inner products.
 
 The records here are NamedTuples.  The sampler, the package's one
 dataclass, lives in ``deltamsr.sampler``; ``construct_verified``, the one
@@ -42,9 +42,8 @@ it where it is used.
 from __future__ import annotations
 
 import re
-from decimal import Decimal
-from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -53,6 +52,8 @@ from .linalg import dot, int_nullspace_basis, primitive_int_vector
 from .recognition import DeltaCertificate, check_certificate
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .sampler import GenericSampler
 
 __all__ = [
@@ -82,7 +83,7 @@ MAX_RESAMPLES = 32
 WIDEN_EVERY = 8
 MAX_RESTARTS = 8
 
-RationalVector = tuple[Fraction | int, ...]
+RationalVector = tuple["Fraction | int", ...]
 IntVector = tuple[int, ...]
 
 
@@ -108,8 +109,9 @@ class SelfCheckFailed(RuntimeError):
 class OrthoRep(NamedTuple):
     """One rational vector per vertex, all in dimension ``dim``.
 
-    ``construct`` fills it with primitive integer vectors; a bundle read
-    back from JSON holds Fractions.
+    ``construct`` fills it with primitive integer vectors.  A bundle read
+    back from JSON holds ints, and a Fraction only where a coordinate was
+    written as "p/q".
     """
 
     dim: int
@@ -291,31 +293,54 @@ def verify_rep(g: Graph, rep: OrthoRep) -> RepReport:
 # --- serialization ----------------------------------------------------------
 
 
-# Integers are written and read through Decimal, whose conversions are not
-# bounded by the interpreter's int/str digit limit; the strict pattern keeps
-# exponents such as "1e999999999" from ever reaching the int conversion.
+# A coordinate or Gram entry is written as "p" when it is an integer and
+# as "p/q" otherwise.  Integers are converted by str() and int() within the
+# interpreter's int/str digit limit, and past it through Decimal, whose
+# conversions the limit does not bound; fractions and decimal are imported
+# only on the "p/q" and past-the-limit branches.  The strict pattern runs
+# before any conversion, so no exponent such as "1e999999999" reaches one,
+# nor any text that int() alone accepts ("1_000", " 12", non-ASCII digits).
 _FRACTION_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def fraction_to_str(x: Fraction) -> str:
-    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+def fraction_to_str(x: Fraction | int) -> str:
+    """Text "p" for an integral value, else "p/q" in lowest terms."""
+    try:
+        return str(x)
+    except ValueError:  # past the interpreter's int/str digit limit
+        from decimal import Decimal
+
+        text = str(Decimal(x.numerator))
+        return text if x.denominator == 1 else f"{text}/{Decimal(x.denominator)}"
 
 
-def _fraction_parts(s: str) -> tuple[int, int]:
-    """Numerator and nonzero denominator of p/q text, as written."""
+def _int(digits: str) -> int:
+    """Integer value of decimal digits that _FRACTION_TEXT matched, at any length."""
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's int/str digit limit
+        from decimal import Decimal
+
+        return int(Decimal(digits))
+
+
+def fraction_from_str(s: str) -> Fraction | int:
+    """Inverse of fraction_to_str: an int for "p" text, a Fraction for "p/q".
+
+    Raises ValueError on any other text and on a zero denominator.
+    """
     match = _FRACTION_TEXT.fullmatch(s)
     if match is None:
-        raise ValueError(f"not a fraction p/q: {s[:40]!r}")
-    num, den = match.group(1), match.group(2) or "1"
-    denominator = int(Decimal(den))
+        raise ValueError(f"not an integer p or a fraction p/q: {s[:40]!r}")
+    num, den = match.groups()
+    if den is None:
+        return _int(num)
+    denominator = _int(den)
     if denominator == 0:
         raise ValueError("fraction with zero denominator")
-    return int(Decimal(num)), denominator
+    from fractions import Fraction
 
-
-def fraction_from_str(s: str) -> Fraction:
-    """Inverse of fraction_to_str; also accepts a bare integer."""
-    return Fraction(*_fraction_parts(s))
+    return Fraction(_int(num), denominator)
 
 
 def rep_to_json_dict(rep: OrthoRep) -> dict:
@@ -351,10 +376,10 @@ def gram_mismatch(rep: OrthoRep, m: dict) -> tuple[int, int] | None:
     for rep's n vectors, as verify_rep does for a representation of the
     wrong size.
 
-    Compared in integers, with one Fraction per vector and none per entry:
-    each vector v is s * p for its primitive integer vector p and a rational
-    s = a / b, so entry num / den agrees iff
-    num * b_i * b_j == den * a_i * a_j * (p_i . p_j).
+    Compared in integers: each vector v is s * p for its primitive integer
+    vector p and a rational s = a / b, so entry num / den agrees iff
+    num * b_i * b_j == den * a_i * a_j * (p_i . p_j).  A bare integer entry
+    is read as an int, so only "p/q" text makes a Fraction.
     """
     n = len(rep.vectors)
     entries = m["entries"]
@@ -364,11 +389,14 @@ def gram_mismatch(rep: OrthoRep, m: dict) -> tuple[int, int] | None:
     # s = v[k] / p[k] at any nonzero p[k]; a zero vector's scale does not matter
     scales = []
     for v, p in zip(rep.vectors, prims):
-        s = next((Fraction(x) / y for x, y in zip(v, p) if y), Fraction(1))
-        scales.append((s.numerator, s.denominator))
+        x, y = next(((x, y) for x, y in zip(v, p) if y), (1, 1))
+        a, b = x.numerator, x.denominator * y
+        g = gcd(a, b)
+        scales.append((a // g, b // g))
     for i, (row, p, (ai, bi)) in enumerate(zip(entries, prims, scales)):
         for j, (text, q, (aj, bj)) in enumerate(zip(row, prims, scales)):
-            num, den = _fraction_parts(text)
+            entry = fraction_from_str(text)
+            num, den = entry.numerator, entry.denominator
             if len(p) != len(q) or num * bi * bj != den * ai * aj * dot(p, q):
                 return (i, j)
     return None

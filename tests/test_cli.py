@@ -1,3 +1,4 @@
+import copy
 import functools
 import io
 import json
@@ -5,14 +6,28 @@ import os
 import selectors
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import deltamsr.orthorep
 import deltamsr.sampler
-from deltamsr import OrthoRep, complement, from_edge_list, graphs, parse_graph6, recognition, to_graph6
+from deltamsr import (
+    GenericSampler,
+    OrthoRep,
+    complement,
+    construct,
+    from_edge_list,
+    gram,
+    graphs,
+    parse_graph6,
+    recognition,
+    recognize_delta,
+    to_graph6,
+)
 from deltamsr.cli import main
+from deltamsr.orthorep import gram_to_json_dict, rep_from_json_dict, rep_to_json_dict
 from deltamsr.families import complete, cycle, path
 
 C6 = to_graph6(cycle(6))
@@ -303,10 +318,9 @@ def test_verify_checks_the_bundled_gram(capsys):
     # both copies of entry (2, 4) raised by one; entry (3, 1) alone set to 0,
     # though 1 ~ 3 is a prism edge.  The first differing entry in row-major
     # order is named
-    num, den = json.loads(out)["gram"]["entries"][2][4].split("/")
-    bumped = f"{int(num) + int(den)}/{den}"
+    bumped = str(int(json.loads(out)["gram"]["entries"][2][4]) + 1)
     changed = tampered((2, 4, bumped), (4, 2, bumped))
-    asymmetric = tampered((3, 1, "0/1"))
+    asymmetric = tampered((3, 1, "0"))
     for bundle, entry in ((changed, [2, 4]), (asymmetric, [3, 1])):
         code, report = run_cli(["verify"], stdin_text=json.dumps(bundle))
         result = json.loads(report)
@@ -352,7 +366,7 @@ def test_verify_reads_long_coordinates_in_a_fresh_process():
     _, out = run_cli(["certify", "--seed", "3", PRISM])
     bundle = json.loads(out)
     vectors = bundle["representation"]["vectors"]
-    vectors[0] = [p + "0" * 5000 + "/" + q for p, q in (x.split("/") for x in vectors[0])]
+    vectors[0] = [x + "0" * 5000 for x in vectors[0]]
     proc = subprocess.run(
         [sys.executable, "-m", "deltamsr", "verify"],
         input=json.dumps(bundle),
@@ -363,13 +377,75 @@ def test_verify_reads_long_coordinates_in_a_fresh_process():
     assert all(json.loads(proc.stdout)["checks"].values())
 
 
+def test_verify_writes_and_reads_integers_past_the_digit_limit():
+    # v0 scaled by 10**5000: a coordinate and the Gram entries of row and
+    # column 0 are longer than the default int/str digit limit, so neither
+    # str() nor int() alone could convert them
+    assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+    g = parse_graph6(PRISM)
+    rep = construct(g, recognize_delta(g), GenericSampler(seed=3))
+    scaled = OrthoRep(rep.dim, (tuple(10**5000 * x for x in rep.vectors[0]),) + rep.vectors[1:])
+    bundle = json.loads(run_cli(["certify", "--seed", "3", PRISM])[1])
+    bundle["representation"] = rep_to_json_dict(scaled)
+    bundle["gram"] = gram_to_json_dict(gram(scaled))
+    first = bundle["representation"]["vectors"][0][0]
+    assert first == str(rep.vectors[0][0]) + "0" * 5000
+    proc = subprocess.run(
+        [sys.executable, "-m", "deltamsr", "verify"],
+        input=json.dumps(bundle),
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    checks = ("pattern", "nonzero", "independent", "dimension", "gram")
+    assert json.loads(proc.stdout) == {"bound": 3, "checks": dict.fromkeys(checks, True)}
+
+
+def test_verify_reads_integer_p_1_and_p_q_bundles_alike():
+    # the same bundle with integer text, with "p/1" text as earlier versions
+    # wrote it, and with every vector divided by more than its largest
+    # coordinate and the Gram matrix rescaled to match, all "p/q" text;
+    # intact and with v3 := v0
+    _, out = run_cli(["certify", "--seed", "3", "--emit-gram", PRISM])
+    integer = json.loads(out)
+    p_1 = json.loads(out)
+    p_1["representation"]["vectors"] = [
+        [x + "/1" for x in vec] for vec in integer["representation"]["vectors"]
+    ]
+    p_1["gram"]["entries"] = [[x + "/1" for x in row] for row in integer["gram"]["entries"]]
+    rep = rep_from_json_dict(integer["representation"])
+    divided = OrthoRep(
+        rep.dim, tuple(tuple(Fraction(x, 2 + max(map(abs, vec))) for x in vec) for vec in rep.vectors)
+    )
+    p_q = json.loads(out)
+    p_q["representation"] = rep_to_json_dict(divided)
+    p_q["gram"] = gram_to_json_dict(gram(divided))
+    assert all("/" in x for vec in p_q["representation"]["vectors"] for x in vec)
+
+    def verified(bundle, tamper):
+        if tamper:
+            vectors = bundle["representation"]["vectors"]
+            vectors[3] = vectors[0]
+        return run_cli(["verify"], stdin_text=json.dumps(bundle))
+
+    for tamper in (False, True):
+        reports = {verified(copy.deepcopy(b), tamper) for b in (integer, p_1, p_q)}
+        assert len(reports) == 1, reports
+        code, report = reports.pop()
+        assert code == (1 if tamper else 0)
+        assert ("failed_pair" in json.loads(report)) == tamper
+
+
 def test_verify_rejects_non_decimal_coordinates():
-    _, out = run_cli(["certify", "--seed", "3", PRISM])
-    for bad in ("1e999999999", "1/0", "0x10/1"):
-        bundle = json.loads(out)
-        bundle["representation"]["vectors"][0][0] = bad
-        code, _ = run_cli(["verify"], stdin_text=json.dumps(bundle))
-        assert code == 2, bad
+    # int() alone accepts the last three, so the strict pattern runs first
+    _, out = run_cli(["certify", "--seed", "3", "--emit-gram", PRISM])
+    for bad in ("1e999999999", "1/0", "0x10/1", "1_000", " 12", "\u0661\u0662"):
+        for section, key in (("representation", "vectors"), ("gram", "entries")):
+            bundle = json.loads(out)
+            bundle[section][key][0][0] = bad
+            code, _ = run_cli(["verify"], stdin_text=json.dumps(bundle))
+            assert code == 2, (bad, section)
 
 
 def test_verify_rejects_garbage():
@@ -450,6 +526,32 @@ def test_batch_streams_each_report():
     finally:
         proc.kill()
         proc.wait()
+
+
+def test_batch_exits_quietly_when_its_reader_closes_the_pipe():
+    # the reader takes one report and closes its end; the next report
+    # cannot be written, which ends batch with 141 and no traceback
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "deltamsr", "batch"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=subprocess_env(),
+    )
+    try:
+        proc.stdin.write(C6 + "\n")
+        proc.stdin.flush()
+        assert json.loads(proc.stdout.readline())["graph"] == C6
+        proc.stdout.close()
+        proc.stdin.write(P4 + "\n")
+        proc.stdin.close()
+        assert proc.wait(timeout=30) == 141
+        assert proc.stderr.read() == ""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def test_batch_decides_a_cycle_with_a_long_pendant_path(tmp_path):
@@ -631,7 +733,7 @@ def test_gen_caps_edge_count(monkeypatch, capsys):
 # exit which of the named modules the program itself imported.
 COLD_START = """\
 import atexit, json, runpy, sys
-HEAVY = {"dataclasses", "inspect"}
+HEAVY = {"dataclasses", "inspect", "fractions", "decimal"}
 preloaded = HEAVY & set(sys.modules)
 atexit.register(lambda: print(json.dumps(sorted(HEAVY & set(sys.modules) - preloaded)), file=sys.stderr))
 runpy.run_module("deltamsr", run_name="__main__", alter_sys=True)
@@ -651,6 +753,7 @@ def cold_start(argv, stdin: str) -> tuple[int, str, list[str]]:
 
 
 def test_cold_start_without_dataclasses_where_nothing_is_constructed():
+    # nor fractions or decimal: every number a bundle holds is an integer
     # C6 is not a delta-graph: batch decides it by the cycle rule
     code, out, heavy = cold_start(["batch"], C6 + "\n")
     assert code == 0 and json.loads(out)["verdict"] == "holds"

@@ -26,6 +26,7 @@ from deltamsr.orthorep import (
     RetryBudgetExceeded,
     _solve_vector,
     fraction_from_str,
+    fraction_to_str,
     gram_mismatch,
     gram_to_json_dict,
     rep_from_json_dict,
@@ -368,6 +369,17 @@ def test_rep_json_roundtrip():
     assert rep_from_json_dict(json.loads(payload)) == rep
 
 
+def test_rep_from_json_dict_reads_ints_and_fractions():
+    rep = rep_from_json_dict({"dim": 2, "vectors": [["3", "-12"], ["3/4", "-6/1"], ["0/5", "7"]]})
+    assert rep == OrthoRep(2, ((3, -12), (Fraction(3, 4), Fraction(-6)), (Fraction(0), 7)))
+    assert [[type(x) for x in vec] for vec in rep.vectors] == [
+        [int, int], [Fraction, Fraction], [Fraction, int]
+    ]
+    assert [fraction_to_str(x) for vec in rep.vectors for x in vec] == [
+        "3", "-12", "3/4", "-6", "0", "7"
+    ]
+
+
 def test_gram_exports():
     gm = gram(construct(PRISM, recognize_delta(PRISM), GenericSampler(seed=7)))
     d = json.loads(json.dumps(gram_to_json_dict(gm)))
@@ -376,7 +388,7 @@ def test_gram_exports():
         for j in range(6):
             assert fraction_from_str(d["entries"][i][j]) == gm[i][j]
             if i != j and not PRISM.has_edge(i, j):
-                assert d["entries"][i][j] == "0/1"
+                assert d["entries"][i][j] == "0"
 
 
 def test_gram_mismatch_compares_rescaled_vectors_exactly():
