@@ -29,15 +29,11 @@ def dot(u, v):
 def primitive_int_vector(vec) -> tuple[int, ...]:
     """Integer vector with coprime entries spanning the same rational line.
 
-    Entries are ints or Fractions; a vector of ints skips the common
-    denominator.  The scale factor is positive, so signs are kept; the zero
-    vector stays zero.
+    Entries are ints or Fractions.  The scale factor is positive, so signs
+    are kept; the zero vector stays zero.
     """
-    if all(type(x) is int for x in vec):
-        ints = vec
-    else:
-        den = lcm(*(x.denominator for x in vec))
-        ints = [x.numerator * (den // x.denominator) for x in vec]
+    den = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (den // x.denominator) for x in vec]
     g = gcd(*ints)
     if g > 1:
         return tuple(x // g for x in ints)

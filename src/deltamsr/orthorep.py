@@ -111,7 +111,7 @@ class OrthoRep(NamedTuple):
 
     ``construct`` fills it with primitive integer vectors.  A bundle read
     back from JSON holds ints, and a Fraction only where a coordinate was
-    written as "p/q".
+    written as "p/q" with q other than 1.
     """
 
     dim: int
@@ -296,10 +296,12 @@ def verify_rep(g: Graph, rep: OrthoRep) -> RepReport:
 # A coordinate or Gram entry is written as "p" when it is an integer and
 # as "p/q" otherwise.  Integers are converted by str() and int() within the
 # interpreter's int/str digit limit, and past it through Decimal, whose
-# conversions the limit does not bound; fractions and decimal are imported
-# only on the "p/q" and past-the-limit branches.  The strict pattern runs
-# before any conversion, so no exponent such as "1e999999999" reaches one,
-# nor any text that int() alone accepts ("1_000", " 12", non-ASCII digits).
+# conversions the limit does not bound.  "p/1", as 0.13.0 and earlier
+# wrote every integer, is read as an int too; fractions and decimal are
+# imported only for other "p/q" text and past the limit.  The strict
+# pattern runs before any conversion, so no exponent such as "1e999999999"
+# reaches one, nor any text that int() alone accepts ("1_000", " 12",
+# non-ASCII digits).
 _FRACTION_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
@@ -325,7 +327,7 @@ def _int(digits: str) -> int:
 
 
 def fraction_from_str(s: str) -> Fraction | int:
-    """Inverse of fraction_to_str: an int for "p" text, a Fraction for "p/q".
+    """Inverse of fraction_to_str: an int for "p" and "p/1" text, else a Fraction.
 
     Raises ValueError on any other text and on a zero denominator.
     """
@@ -333,11 +335,11 @@ def fraction_from_str(s: str) -> Fraction | int:
     if match is None:
         raise ValueError(f"not an integer p or a fraction p/q: {s[:40]!r}")
     num, den = match.groups()
-    if den is None:
-        return _int(num)
-    denominator = _int(den)
+    denominator = 1 if den is None else _int(den)
     if denominator == 0:
         raise ValueError("fraction with zero denominator")
+    if denominator == 1:
+        return _int(num)
     from fractions import Fraction
 
     return Fraction(_int(num), denominator)
@@ -378,8 +380,9 @@ def gram_mismatch(rep: OrthoRep, m: dict) -> tuple[int, int] | None:
 
     Compared in integers: each vector v is s * p for its primitive integer
     vector p and a rational s = a / b, so entry num / den agrees iff
-    num * b_i * b_j == den * a_i * a_j * (p_i . p_j).  A bare integer entry
-    is read as an int, so only "p/q" text makes a Fraction.
+    num * b_i * b_j == den * a_i * a_j * (p_i . p_j).  An integer entry,
+    "p" or "p/1", is read as an int, so only other "p/q" text makes a
+    Fraction.
     """
     n = len(rep.vectors)
     entries = m["entries"]

@@ -361,20 +361,24 @@ def test_verify_malformed_bundles_are_input_errors(capsys):
 
 
 def test_verify_reads_long_coordinates_in_a_fresh_process():
-    # scaling a vector by 10**5000 keeps the pattern; the coordinates are then
-    # longer than the interpreter's default int/str digit limit
+    # scaling a vector by 10**5000, or by 10**5000 / 7, keeps the pattern; the
+    # numerators are then longer than the interpreter's default int/str digit
+    # limit, written bare, as "p/1" and as "p/q"
+    assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
     _, out = run_cli(["certify", "--seed", "3", PRISM])
-    bundle = json.loads(out)
-    vectors = bundle["representation"]["vectors"]
-    vectors[0] = [x + "0" * 5000 for x in vectors[0]]
-    proc = subprocess.run(
-        [sys.executable, "-m", "deltamsr", "verify"],
-        input=json.dumps(bundle),
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert all(json.loads(proc.stdout)["checks"].values())
+    for suffix in ("", "/1", "/7"):
+        bundle = json.loads(out)
+        vectors = bundle["representation"]["vectors"]
+        vectors[0] = [x + "0" * 5000 + suffix for x in vectors[0]]
+        proc = subprocess.run(
+            [sys.executable, "-m", "deltamsr", "verify"],
+            input=json.dumps(bundle),
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+        )
+        assert proc.returncode == 0, (suffix, proc.stderr)
+        assert all(json.loads(proc.stdout)["checks"].values()), suffix
 
 
 def test_verify_writes_and_reads_integers_past_the_digit_limit():

@@ -371,9 +371,9 @@ def test_rep_json_roundtrip():
 
 def test_rep_from_json_dict_reads_ints_and_fractions():
     rep = rep_from_json_dict({"dim": 2, "vectors": [["3", "-12"], ["3/4", "-6/1"], ["0/5", "7"]]})
-    assert rep == OrthoRep(2, ((3, -12), (Fraction(3, 4), Fraction(-6)), (Fraction(0), 7)))
+    assert rep == OrthoRep(2, ((3, -12), (Fraction(3, 4), -6), (Fraction(0), 7)))
     assert [[type(x) for x in vec] for vec in rep.vectors] == [
-        [int, int], [Fraction, Fraction], [Fraction, int]
+        [int, int], [Fraction, int], [Fraction, int]
     ]
     assert [fraction_to_str(x) for vec in rep.vectors for x in vec] == [
         "3", "-12", "3/4", "-6", "0", "7"
