@@ -1,8 +1,11 @@
 """Delta-graph recognition and exact msr certification.
 
-``GenericSampler`` is resolved on first use, so that importing the package
-does not import ``dataclasses``, which only the sampler needs.
+``GenericSampler`` and ``families`` are resolved on first use, so that
+importing the package imports neither ``dataclasses``, which only the
+sampler needs, nor the family builders, which only ``gen`` needs.
 """
+
+import importlib
 
 from .graphs import (
     MAX_VERTICES,
@@ -38,9 +41,8 @@ from .msr import (
     clique_cover_number,
     msr_exact,
 )
-from . import families
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 
 def __getattr__(name: str):
@@ -48,4 +50,8 @@ def __getattr__(name: str):
         from .sampler import GenericSampler
 
         return GenericSampler
+    if name == "families":
+        # import_module, not "from . import families": that form looks the
+        # name up on this package first and would land here again
+        return importlib.import_module(".families", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

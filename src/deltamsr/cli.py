@@ -25,7 +25,6 @@ import json
 import os
 import sys
 
-from . import families
 from .graphs import (
     Graph, complement, is_connected, min_degree, parse_edge_list, parse_graph6, to_graph6
 )
@@ -198,24 +197,28 @@ def _cmd_batch(args) -> int:
     return 0
 
 
-# gen family -> (help text, positional arguments, builder); n is an int,
-# g and h are graph6 text
+# gen family -> (help text, positional arguments, builder in deltamsr.families);
+# n is an int, g and h are graph6 text
 _GEN_FAMILIES = {
-    "cycle": ("cycle C_n", "n", families.cycle),
-    "path": ("path P_n", "n", families.path),
-    "complete": ("complete graph K_n", "n", families.complete),
-    "star": ("star K_{1,n} with n leaves", "n", families.star),
-    "mobius": ("Moebius ladder on n vertices (even n >= 6)", "n", families.mobius_ladder),
-    "robertson": ("Robertson (4,5)-cage", "", families.robertson_cage),
+    "cycle": ("cycle C_n", "n", "cycle"),
+    "path": ("path P_n", "n", "path"),
+    "complete": ("complete graph K_n", "n", "complete"),
+    "star": ("star K_{1,n} with n leaves", "n", "star"),
+    "mobius": ("Moebius ladder on n vertices (even n >= 6)", "n", "mobius_ladder"),
+    "robertson": ("Robertson (4,5)-cage", "", "robertson_cage"),
     "cartesian": (
-        "Cartesian (box) product of two graph6 graphs", "gh", families.cartesian_product
+        "Cartesian (box) product of two graph6 graphs", "gh", "cartesian_product"
     ),
-    "corona": ("corona of two graph6 graphs", "gh", families.corona),
+    "corona": ("corona of two graph6 graphs", "gh", "corona"),
 }
 
 
 def _cmd_gen(args) -> int:
-    _, params, build = _GEN_FAMILIES[args.family]
+    # imported where it is used: no other subcommand needs the builders
+    from . import families
+
+    _, params, builder = _GEN_FAMILIES[args.family]
+    build = getattr(families, builder)
     try:
         g = build(*(args.n if p == "n" else parse_graph6(getattr(args, p)) for p in params))
     except ValueError as exc:

@@ -11,6 +11,15 @@ builders also hold their edge count to ``MAX_EDGES``.  The structural
 part is what the exact msr engine needs: the blocks of a connected graph,
 each as the bitmask of its vertices, on which the engine counts clique
 covers without building a subgraph.
+
+``Graph(n, adj)``, and ``_make`` and ``_replace`` through it, checks the
+adjacency a caller supplies: at least one vertex, one mask per vertex, no
+bit at or above n, no loop and no asymmetric pair.  ``parse_graph6`` and
+``complement`` build through ``_built_graph``, which skips those checks,
+because their masks meet them by construction: graph6 sets bits in pairs
+(i, j) with i < j < n, and a complement mask is ``~adj & full & ~(1 << v)``
+of a graph that passed them.  The parser still refuses every malformed
+line before any mask is built.
 """
 
 from __future__ import annotations
@@ -115,6 +124,11 @@ class Graph(_GraphFields):
         return sum(self.degree(v) for v in range(self.n)) // 2
 
 
+def _built_graph(n: int, adj: tuple[int, ...]) -> Graph:
+    """Graph from masks that this module built valid, without Graph's checks."""
+    return tuple.__new__(Graph, (n, adj))
+
+
 def from_edge_list(n: int, edges) -> Graph:
     """Build a graph from (u, v) pairs; duplicates collapse, loops are errors."""
     adj = [0] * n
@@ -211,7 +225,7 @@ def parse_graph6(text: str) -> Graph:
         adj[j] |= earlier
         for i in _bits(earlier):
             adj[i] |= 1 << j
-    return Graph(n, tuple(adj))
+    return _built_graph(n, tuple(adj))
 
 
 def to_graph6(g: Graph) -> str:
@@ -231,7 +245,7 @@ def to_graph6(g: Graph) -> str:
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple(~g.adj[v] & full & ~(1 << v) for v in range(g.n)))
+    return _built_graph(g.n, tuple(~g.adj[v] & full & ~(1 << v) for v in range(g.n)))
 
 
 def is_connected(g: Graph) -> bool:
@@ -260,7 +274,8 @@ def blocks(g: Graph) -> list[int]:
     g has a cut vertex exactly when it has more than one block.  Iterative
     Hopcroft-Tarjan: when the DFS leaves v with ``low[v] >= disc[u]`` for
     its parent u, u and the vertices found since v, not yet in a block,
-    form one block.
+    form one block.  Each vertex's neighbours are scanned lowest first,
+    straight off its adjacency mask.
     """
     if not is_connected(g):
         raise ValueError("block decomposition requires a connected graph")
@@ -272,23 +287,31 @@ def blocks(g: Graph) -> list[int]:
     timer = 1
     unplaced = [0]  # discovered vertices not yet in a block, in discovery order
     found = []
-    stack = [(0, iter(g.neighbors(0)))]
+    unscanned = list(g.adj)  # per vertex on the stack, the neighbours it has yet to look at
+    stack = [0]
     while stack:
-        v, it = stack[-1]
-        for w in it:
+        v = stack[-1]
+        rest = unscanned[v]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            w = bit.bit_length() - 1
             if disc[w] == -1:
+                unscanned[v] = rest
                 disc[w] = low[w] = timer
                 timer += 1
                 unplaced.append(w)
-                stack.append((w, iter(g.neighbors(w))))
+                stack.append(w)
                 break
-            low[v] = min(low[v], disc[w])
+            if disc[w] < low[v]:
+                low[v] = disc[w]
         else:
             stack.pop()
             if not stack:
                 break
-            u = stack[-1][0]
-            low[u] = min(low[u], low[v])
+            u = stack[-1]
+            if low[v] < low[u]:
+                low[u] = low[v]
             if low[v] >= disc[u]:
                 members = 1 << u
                 while True:

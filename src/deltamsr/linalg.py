@@ -6,6 +6,12 @@ coordinate, no zero/nonzero inner product and no linear (in)dependence, so
 rational input is scaled to integers once and everything after that is
 fraction-free.  Elimination keeps rows integral by cross-multiplying and
 dividing each row by its gcd.
+
+``primitive_int_vector`` takes two steps: it scales rational entries to
+integers by the lcm of their denominators, then ``primitive_part`` divides
+out the gcd.  Code whose vectors are integral by construction, the
+nullspace basis here and the solve step of ``orthorep.construct``, calls
+``primitive_part`` alone and never touches a denominator.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ __all__ = [
     "dot",
     "int_nullspace_basis",
     "primitive_int_vector",
+    "primitive_part",
 ]
 
 
@@ -33,7 +40,11 @@ def primitive_int_vector(vec) -> tuple[int, ...]:
     are kept; the zero vector stays zero.
     """
     den = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (den // x.denominator) for x in vec]
+    return primitive_part([x.numerator * (den // x.denominator) for x in vec])
+
+
+def primitive_part(ints) -> tuple[int, ...]:
+    """An integer vector divided by the gcd of its entries; zero stays zero."""
     g = gcd(*ints)
     if g > 1:
         return tuple(x // g for x in ints)
@@ -77,6 +88,6 @@ def int_nullspace_basis(rows, ncols: int) -> list[tuple[int, ...]]:
         vec[fc] = scale
         for i, pc in enumerate(pivots):
             vec[pc] = -mat[i][fc] * (scale // mat[i][pc])
-        basis.append(primitive_int_vector(vec))
+        basis.append(primitive_part(vec))
     return basis
 

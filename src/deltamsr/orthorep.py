@@ -48,7 +48,7 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .graphs import Graph, min_degree
-from .linalg import dot, int_nullspace_basis, primitive_int_vector
+from .linalg import dot, int_nullspace_basis, primitive_int_vector, primitive_part
 from .recognition import DeltaCertificate, check_certificate
 
 if TYPE_CHECKING:
@@ -181,7 +181,7 @@ def _solve_vector(
         x = [sum(map(mul, coeffs, col)) for col in columns]
         if not all(x):
             continue
-        xt = primitive_int_vector(x)
+        xt = primitive_part(x)
         xx = dot(xt, xt)
         if all((xu := dot(xt, u)) and (xx != uu or abs(xu) != xx) for u, uu in neighbours):
             return xt
@@ -374,9 +374,10 @@ def gram_mismatch(rep: OrthoRep, m: dict) -> tuple[int, int] | None:
     m is a Gram matrix as gram_to_json_dict writes it; entry (i, j) must
     equal the inner product of rep's vectors i and j.  Returns None when
     every entry does.  Vectors of different lengths have no inner product,
-    so their entries never agree.  Raises ValueError when m is not n x n
-    for rep's n vectors, as verify_rep does for a representation of the
-    wrong size.
+    so their entries never agree.  Raises TypeError when m's n is not an
+    integer, as rep_from_json_dict does for dim, and ValueError when m is
+    not n x n for rep's n vectors, as verify_rep does for a representation
+    of the wrong size.
 
     Compared in integers: each vector v is s * p for its primitive integer
     vector p and a rational s = a / b, so entry num / den agrees iff
@@ -386,6 +387,8 @@ def gram_mismatch(rep: OrthoRep, m: dict) -> tuple[int, int] | None:
     """
     n = len(rep.vectors)
     entries = m["entries"]
+    if type(m["n"]) is not int:
+        raise TypeError("gram n must be an integer")
     if m["n"] != n or len(entries) != n or any(len(row) != n for row in entries):
         raise ValueError(f"gram is not {n} x {n}")
     prims = [primitive_int_vector(v) for v in rep.vectors]

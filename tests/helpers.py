@@ -6,7 +6,8 @@ induced subgraphs test every vertex pair, perfect elimination orderings
 are checked pair by pair, chordality and delta-graph recognition try
 every ordering, the first
 certificate in the search's order comes from a plain recursive scan with
-no memo, girth runs BFS from every root, rank is plain Fraction
+no memo, blocks come from the neighbour-list DFS that graphs.blocks
+replaced, girth runs BFS from every root, rank is plain Fraction
 elimination, representation checks take plain Fraction dots and rank, and
 random delta-graphs are drawn along the definition's own ordering.
 """
@@ -110,6 +111,50 @@ def induced_subgraph(g: Graph, vs) -> Graph:
 def mask_vertices(mask: int) -> list[int]:
     """The vertices of a bitmask in increasing order."""
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def blocks_by_neighbour_lists(g: Graph) -> list[int]:
+    """graphs.blocks as 0.14.0 wrote it: each vertex's neighbours as a list.
+
+    The same Hopcroft-Tarjan DFS, discovery order and block order, reading
+    neighbours through ``Graph.neighbors`` instead of scanning the masks.
+    """
+    if not is_connected(g):
+        raise ValueError("block decomposition requires a connected graph")
+    if g.n == 1:
+        return [1]
+    disc = [-1] * g.n
+    low = [0] * g.n
+    disc[0] = 0
+    timer = 1
+    unplaced = [0]
+    found = []
+    stack = [(0, iter(g.neighbors(0)))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            if disc[w] == -1:
+                disc[w] = low[w] = timer
+                timer += 1
+                unplaced.append(w)
+                stack.append((w, iter(g.neighbors(w))))
+                break
+            low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if not stack:
+                break
+            u = stack[-1][0]
+            low[u] = min(low[u], low[v])
+            if low[v] >= disc[u]:
+                members = 1 << u
+                while True:
+                    w = unplaced.pop()
+                    members |= 1 << w
+                    if w == v:
+                        break
+                found.append(members)
+    return found
 
 
 def is_perfect_elimination_ordering(g: Graph, order) -> bool:

@@ -334,6 +334,14 @@ def test_verify_checks_the_bundled_gram(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "gram is not 6 x 6" in json.loads(captured.err)["error"]
+    # 6.0 and true compare equal to 6 and 1, but neither is an integer count
+    for n in (6.0, True, "6"):
+        not_int = json.loads(out)
+        not_int["gram"]["n"] = n
+        assert main(["verify", json.dumps(not_int)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad bundle: gram n must be an integer" == json.loads(captured.err)["error"]
 
 
 def test_verify_malformed_bundles_are_input_errors(capsys):
@@ -737,7 +745,7 @@ def test_gen_caps_edge_count(monkeypatch, capsys):
 # exit which of the named modules the program itself imported.
 COLD_START = """\
 import atexit, json, runpy, sys
-HEAVY = {"dataclasses", "inspect", "fractions", "decimal"}
+HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "deltamsr.families"}
 preloaded = HEAVY & set(sys.modules)
 atexit.register(lambda: print(json.dumps(sorted(HEAVY & set(sys.modules) - preloaded)), file=sys.stderr))
 runpy.run_module("deltamsr", run_name="__main__", alter_sys=True)
@@ -769,6 +777,9 @@ def test_cold_start_without_dataclasses_where_nothing_is_constructed():
     # certify builds a GenericSampler, a dataclass, so the hook sees the import there
     code, out, heavy = cold_start(["certify", "--seed", "0", PRISM], "")
     assert code == 0 and out == bundle and heavy == ["dataclasses", "inspect"]
+    # only gen imports the family builders
+    code, out, heavy = cold_start(["gen", "cycle", "6"], "")
+    assert code == 0 and out == C6 + "\n" and heavy == ["deltamsr.families"]
 
 
 def test_module_entry_point():

@@ -126,6 +126,32 @@ def test_graph6_long_form():
     assert parse_graph6(to_graph6(dense)) == dense
 
 
+def assert_checked_equal(h, expected):
+    """h is a Graph that Graph(n, adj), with every check, rebuilds as expected."""
+    assert type(h) is Graph
+    assert h == Graph(h.n, h.adj) == expected
+
+
+def non_edges(g):
+    return [(u, v) for v in range(g.n) for u in range(v) if not g.has_edge(u, v)]
+
+
+def test_builders_make_what_the_checking_constructor_accepts_on_atlas():
+    # parse_graph6 and complement skip Graph's checks; their masks must pass them
+    for line in helpers.ATLAS_PATH.read_text().splitlines():
+        g = parse_graph6(line)
+        assert_checked_equal(g, g)
+        assert_checked_equal(parse_graph6(to_graph6(g)), g)
+        assert_checked_equal(complement(g), from_edge_list(g.n, non_edges(g)))
+
+
+@given(graphs(max_n=70))
+def test_builders_make_what_the_checking_constructor_accepts(g):
+    # n up to 70, so masks run past one 64-bit word
+    assert_checked_equal(parse_graph6(to_graph6(g)), g)
+    assert_checked_equal(complement(g), from_edge_list(g.n, non_edges(g)))
+
+
 @given(graphs(max_n=14))
 def test_graph6_roundtrip(g):
     assert parse_graph6(to_graph6(g)) == g
@@ -290,6 +316,32 @@ def test_blocks_path():
 def test_blocks_rejects_disconnected():
     with pytest.raises(ValueError):
         blocks(from_edge_list(4, [(0, 1), (2, 3)]))
+
+
+def k4_chain(k):
+    """k copies of K4 in a row, block i on vertices 3i..3i+3; 3k + 1 vertices."""
+    return from_edge_list(
+        3 * k + 1, [(3 * i + a, 3 * i + b) for i in range(k) for b in range(4) for a in range(b)]
+    )
+
+
+def random_connected_graphs(count, max_n, rng):
+    """Random trees with random extra edges: few to many blocks, any mask width."""
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        tree = helpers.random_tree(n, rng)
+        extra = [rng.sample(range(n), 2) for _ in range(rng.randint(0, n)) if n > 1]
+        yield from_edge_list(n, tree.edges() + extra)
+
+
+def test_blocks_match_the_neighbour_list_oracle():
+    # same blocks in the same order, so msr_exact sums them alike
+    cases = [g for g in helpers.atlas_graphs() if is_connected(g)]
+    cases += random_connected_graphs(300, 70, random.Random(18))
+    cases.append(k4_chain(500))
+    for g in cases:
+        assert blocks(g) == helpers.blocks_by_neighbour_lists(g), to_graph6(g)
+    assert len(blocks(k4_chain(500))) == 500
 
 
 def test_blocks_invariants_on_atlas():
