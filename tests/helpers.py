@@ -4,12 +4,11 @@ Everything here is deliberately independent of the library's own search
 and elimination code: isomorphism and clique covers run raw backtracking,
 induced subgraphs test every vertex pair, perfect elimination orderings
 are checked pair by pair, chordality and delta-graph recognition try
-every ordering, the first
-certificate in the search's order comes from a plain recursive scan with
-no memo, blocks come from the neighbour-list DFS that graphs.blocks
-replaced, girth runs BFS from every root, rank is plain Fraction
-elimination, representation checks take plain Fraction dots and rank, and
-random delta-graphs are drawn along the definition's own ordering.
+every ordering, the first certificate in the search's order comes from a
+plain recursive scan with no memo, blocks come from a DFS over neighbour
+lists, girth runs BFS from every root, rank is plain Fraction elimination,
+representation checks take plain Fraction dots and rank, and random
+delta-graphs are drawn along the definition's own ordering.
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ def mask_vertices(mask: int) -> list[int]:
 
 
 def blocks_by_neighbour_lists(g: Graph) -> list[int]:
-    """graphs.blocks as 0.14.0 wrote it: each vertex's neighbours as a list.
+    """graphs.blocks with each vertex's neighbours read as a list.
 
     The same Hopcroft-Tarjan DFS, discovery order and block order, reading
     neighbours through ``Graph.neighbors`` instead of scanning the masks.

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from deltamsr import (
     verify_rep,
 )
 from deltamsr.families import cartesian_product, complete, cycle, mobius_ladder, path
-from deltamsr.linalg import dot
+from deltamsr.linalg import dot, primitive_int_vector, primitive_part
 from deltamsr.orthorep import (
     MAX_RESAMPLES,
     WIDEN_EVERY,
@@ -389,6 +390,22 @@ def test_gram_exports():
             assert fraction_from_str(d["entries"][i][j]) == gm[i][j]
             if i != j and not PRISM.has_edge(i, j):
                 assert d["entries"][i][j] == "0"
+
+
+def test_primitive_part_divides_out_the_gcd_alone():
+    # integral vectors skip primitive_int_vector's scaling step and get the same answer
+    rng = random.Random(18)
+    cases = [(0, 0, 0), (6, -4, 10), (-3,), (2**70, -(2**71), 0)]
+    cases += [
+        tuple(rng.randint(-99, 99) * rng.choice((1, 6, 2**64)) for _ in range(rng.randint(1, 8)))
+        for _ in range(300)
+    ]
+    for ints in cases:
+        p = primitive_part(ints)
+        g = math.gcd(*ints)
+        assert p == primitive_int_vector(ints) == tuple(x // (g or 1) for x in ints)
+        assert math.gcd(*p) == (1 if any(ints) else 0)
+    assert primitive_int_vector((Fraction(1, 2), Fraction(-1, 3), 0)) == (3, -2, 0)
 
 
 def test_gram_mismatch_compares_rescaled_vectors_exactly():
