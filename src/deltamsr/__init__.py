@@ -42,7 +42,7 @@ from .msr import (
     msr_exact,
 )
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 
 def __getattr__(name: str):

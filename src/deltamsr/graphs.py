@@ -121,7 +121,7 @@ class Graph(_GraphFields):
 
     @property
     def edge_count(self) -> int:
-        return sum(self.degree(v) for v in range(self.n)) // 2
+        return sum(map(self.degree, range(self.n))) // 2
 
 
 def _built_graph(n: int, adj: tuple[int, ...]) -> Graph:
@@ -223,8 +223,11 @@ def parse_graph6(text: str) -> Graph:
         start = j * (j - 1) // 2
         earlier = int(bits[start:start + j][::-1], 2)  # bit i: i ~ j, for i < j
         adj[j] |= earlier
-        for i in _bits(earlier):
-            adj[i] |= 1 << j
+        bit = 1 << j
+        while earlier:
+            low = earlier & -earlier
+            adj[low.bit_length() - 1] |= bit
+            earlier ^= low
     return _built_graph(n, tuple(adj))
 
 
@@ -249,19 +252,21 @@ def complement(g: Graph) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    seen = 1
-    frontier = 1
+    adj = g.adj
+    seen = frontier = 1
     while frontier:
         reach = 0
-        for v in _bits(frontier):
-            reach |= g.adj[v]
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = reach & ~seen
         seen |= frontier
     return seen == (1 << g.n) - 1
 
 
 def min_degree(g: Graph) -> int:
-    return min(g.degree(v) for v in range(g.n))
+    return min(map(int.bit_count, g.adj))
 
 
 # --- blocks ---------------------------------------------------------------

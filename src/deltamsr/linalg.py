@@ -47,47 +47,56 @@ def primitive_part(ints) -> tuple[int, ...]:
     """An integer vector divided by the gcd of its entries; zero stays zero."""
     g = gcd(*ints)
     if g > 1:
-        return tuple(x // g for x in ints)
+        return tuple([x // g for x in ints])
     return tuple(ints)
 
 
-def int_nullspace_basis(rows, ncols: int) -> list[tuple[int, ...]]:
+def int_nullspace_basis(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
     """Basis of {x : row . x = 0 for every row} over integer rows.
 
     One vector per free column: the primitive multiple, positive in its
     free column, of the vector the reduced row echelon form gives (1 in the
     free column, minus the reduced rows' entries in the pivot columns).
+    With no rows every column is free, and that is the identity basis,
+    returned without elimination.
     """
-    mat = [list(row) for row in rows]
+    if not rows:
+        return tuple((0,) * c + (1,) + (0,) * (ncols - 1 - c) for c in range(ncols))
+    mat = list(rows)  # a row is replaced, never changed in place
+    nrows = len(mat)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        if r == len(mat):
-            break
-        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if p is None:
+        for p in range(r, nrows):
+            if mat[p][c]:
+                break
+        else:
             continue
-        mat[r], mat[p] = mat[p], mat[r]
-        prow = mat[r]
+        prow = mat[p]
+        mat[p] = mat[r]
+        mat[r] = prow
         pv = prow[c]
         for i, row in enumerate(mat):
             f = row[c]
-            if i != r and f:
+            if f and i != r:
                 row = [pv * x - f * y for x, y in zip(row, prow)]
                 g = gcd(*row)
                 mat[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
+        if r == nrows:
+            break
     # each pivot row is now its reduced row times its pivot entry
-    scale = lcm(*(mat[i][pc] for i, pc in enumerate(pivots)))
+    scale = lcm(*[mat[i][pc] for i, pc in enumerate(pivots)])
+    # each pivot row with its column and the factor that takes its pivot entry to scale
+    pivot_rows = [(pc, mat[i], scale // mat[i][pc]) for i, pc in enumerate(pivots)]
     basis = []
     for fc in range(ncols):
         if fc in pivots:
             continue
         vec = [0] * ncols
         vec[fc] = scale
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc] * (scale // mat[i][pc])
+        for pc, row, factor in pivot_rows:
+            vec[pc] = -row[fc] * factor
         basis.append(primitive_part(vec))
-    return basis
-
+    return tuple(basis)

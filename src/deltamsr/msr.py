@@ -62,6 +62,7 @@ def clique_cover_number(g: Graph, within: int) -> int | None:
     inside the same closed neighbourhood, which makes the greedy choice
     exchange-safe.
     """
+    adj = g.adj
     left = todo = within
     covered = {}  # vertex -> bitmask of the vertices it shares a counted clique with
     count = 0
@@ -69,8 +70,15 @@ def clique_cover_number(g: Graph, within: int) -> int | None:
         low = todo & -todo
         todo ^= low
         v = low.bit_length() - 1
-        nbrs = g.adj[v] & left
-        if all((nbrs & ~g.adj[u]) == 1 << u for u in _bits(nbrs)):
+        nbrs = adj[v] & left
+        # simplicial: each remaining neighbour u is adjacent to all the others
+        rest = nbrs
+        while rest:
+            bit = rest & -rest
+            if (nbrs & ~adj[bit.bit_length() - 1]) != bit:
+                break
+            rest ^= bit
+        if not rest:
             left ^= low
             todo |= nbrs
             if nbrs & ~covered.get(v, 0):
@@ -85,6 +93,7 @@ def msr_exact(g: Graph) -> int | None:
 
     None means that some block is not K1, K2, a cycle or chordal.
     """
+    adj = g.adj
     total = 0
     for block in blocks(g):
         size = block.bit_count()
@@ -93,7 +102,13 @@ def msr_exact(g: Graph) -> int | None:
             continue
         # a 2-connected graph with as many edges as vertices is a cycle; the
         # degree sum inside the block counts each edge twice
-        if sum((g.adj[v] & block).bit_count() for v in _bits(block)) == 2 * size:
+        degrees = 0
+        rest = block
+        while rest:
+            low = rest & -rest
+            degrees += (adj[low.bit_length() - 1] & block).bit_count()
+            rest ^= low
+        if degrees == 2 * size:
             total += size - 2
             continue
         cover = clique_cover_number(g, block)

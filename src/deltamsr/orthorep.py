@@ -8,9 +8,13 @@ witnesses msr(G) <= d = |G| - min_degree(G).
 Vertices are adjoined in certificate order, as in the general-position
 argument of Lovasz, Saks and Schrijver: each new vector is a random integer
 combination of a fraction-free integer basis of the nullspace of its prior
-non-neighbours, a system of t < d rows in d columns.  Every remaining
-condition (nonzero coordinates, nonzero inner product with each prior
-neighbour, independence from every prior) is checked in integer arithmetic.
+non-neighbours, a system of t < d rows in d columns.  A vertex's adjacency
+mask splits its placed priors into those rows and its prior neighbours,
+and each neighbour comes with the norm that its own step returned, so no
+norm is taken twice.  With no rows the basis is the identity.  Every
+remaining condition (nonzero coordinates, nonzero inner product with each
+prior neighbour, independence from every prior) is checked in integer
+arithmetic.
 Each condition fails only on a proper subvariety, so by Schwartz-Zippel a
 draw from the sampler's window fails with probability at most the
 subvariety's degree over the window's width, a bound that halves each time
@@ -145,23 +149,26 @@ class RepReport(NamedTuple):
 
 
 def _solve_vector(
-    priors: list[tuple[IntVector, bool]],
+    zero_rows: list[IntVector],
+    neighbours: list[tuple[IntVector, int]],
     d: int,
     sampler: GenericSampler,
-) -> IntVector:
-    """Vector with prescribed zero/nonzero inner products against the priors.
+) -> tuple[IntVector, int]:
+    """Vector orthogonal to zero_rows with a nonzero inner product with each neighbour.
 
-    priors pairs each earlier vector, a primitive integer vector as this
-    function returns, with True (inner product must be nonzero) or False
-    (must be zero).  Requires fewer than d zero constraints, which any
-    valid certificate guarantees.
+    zero_rows are the earlier vectors the new one must be orthogonal to,
+    and neighbours pair each earlier vector it must not be orthogonal to
+    with that vector's norm u.u, carried from the step that made it.  Every
+    earlier vector is a primitive integer vector, as this function returns.
+    Returns the new vector x and its norm x.x, so that later steps need not
+    take it again.  Requires fewer than d zero rows, which any valid
+    certificate guarantees.
 
-    The new vector x is orthogonal to every (nonzero) non-neighbour, so only
-    a neighbour u can be a multiple of x.  Both are primitive, so that means
+    The new vector x is orthogonal to every (nonzero) zero row, so only a
+    neighbour u can be a multiple of x.  Both are primitive, so that means
     u = +-x: x.x = u.u and |x.u| = x.x, tested on the x.u that the nonzero
     condition already takes.
     """
-    zero_rows = [vec for vec, adjacent in priors if not adjacent]
     t = len(zero_rows)
     if t >= d:
         raise ValueError(
@@ -170,24 +177,27 @@ def _solve_vector(
         )
     basis = int_nullspace_basis(zero_rows, d)
     columns = list(zip(*basis))
-    neighbours = [(vec, dot(vec, vec)) for vec, adjacent in priors if adjacent]
+    nonzero = sampler.nonzero
 
     # a one-vector basis gives x = +-basis[0] on every draw
     draws = min(MAX_RESAMPLES, 1) if len(basis) == 1 else MAX_RESAMPLES
     for attempt in range(draws):
         if attempt and attempt % WIDEN_EVERY == 0:
             sampler.widen()
-        coeffs = [sampler.nonzero() for _ in basis]
+        coeffs = [nonzero() for _ in basis]
         x = [sum(map(mul, coeffs, col)) for col in columns]
         if not all(x):
             continue
         xt = primitive_part(x)
-        xx = dot(xt, xt)
-        if all((xu := dot(xt, u)) and (xx != uu or abs(xu) != xx) for u, uu in neighbours):
-            return xt
+        xx = sum(map(mul, xt, xt))
+        # every vector here has length d, so no inner product needs dot's length check
+        if all(
+            (xu := sum(map(mul, xt, u))) and (xx != uu or abs(xu) != xx) for u, uu in neighbours
+        ):
+            return xt, xx
     raise RetryBudgetExceeded(
         f"no admissible vector after {draws} resamples "
-        f"(dimension {d}, {len(priors)} priors, {t} orthogonality constraints)"
+        f"(dimension {d}, {t + len(neighbours)} priors, {t} orthogonality constraints)"
     )
 
 
@@ -196,23 +206,30 @@ def construct(g: Graph, cert: DeltaCertificate, sampler: GenericSampler) -> Orth
 
     That dimension is max_degree(complement(g)) + 1.  Walks the certificate
     ordering with one solve per vertex, drawing every coefficient from
-    sampler.  When a solve runs out of draws, widens the sampler's window
-    and walks the ordering again, up to MAX_RESTARTS times.  Vectors in the
-    result are indexed by vertex id.
+    sampler.  A vertex's placed priors split on its adjacency mask into the
+    rows its vector must be orthogonal to and its neighbours, each with the
+    norm its own step returned.  When a solve runs out of draws, widens the
+    sampler's window and walks the ordering again, up to MAX_RESTARTS
+    times.  Vectors in the result are indexed by vertex id.
     """
     chk = check_certificate(g, cert)
     if not chk.ok:
         raise ValueError(f"invalid certificate: {chk.reason}")
     d = g.n - min_degree(g)
     order = cert.ordering
+    adj = g.adj
     for restart in range(MAX_RESTARTS + 1):
         if restart:
             sampler.widen()
         vectors: list[IntVector] = [()] * g.n
+        norms = [0] * g.n
         try:
             for i, v in enumerate(order):
-                priors = [(vectors[u], g.has_edge(u, v)) for u in order[:i]]
-                vectors[v] = _solve_vector(priors, d, sampler)
+                placed = order[:i]
+                mask = adj[v]
+                zero_rows = [vectors[u] for u in placed if not mask >> u & 1]
+                neighbours = [(vectors[u], norms[u]) for u in placed if mask >> u & 1]
+                vectors[v], norms[v] = _solve_vector(zero_rows, neighbours, d, sampler)
         except RetryBudgetExceeded as exc:
             failure = exc
             continue
@@ -262,7 +279,8 @@ def verify_rep(g: Graph, rep: OrthoRep) -> RepReport:
     if len(rep.vectors) != g.n:
         raise ValueError("representation size does not match the graph")
     vecs = tuple(primitive_int_vector(v) for v in rep.vectors)
-    dimension_ok = rep.dim == g.n - min_degree(g) and all(
+    delta_bound = g.n - min_degree(g)
+    dimension_ok = rep.dim == delta_bound and all(
         len(v) == rep.dim for v in vecs
     )
     nonzero_ok = all(all(vec) for vec in vecs)
@@ -272,9 +290,9 @@ def verify_rep(g: Graph, rep: OrthoRep) -> RepReport:
     pattern_pair = dependent_pair = None
     if comparable:
         adj = g.adj
-        norms = [dot(v, v) for v in vecs]
+        norms = [sum(map(mul, v, v)) for v in vecs]
         for i, j in combinations(range(g.n), 2):
-            uv = dot(vecs[i], vecs[j])
+            uv = sum(map(mul, vecs[i], vecs[j]))
             if pattern_pair is None and (uv != 0) != adj[i] >> j & 1:
                 pattern_pair = (i, j)
             uu, vv = norms[i], norms[j]
@@ -284,7 +302,7 @@ def verify_rep(g: Graph, rep: OrthoRep) -> RepReport:
     pattern_ok = comparable and pattern_pair is None
     independent_ok = comparable and dependent_pair is None
     all_ok = pattern_ok and nonzero_ok and independent_ok and dimension_ok
-    bound = g.n - min_degree(g) if all_ok else None
+    bound = delta_bound if all_ok else None
     return RepReport(
         pattern_ok, nonzero_ok, independent_ok, dimension_ok, bound, min(failed, default=None)
     )

@@ -85,8 +85,9 @@ def max_excluded(m: int) -> int:
     return m // 2 - 1
 
 
-def _triple_edge_count(g: Graph, a: int, b: int, c: int) -> int:
-    return int(g.has_edge(a, b)) + int(g.has_edge(a, c)) + int(g.has_edge(b, c))
+def _triple_edge_count(adj: tuple[int, ...], a: int, b: int, c: int) -> int:
+    """Edges among a, b and c, read off the adjacency masks."""
+    return (adj[a] >> b & 1) + (adj[a] >> c & 1) + (adj[b] >> c & 1)
 
 
 class CertificateCheck(NamedTuple):
@@ -115,7 +116,7 @@ def check_certificate(g: Graph, cert: DeltaCertificate) -> CertificateCheck:
         return CertificateCheck(False, reason="excluded_counts has wrong length")
 
     a, b, c = cert.ordering[:3]
-    if _triple_edge_count(g, a, b, c) != _BASE_EDGE_COUNT[cert.base_kind]:
+    if _triple_edge_count(g.adj, a, b, c) != _BASE_EDGE_COUNT[cert.base_kind]:
         return CertificateCheck(
             False, reason=f"first three vertices do not induce {cert.base_kind}"
         )
@@ -138,14 +139,15 @@ def check_certificate(g: Graph, cert: DeltaCertificate) -> CertificateCheck:
 
 def _base_triples(g: Graph):
     """Canonically ordered base triples: 3K1 ascending; K2+K1 as (end, lone, end)."""
+    adj = g.adj
     for a, b, c in combinations(range(g.n), 3):
-        e = _triple_edge_count(g, a, b, c)
+        e = _triple_edge_count(adj, a, b, c)
         if e == 0:
             yield (a, b, c), "3K1"
         elif e == 1:
-            if g.has_edge(a, b):
+            if adj[a] >> b & 1:
                 u, w, lone = a, b, c
-            elif g.has_edge(a, c):
+            elif adj[a] >> c & 1:
                 u, w, lone = a, c, b
             else:
                 u, w, lone = b, c, a

@@ -20,11 +20,15 @@ class GenericSampler:
     """Seeded source of nonzero integers from a growing magnitude window.
 
     nonzero() draws uniformly from [-magnitude, -1] and [1, magnitude], and
-    widen() doubles magnitude.  The window starts at 16, about 4 bits a
-    coefficient: construct redraws a failed step from a window that doubles
-    every WIDEN_EVERY draws, and widens once more before each of its up to
-    MAX_RESTARTS restarts, so a window that proves too small grows until
-    the failing conditions are avoided.
+    widen() doubles magnitude.  A draw reads the stream of
+    ``random.Random(seed)`` exactly as ``randint(1, magnitude)`` does, in
+    one frame: getrandbits of magnitude's bit length, redrawn while it is
+    not below magnitude, plus one; then one ``random()`` below 0.5 negates
+    it.  The window starts at 16, about 4 bits a coefficient: construct
+    redraws a failed step from a window that doubles every WIDEN_EVERY
+    draws, and widens once more before each of its up to MAX_RESTARTS
+    restarts, so a window that proves too small grows until the failing
+    conditions are avoided.
     """
 
     seed: int = 0
@@ -35,10 +39,13 @@ class GenericSampler:
         self._rng = random.Random(self.seed)
 
     def nonzero(self) -> int:
-        value = self._rng.randint(1, self.magnitude)
-        if self._rng.random() < 0.5:
-            value = -value
-        return value
+        m = self.magnitude
+        rng = self._rng
+        k = m.bit_length()
+        r = rng.getrandbits(k)
+        while r >= m:
+            r = rng.getrandbits(k)
+        return -r - 1 if rng.random() < 0.5 else r + 1
 
     def widen(self) -> None:
         self.magnitude *= 2

@@ -7,25 +7,42 @@ are checked pair by pair, chordality and delta-graph recognition try
 every ordering, the first certificate in the search's order comes from a
 plain recursive scan with no memo, blocks come from a DFS over neighbour
 lists, girth runs BFS from every root, rank is plain Fraction elimination,
-representation checks take plain Fraction dots and rank, and random
-delta-graphs are drawn along the definition's own ordering.
+representation checks take plain Fraction dots and rank, random
+delta-graphs are drawn along the definition's own ordering, and the
+construction kernel is replayed step by step from each vertex's full list
+of priors, with its own elimination and a sampler that draws through
+``randint``.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd, lcm
 from pathlib import Path
 
 from deltamsr import (
     DeltaCertificate,
+    GenericSampler,
     Graph,
     complement,
     from_edge_list,
     is_connected,
     parse_graph6,
 )
+from deltamsr.families import (
+    cartesian_product,
+    complete,
+    corona,
+    cycle,
+    mobius_ladder,
+    path,
+    robertson_cage,
+    star,
+)
+from deltamsr.orthorep import MAX_RESAMPLES, MAX_RESTARTS, WIDEN_EVERY, RetryBudgetExceeded
 
 ATLAS_PATH = Path(__file__).parent / "data" / "atlas_n1to7.g6"
 
@@ -400,3 +417,137 @@ def random_delta_graph(n: int, rng: random.Random) -> Graph:
         g = from_edge_list(n, edges)
         if is_connected(g) and is_connected(complement(g)):
             return g
+
+
+def certify_verify_families() -> list[Graph]:
+    """The 43 C-delta family graphs of the benchmark's certify-verify corpus.
+
+    C_n for n = 6..24, ML_k for even k = 10..24, the C-delta K_a x P_b with
+    n = ab <= 18 except K6 x P3, the Robertson cage, S2 o P2 and S3 o P1.
+    """
+    out = [cycle(n) for n in range(6, 25)]
+    out += [mobius_ladder(k) for k in range(10, 25, 2)]
+    for a, bs in ((2, range(4, 10)), (3, range(3, 7)), (4, range(3, 5)), (5, range(3, 4))):
+        out += [cartesian_product(complete(a), path(b)) for b in bs]
+    out.append(robertson_cage())
+    out += [corona(star(2), path(2)), corona(star(3), path(1))]
+    return out
+
+
+# --- the construction kernel, replayed from each vertex's full prior list ---
+
+
+@dataclass
+class RandintSampler(GenericSampler):
+    """GenericSampler's stream drawn through randint, counting draws and widenings."""
+
+    draws: int = 0
+    widenings: int = 0
+
+    def nonzero(self) -> int:
+        self.draws += 1
+        value = self._rng.randint(1, self.magnitude)
+        if self._rng.random() < 0.5:
+            value = -value
+        return value
+
+    def widen(self) -> None:
+        self.widenings += 1
+        super().widen()
+
+
+def _primitive(ints) -> tuple[int, ...]:
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
+def nullspace_basis_by_elimination(rows, ncols: int) -> list[tuple[int, ...]]:
+    """The primitive reduced-echelon nullspace basis, eliminating even when rows is empty.
+
+    One vector per free column, positive in that column, in column order.
+    """
+    mat = [list(row) for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == len(mat):
+            break
+        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        prow = mat[r]
+        pv = prow[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if i != r and f:
+                mat[i] = list(_primitive([pv * x - f * y for x, y in zip(row, prow)]))
+        pivots.append(c)
+        r += 1
+    scale = lcm(*(mat[i][pc] for i, pc in enumerate(pivots)))
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [0] * ncols
+        vec[fc] = scale
+        for i, pc in enumerate(pivots):
+            vec[pc] = -mat[i][fc] * (scale // mat[i][pc])
+        basis.append(_primitive(vec))
+    return basis
+
+
+def solve_from_priors(priors, d: int, sampler) -> tuple[int, ...]:
+    """One construction step from (vector, adjacent) pairs over every prior.
+
+    Draws a random combination of the nullspace basis of the non-adjacent
+    priors, redrawing up to MAX_RESAMPLES times (widening every WIDEN_EVERY
+    draws; once only for a one-vector basis) until every coordinate is
+    nonzero and every adjacent prior has a nonzero inner product with it and
+    is not +-it, each prior's norm taken afresh.
+    """
+    zero_rows = [vec for vec, adjacent in priors if not adjacent]
+    basis = nullspace_basis_by_elimination(zero_rows, d)
+    draws = 1 if len(basis) == 1 else MAX_RESAMPLES
+    for attempt in range(draws):
+        if attempt and attempt % WIDEN_EVERY == 0:
+            sampler.widen()
+        coeffs = [sampler.nonzero() for _ in basis]
+        x = [sum(c * vec[k] for c, vec in zip(coeffs, basis)) for k in range(d)]
+        if not all(x):
+            continue
+        x = _primitive(x)
+        xx = sum(a * a for a in x)
+        for u, adjacent in priors:
+            if adjacent:
+                xu = sum(a * b for a, b in zip(x, u))
+                if xu == 0 or (sum(a * a for a in u) == xx and abs(xu) == xx):
+                    break
+        else:
+            return x
+    raise RetryBudgetExceeded(f"step out of {draws} draws")
+
+
+def construct_from_priors(
+    g: Graph, cert: DeltaCertificate, sampler
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """construct's vectors for a valid certificate, and how often it restarted.
+
+    Each vertex in certificate order gets solve_from_priors over the list of
+    all the vertices before it; a step out of draws widens the window and
+    starts over, up to MAX_RESTARTS times.
+    """
+    d = g.n - min(a.bit_count() for a in g.adj)
+    order = cert.ordering
+    for restart in range(MAX_RESTARTS + 1):
+        if restart:
+            sampler.widen()
+        vectors = [()] * g.n
+        try:
+            for i, v in enumerate(order):
+                priors = [(vectors[u], g.has_edge(u, v)) for u in order[:i]]
+                vectors[v] = solve_from_priors(priors, d, sampler)
+        except RetryBudgetExceeded:
+            continue
+        return tuple(vectors), restart
+    raise RetryBudgetExceeded("out of restarts")

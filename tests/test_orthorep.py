@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -23,6 +24,7 @@ from deltamsr.families import cartesian_product, complete, cycle, mobius_ladder,
 from deltamsr.linalg import dot, primitive_int_vector, primitive_part
 from deltamsr.orthorep import (
     MAX_RESAMPLES,
+    MAX_RESTARTS,
     WIDEN_EVERY,
     RetryBudgetExceeded,
     _solve_vector,
@@ -48,10 +50,42 @@ def base_triple(kind, d, sampler):
 
     A K2+K1 base is ordered (end, lone vertex, end), so v1 ~ v3.
     """
-    v1 = _solve_vector([], d, sampler)
-    v2 = _solve_vector([(v1, False)], d, sampler)
-    v3 = _solve_vector([(v1, kind == "K2+K1"), (v2, False)], d, sampler)
+    v1, n1 = _solve_vector([], [], d, sampler)
+    v2, n2 = _solve_vector([v1], [], d, sampler)
+    if kind == "K2+K1":
+        v3, n3 = _solve_vector([v2], [(v1, n1)], d, sampler)
+    else:
+        v3, n3 = _solve_vector([v1, v2], [], d, sampler)
+    assert [n1, n2, n3] == [dot(v, v) for v in (v1, v2, v3)]
     return v1, v2, v3
+
+
+def test_sampler_draws_the_randint_stream():
+    # each draw is random.Random(seed).randint(1, m), negated when the next
+    # random() is below 0.5, at every window the widenings reach
+    for seed in range(50):
+        rng = random.Random(seed)
+        sampler = GenericSampler(seed=seed)
+        counting = CountingSampler(seed=seed)
+        m = 16
+        for k in range(500):
+            if k and k % 50 == 0:
+                sampler.widen()
+                counting.widen()
+                m *= 2
+            value = rng.randint(1, m)
+            if rng.random() < 0.5:
+                value = -value
+            assert sampler.nonzero() == counting.nonzero() == value, (seed, k)
+        assert sampler.magnitude == counting.magnitude == m
+        assert (counting.draws, counting.widenings) == (500, 9)
+    # windows that are not powers of two, down to one
+    for magnitude in (1, 2, 3, 10, 1000):
+        rng = random.Random(magnitude)
+        sampler = GenericSampler(seed=magnitude, magnitude=magnitude)
+        for _ in range(200):
+            value = rng.randint(1, magnitude)
+            assert sampler.nonzero() == (-value if rng.random() < 0.5 else value)
 
 
 def test_sampler_is_deterministic_and_nonzero():
@@ -114,16 +148,17 @@ def test_seed_triple_k2k1_pattern():
 def test_seed_triple_rejects():
     # a 3K1 base needs three mutually orthogonal vectors, impossible in d = 2
     s = GenericSampler()
-    v1 = _solve_vector([], 2, s)
-    v2 = _solve_vector([(v1, False)], 2, s)
+    v1, _ = _solve_vector([], [], 2, s)
+    v2, _ = _solve_vector([v1], [], 2, s)
     with pytest.raises(ValueError):
-        _solve_vector([(v1, False), (v2, False)], 2, s)
+        _solve_vector([v1, v2], [], 2, s)
 
 
 def test_extend_all_adjacent():
     s = GenericSampler(seed=3)
     triple = base_triple("3K1", 3, s)
-    v4 = _solve_vector([(u, True) for u in triple], 3, s)
+    v4, n4 = _solve_vector([], [(u, dot(u, u)) for u in triple], 3, s)
+    assert n4 == dot(v4, v4)
     assert all(dot(v4, u) != 0 for u in triple)
     assert all(c != 0 for c in v4)
 
@@ -132,13 +167,13 @@ def test_extend_rejects_too_many_orthogonality_constraints():
     s = GenericSampler(seed=4)
     triple = base_triple("3K1", 3, s)
     with pytest.raises(ValueError):
-        _solve_vector([(u, False) for u in triple], 3, s)
+        _solve_vector(list(triple), [], 3, s)
 
 
 def test_extend_k2k1_case():
     s = GenericSampler(seed=5)
     triple = base_triple("K2+K1", 3, s)
-    v4 = _solve_vector(list(zip(triple, [True, True, False])), 3, s)
+    v4, _ = _solve_vector([triple[2]], [(u, dot(u, u)) for u in triple[:2]], 3, s)
     assert dot(v4, triple[0]) != 0
     assert dot(v4, triple[1]) != 0
     assert dot(v4, triple[2]) == 0
@@ -159,14 +194,14 @@ def test_extend_redraws_a_multiple_of_a_neighbour():
     # with no zero rows the basis is e1, e2, so x is the drawn pair itself:
     # 2u and -u are dependent on the neighbour u = (1, 2), (3, 1) is not
     s = ScriptedSampler([2, 4, -1, -2, 3, 1])
-    assert _solve_vector([((1, 2), True)], 2, s) == (3, 1)
+    assert _solve_vector([], [((1, 2), 5)], 2, s) == ((3, 1), 10)
 
 
 def test_extend_keeps_an_independent_vector_that_meets_one_equality():
     # x = (2, 1) has the norm of u = (1, 2), and x = (1, 1) has x.x = x.u
     # for u = (3, -1); neither is a multiple of its neighbour
-    assert _solve_vector([((1, 2), True)], 2, ScriptedSampler([2, 1])) == (2, 1)
-    assert _solve_vector([((3, -1), True)], 2, ScriptedSampler([1, 1])) == (1, 1)
+    assert _solve_vector([], [((1, 2), 5)], 2, ScriptedSampler([2, 1])) == ((2, 1), 5)
+    assert _solve_vector([], [((3, -1), 10)], 2, ScriptedSampler([1, 1])) == ((1, 1), 2)
 
 
 def test_a_one_vector_step_draws_once():
@@ -174,15 +209,56 @@ def test_a_one_vector_step_draws_once():
     # itself: no draw can help, so the step gives up after one
     s = CountingSampler(seed=1)
     with pytest.raises(RetryBudgetExceeded, match="^no admissible vector after 1 resamples"):
-        _solve_vector([((1, 1), False), ((1, -1), True)], 2, s)
+        _solve_vector([(1, 1)], [((1, -1), 2)], 2, s)
     assert s.draws == 1 and s.widenings == 0
     # a two-vector basis (e2, e3) always leaves a zero coordinate: every draw
     # is made, two coefficients each, widening every WIDEN_EVERY draws
     s = CountingSampler(seed=1)
     with pytest.raises(RetryBudgetExceeded, match=f"^no admissible vector after {MAX_RESAMPLES} "):
-        _solve_vector([((1, 0, 0), False)], 3, s)
+        _solve_vector([(1, 0, 0)], [], 3, s)
     assert s.draws == 2 * MAX_RESAMPLES
     assert s.widenings == (MAX_RESAMPLES - 1) // WIDEN_EVERY
+
+
+def test_exhausted_restarts_name_the_failing_step():
+    # with every coefficient 1, v1 = (1, 1, 1, 1), v2 = (-3, 1, 1, 1), and v3,
+    # a neighbour of v1 orthogonal to v2, is +-v1 on every draw of every restart
+    g = complement(mobius_ladder(12))
+    with pytest.raises(RetryBudgetExceeded) as failure:
+        construct(g, recognize_delta(g), ScriptedSampler(itertools.repeat(1)))
+    assert str(failure.value) == (
+        f"no admissible vector after {MAX_RESAMPLES} resamples "
+        "(dimension 4, 2 priors, 1 orthogonality constraints), "
+        f"then {MAX_RESTARTS} widened restarts"
+    )
+
+
+def test_construct_matches_the_prior_list_oracle():
+    # construct against the step-by-step oracle that solves each vertex
+    # from the list of all its priors: the same vectors, draws and widenings
+    cases = []
+    for g in helpers.atlas_graphs(min_n=4):
+        cert = recognize_delta(g)
+        if cert is not None:
+            cases += [(g, cert, seed, 16) for seed in range(5)]
+    assert len(cases) == 5 * 218
+    for family in helpers.certify_verify_families():
+        g = complement(family)
+        cases.append((g, recognize_delta(g), 0, 16))
+    # a window of 2 makes steps redraw, widen and restart
+    for n in range(32, 49):
+        g = complement(cycle(n))
+        cases.append((g, recognize_delta(g), 0, 2))
+    restarts = widened_steps = 0
+    for g, cert, seed, magnitude in cases:
+        counting = CountingSampler(seed=seed, magnitude=magnitude)
+        oracle = helpers.RandintSampler(seed=seed, magnitude=magnitude)
+        vectors, restarted = helpers.construct_from_priors(g, cert, oracle)
+        assert construct(g, cert, counting).vectors == vectors, (to_graph6(g), seed)
+        assert (counting.draws, counting.widenings) == (oracle.draws, oracle.widenings)
+        restarts += restarted
+        widened_steps += counting.widenings > restarted
+    assert restarts > 0 and widened_steps > 0
 
 
 def test_construct_prism():
