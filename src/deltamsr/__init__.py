@@ -1,11 +1,10 @@
 """Delta-graph recognition and exact msr certification.
 
-``GenericSampler`` and ``families`` are resolved on first use, so that
-importing the package imports neither ``dataclasses``, which only the
-sampler needs, nor the family builders, which only ``gen`` needs.
+``GenericSampler`` is resolved on first use, so that importing the package
+does not import ``dataclasses``, which only the sampler needs.  The family
+builders, which only ``gen`` needs, are a submodule that nothing here
+imports: ``from deltamsr import families`` loads it.
 """
-
-import importlib
 
 from .graphs import (
     MAX_VERTICES,
@@ -42,7 +41,7 @@ from .msr import (
     msr_exact,
 )
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 
 def __getattr__(name: str):
@@ -50,8 +49,4 @@ def __getattr__(name: str):
         from .sampler import GenericSampler
 
         return GenericSampler
-    if name == "families":
-        # import_module, not "from . import families": that form looks the
-        # name up on this package first and would land here again
-        return importlib.import_module(".families", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -110,9 +110,6 @@ class Graph(_GraphFields):
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def neighbors(self, v: int) -> list[int]:
         return list(_bits(self.adj[v]))
 

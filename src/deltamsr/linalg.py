@@ -1,17 +1,11 @@
 """Exact linear algebra on integer vectors.
 
-Small dense matrices only, with no tolerances anywhere.  Vectors are
-primitive integer vectors: rescaling by a nonzero rational changes no zero
-coordinate, no zero/nonzero inner product and no linear (in)dependence, so
-rational input is scaled to integers once and everything after that is
-fraction-free.  Elimination keeps rows integral by cross-multiplying and
-dividing each row by its gcd.
-
-``primitive_int_vector`` takes two steps: it scales rational entries to
-integers by the lcm of their denominators, then ``primitive_part`` divides
-out the gcd.  Code whose vectors are integral by construction, the
-nullspace basis here and the solve step of ``orthorep.construct``, calls
-``primitive_part`` alone and never touches a denominator.
+Small dense matrices only, with no tolerances anywhere.  Every vector is an
+integer vector, and a primitive one has coprime entries: ``primitive_part``
+divides out the gcd, which changes no zero coordinate, no zero/nonzero
+inner product and no linear (in)dependence.  Elimination keeps rows
+integral by cross-multiplying and dividing each row by its gcd, so no
+value is ever a fraction.
 """
 
 from __future__ import annotations
@@ -22,7 +16,6 @@ from operator import mul
 __all__ = [
     "dot",
     "int_nullspace_basis",
-    "primitive_int_vector",
     "primitive_part",
 ]
 
@@ -31,16 +24,6 @@ def dot(u, v):
     if len(u) != len(v):
         raise ValueError("inner product of vectors of different lengths")
     return sum(map(mul, u, v), 0)
-
-
-def primitive_int_vector(vec) -> tuple[int, ...]:
-    """Integer vector with coprime entries spanning the same rational line.
-
-    Entries are ints or Fractions.  The scale factor is positive, so signs
-    are kept; the zero vector stays zero.
-    """
-    den = lcm(*(x.denominator for x in vec))
-    return primitive_part([x.numerator * (den // x.denominator) for x in vec])
 
 
 def primitive_part(ints) -> tuple[int, ...]:

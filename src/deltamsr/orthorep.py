@@ -33,9 +33,11 @@ Dependence is decided one way throughout, on inner products already taken.
 Two nonzero primitive integer vectors u and v are dependent iff v = +-u,
 that is iff u.u = v.v and |u.v| = u.u: the equality case of Cauchy-Schwarz
 for equal norms, tested without multiplying big integers.  verify_rep
-accepts rational vectors too, such as a bundle with "p/q" coordinates read
-back from JSON: it rescales each one to a primitive integer vector and
-reads every check off their norms and pairwise inner products.
+divides each vector by the gcd of its coordinates first, since a bundle
+edited by hand may hold a vector such as (2, 4), and reads every check off
+their norms and pairwise inner products.  Coordinates are integers
+everywhere: construct builds nothing else, and a bundle is read back only
+from integer text.
 
 The records here are NamedTuples.  The sampler, the package's one
 dataclass, lives in ``deltamsr.sampler``; ``construct_verified``, the one
@@ -47,17 +49,14 @@ from __future__ import annotations
 
 import re
 from itertools import combinations
-from math import gcd
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .graphs import Graph, min_degree
-from .linalg import dot, int_nullspace_basis, primitive_int_vector, primitive_part
+from .linalg import dot, int_nullspace_basis, primitive_part
 from .recognition import DeltaCertificate, check_certificate
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .sampler import GenericSampler
 
 __all__ = [
@@ -66,7 +65,6 @@ __all__ = [
     "WIDEN_EVERY",
     "RetryBudgetExceeded",
     "SelfCheckFailed",
-    "RationalVector",
     "OrthoRep",
     "RepReport",
     "construct",
@@ -87,7 +85,6 @@ MAX_RESAMPLES = 32
 WIDEN_EVERY = 8
 MAX_RESTARTS = 8
 
-RationalVector = tuple["Fraction | int", ...]
 IntVector = tuple[int, ...]
 
 
@@ -111,15 +108,14 @@ class SelfCheckFailed(RuntimeError):
 
 
 class OrthoRep(NamedTuple):
-    """One rational vector per vertex, all in dimension ``dim``.
+    """One integer vector per vertex, all in dimension ``dim``.
 
     ``construct`` fills it with primitive integer vectors.  A bundle read
-    back from JSON holds ints, and a Fraction only where a coordinate was
-    written as "p/q" with q other than 1.
+    back from JSON holds the ints it was written with, primitive or not.
     """
 
     dim: int
-    vectors: tuple[RationalVector, ...]
+    vectors: tuple[IntVector, ...]
 
 
 class RepReport(NamedTuple):
@@ -267,18 +263,18 @@ def gram(rep: OrthoRep) -> tuple[tuple[int, ...], ...]:
 def verify_rep(g: Graph, rep: OrthoRep) -> RepReport:
     """Re-check every contract of a representation against its graph.
 
-    Each vector is first scaled to a primitive integer vector, which keeps
+    Each vector is first divided by the gcd of its coordinates, which keeps
     every zero coordinate, every zero/nonzero inner product and every
-    pairwise dependence, so rational input verifies as it would unscaled.
-    The zero pattern and the dependences are read off the scaled vectors'
-    norms and one inner product per pair.  A zero vector is dependent on
-    every nonzero vector before it and on nothing else; nonzero primitive
-    u, v are dependent iff u.u = v.v = |u.v|, the equality case of
-    Cauchy-Schwarz for equal norms.
+    pairwise dependence, so a non-primitive vector such as (2, 4) verifies
+    as its primitive part (1, 2) would.  The zero pattern and the
+    dependences are read off the divided vectors' norms and one inner
+    product per pair.  A zero vector is dependent on every nonzero vector
+    before it and on nothing else; nonzero primitive u, v are dependent iff
+    u.u = v.v = |u.v|, the equality case of Cauchy-Schwarz for equal norms.
     """
     if len(rep.vectors) != g.n:
         raise ValueError("representation size does not match the graph")
-    vecs = tuple(primitive_int_vector(v) for v in rep.vectors)
+    vecs = tuple(map(primitive_part, rep.vectors))
     delta_bound = g.n - min_degree(g)
     dimension_ok = rep.dim == delta_bound and all(
         len(v) == rep.dim for v in vecs
@@ -311,56 +307,49 @@ def verify_rep(g: Graph, rep: OrthoRep) -> RepReport:
 # --- serialization ----------------------------------------------------------
 
 
-# A coordinate or Gram entry is written as "p" when it is an integer and
-# as "p/q" otherwise.  Integers are converted by str() and int() within the
-# interpreter's int/str digit limit, and past it through Decimal, whose
-# conversions the limit does not bound.  "p/1", as 0.13.0 and earlier
-# wrote every integer, is read as an int too; fractions and decimal are
-# imported only for other "p/q" text and past the limit.  The strict
-# pattern runs before any conversion, so no exponent such as "1e999999999"
-# reaches one, nor any text that int() alone accepts ("1_000", " 12",
-# non-ASCII digits).
-_FRACTION_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# A coordinate or Gram entry is an integer, written as "p" by str() and
+# read by int() within the interpreter's int/str digit limit, and past it
+# through Decimal, whose conversions the limit does not bound.  "p/1", as
+# 0.13.0 and earlier wrote every integer, is read too; any other "p/q" text
+# is refused, as no version of construct made a coordinate that is not an
+# integer.  The strict pattern runs before any conversion, so no exponent
+# such as "1e999999999" reaches one, nor any text that int() alone accepts
+# ("1_000", " 12", non-ASCII digits).
+_INT_TEXT = re.compile(r"(-?[0-9]+)(?:/1)?")
 
 
-def fraction_to_str(x: Fraction | int) -> str:
-    """Text "p" for an integral value, else "p/q" in lowest terms."""
+def fraction_to_str(x: int) -> str:
+    """Decimal text "p" of an integer coordinate or Gram entry, at any length.
+
+    Integers are the only values written or read; the name is kept from
+    releases whose reader also took "p/q" text.
+    """
     try:
         return str(x)
     except ValueError:  # past the interpreter's int/str digit limit
         from decimal import Decimal
 
-        text = str(Decimal(x.numerator))
-        return text if x.denominator == 1 else f"{text}/{Decimal(x.denominator)}"
+        return str(Decimal(x))
 
 
-def _int(digits: str) -> int:
-    """Integer value of decimal digits that _FRACTION_TEXT matched, at any length."""
+def fraction_from_str(s: str) -> int:
+    """Inverse of fraction_to_str: the int that "p" or legacy "p/1" text names.
+
+    Integers are the only values read.  Raises ValueError, naming the text,
+    on anything else, "p/q" text with q other than 1 included.
+    """
+    match = _INT_TEXT.fullmatch(s)
+    if match is None:
+        # a long "p/q" is named by both ends, so that its "/q" shows
+        shown = s if len(s) <= 40 else f"{s[:20]}...{s[-17:]}"
+        raise ValueError(f"not an integer p or p/1: {shown!r}")
+    digits = match[1]
     try:
         return int(digits)
     except ValueError:  # past the interpreter's int/str digit limit
         from decimal import Decimal
 
         return int(Decimal(digits))
-
-
-def fraction_from_str(s: str) -> Fraction | int:
-    """Inverse of fraction_to_str: an int for "p" and "p/1" text, else a Fraction.
-
-    Raises ValueError on any other text and on a zero denominator.
-    """
-    match = _FRACTION_TEXT.fullmatch(s)
-    if match is None:
-        raise ValueError(f"not an integer p or a fraction p/q: {s[:40]!r}")
-    num, den = match.groups()
-    denominator = 1 if den is None else _int(den)
-    if denominator == 0:
-        raise ValueError("fraction with zero denominator")
-    if denominator == 1:
-        return _int(num)
-    from fractions import Fraction
-
-    return Fraction(_int(num), denominator)
 
 
 def rep_to_json_dict(rep: OrthoRep) -> dict:
@@ -390,37 +379,25 @@ def gram_mismatch(rep: OrthoRep, m: dict) -> tuple[int, int] | None:
     """First entry (i, j), in row-major order, of a Gram matrix that rep contradicts.
 
     m is a Gram matrix as gram_to_json_dict writes it; entry (i, j) must
-    equal the inner product of rep's vectors i and j.  Returns None when
-    every entry does.  Vectors of different lengths have no inner product,
-    so their entries never agree.  Raises TypeError when m's n is not an
-    integer, as rep_from_json_dict does for dim, and ValueError when m is
-    not n x n for rep's n vectors, as verify_rep does for a representation
-    of the wrong size.
-
-    Compared in integers: each vector v is s * p for its primitive integer
-    vector p and a rational s = a / b, so entry num / den agrees iff
-    num * b_i * b_j == den * a_i * a_j * (p_i . p_j).  An integer entry,
-    "p" or "p/1", is read as an int, so only other "p/q" text makes a
-    Fraction.
+    equal the inner product of rep's vectors i and j as they are written,
+    with no rescaling.  Returns None when every entry does.  Vectors of
+    different lengths have no inner product, so their entries never agree.
+    Every entry is read before any is compared, so text that is not an
+    integer raises ValueError wherever it stands.  Raises TypeError when
+    m's n is not an integer, as rep_from_json_dict does for dim, and
+    ValueError when m is not n x n for rep's n vectors, as verify_rep does
+    for a representation of the wrong size.
     """
-    n = len(rep.vectors)
+    vecs = rep.vectors
+    n = len(vecs)
     entries = m["entries"]
     if type(m["n"]) is not int:
         raise TypeError("gram n must be an integer")
     if m["n"] != n or len(entries) != n or any(len(row) != n for row in entries):
         raise ValueError(f"gram is not {n} x {n}")
-    prims = [primitive_int_vector(v) for v in rep.vectors]
-    # s = v[k] / p[k] at any nonzero p[k]; a zero vector's scale does not matter
-    scales = []
-    for v, p in zip(rep.vectors, prims):
-        x, y = next(((x, y) for x, y in zip(v, p) if y), (1, 1))
-        a, b = x.numerator, x.denominator * y
-        g = gcd(a, b)
-        scales.append((a // g, b // g))
-    for i, (row, p, (ai, bi)) in enumerate(zip(entries, prims, scales)):
-        for j, (text, q, (aj, bj)) in enumerate(zip(row, prims, scales)):
-            entry = fraction_from_str(text)
-            num, den = entry.numerator, entry.denominator
-            if len(p) != len(q) or num * bi * bj != den * ai * aj * dot(p, q):
+    values = [[fraction_from_str(text) for text in row] for row in entries]
+    for i, (row, u) in enumerate(zip(values, vecs)):
+        for j, (entry, v) in enumerate(zip(row, vecs)):
+            if len(u) != len(v) or entry != dot(u, v):
                 return (i, j)
     return None

@@ -104,7 +104,7 @@ def rep_checks(g: Graph, dim: int, vecs) -> tuple[bool, bool, bool, bool, tuple[
     pattern_ok = independent_ok = True
     failed = None
     for i, j in combinations(range(g.n), 2):
-        wrong = (sum(a * b for a, b in zip(vecs[i], vecs[j])) != 0) != g.has_edge(i, j)
+        wrong = (sum(a * b for a, b in zip(vecs[i], vecs[j])) != 0) != g.adj[i] >> j & 1
         dependent = any(vecs[i]) and rank([vecs[i], vecs[j]]) <= 1
         pattern_ok = pattern_ok and not wrong
         independent_ok = independent_ok and not dependent
@@ -120,7 +120,7 @@ def induced_subgraph(g: Graph, vs) -> Graph:
         raise ValueError(f"not a nonempty set of vertices of g: {vs}")
     return from_edge_list(
         len(vs),
-        [(i, j) for i, j in combinations(range(len(vs)), 2) if g.has_edge(vs[i], vs[j])],
+        [(i, j) for i, j in combinations(range(len(vs)), 2) if g.adj[vs[i]] >> vs[j] & 1],
     )
 
 
@@ -179,8 +179,8 @@ def is_perfect_elimination_ordering(g: Graph, order) -> bool:
     if sorted(order) != list(range(g.n)):
         return False
     for i, v in enumerate(order):
-        later = [u for u in order[i + 1:] if g.has_edge(u, v)]
-        if not all(g.has_edge(a, b) for a, b in combinations(later, 2)):
+        later = [u for u in order[i + 1:] if g.adj[u] >> v & 1]
+        if not all(g.adj[a] >> b & 1 for a, b in combinations(later, 2)):
             return False
     return True
 
@@ -202,7 +202,7 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
         for w in range(h.n):
             if used[w] or h.degree(w) != g.degree(v):
                 continue
-            if all(g.has_edge(v, u) == h.has_edge(w, mapping[u]) for u in mapping):
+            if all(g.adj[v] >> u & 1 == h.adj[w] >> mapping[u] & 1 for u in mapping):
                 mapping[v] = w
                 used[w] = True
                 if assign(i + 1):
@@ -277,12 +277,12 @@ def brute_force_recognize(g: Graph) -> DeltaCertificate | None:
         return None
     # bit u of missed[v] is set when u and v are distinct non-neighbours
     missed = [
-        sum(1 << u for u in range(n) if u != v and not g.has_edge(u, v))
+        sum(1 << u for u in range(n) if u != v and not g.adj[u] >> v & 1)
         for v in range(n)
     ]
     for perm in permutations(range(n)):
         a, b, c = perm[:3]
-        base_edges = g.has_edge(a, b) + g.has_edge(a, c) + g.has_edge(b, c)
+        base_edges = (g.adj[a] >> b & 1) + (g.adj[a] >> c & 1) + (g.adj[b] >> c & 1)
         if base_edges > 1:
             continue
         placed = (1 << a) | (1 << b) | (1 << c)
@@ -313,7 +313,7 @@ def first_delta_certificate(g: Graph) -> DeltaCertificate | None:
         return None
 
     def missed(v: int, placed: list[int]) -> int:
-        return sum(1 for u in placed if not g.has_edge(u, v))
+        return sum(1 for u in placed if not g.adj[u] >> v & 1)
 
     def extend(placed: list[int], counts: list[int]) -> DeltaCertificate | None:
         if len(placed) == n:
@@ -331,7 +331,7 @@ def first_delta_certificate(g: Graph) -> DeltaCertificate | None:
         return None
 
     for a, b, c in combinations(range(n), 3):
-        edges = [e for e in ((a, b), (a, c), (b, c)) if g.has_edge(*e)]
+        edges = [e for e in ((a, b), (a, c), (b, c)) if g.adj[e[0]] >> e[1] & 1]
         if len(edges) > 1:
             continue
         if edges:
@@ -545,7 +545,7 @@ def construct_from_priors(
         vectors = [()] * g.n
         try:
             for i, v in enumerate(order):
-                priors = [(vectors[u], g.has_edge(u, v)) for u in order[:i]]
+                priors = [(vectors[u], g.adj[u] >> v & 1) for u in order[:i]]
                 vectors[v] = solve_from_priors(priors, d, sampler)
         except RetryBudgetExceeded:
             continue

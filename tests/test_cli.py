@@ -7,6 +7,7 @@ import selectors
 import subprocess
 import sys
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -369,9 +370,10 @@ def test_verify_malformed_bundles_are_input_errors(capsys):
 
 
 def test_verify_reads_long_coordinates_in_a_fresh_process():
-    # scaling a vector by 10**5000, or by 10**5000 / 7, keeps the pattern; the
-    # numerators are then longer than the interpreter's default int/str digit
-    # limit, written bare, as "p/1" and as "p/q"
+    # scaling a vector by 10**5000 keeps the pattern; the coordinates are
+    # then longer than the interpreter's default int/str digit limit, written
+    # bare and as "p/1".  Written as "p/7" they are not integers: exit 2,
+    # naming the text by both ends
     assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
     _, out = run_cli(["certify", "--seed", "3", PRISM])
     for suffix in ("", "/1", "/7"):
@@ -385,6 +387,14 @@ def test_verify_reads_long_coordinates_in_a_fresh_process():
             text=True,
             env=subprocess_env(),
         )
+        if suffix == "/7":
+            assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+            first = vectors[0][0]
+            named = f"{first[:20]}...{first[-17:]}"
+            assert named.endswith("0/7")
+            error = json.loads(proc.stderr)["error"]
+            assert error == f"bad bundle: not an integer p or p/1: {named!r}"
+            continue
         assert proc.returncode == 0, (suffix, proc.stderr)
         assert all(json.loads(proc.stdout)["checks"].values()), suffix
 
@@ -414,11 +424,12 @@ def test_verify_writes_and_reads_integers_past_the_digit_limit():
     assert json.loads(proc.stdout) == {"bound": 3, "checks": dict.fromkeys(checks, True)}
 
 
-def test_verify_reads_integer_p_1_and_p_q_bundles_alike():
-    # the same bundle with integer text, with "p/1" text as earlier versions
-    # wrote it, and with every vector divided by more than its largest
-    # coordinate and the Gram matrix rescaled to match, all "p/q" text;
-    # intact and with v3 := v0
+def test_verify_reads_integer_and_p_1_bundles_alike_and_refuses_p_q(capsys):
+    # the same bundle with integer text and with "p/1" text as earlier
+    # versions wrote it, intact and with v3 := v0, gives the same report.
+    # With every vector divided by more than its largest coordinate and the
+    # Gram matrix rescaled to match, all "p/q" text, it is an input error
+    # that names the first coordinate
     _, out = run_cli(["certify", "--seed", "3", "--emit-gram", PRISM])
     integer = json.loads(out)
     p_1 = json.loads(out)
@@ -427,12 +438,10 @@ def test_verify_reads_integer_p_1_and_p_q_bundles_alike():
     ]
     p_1["gram"]["entries"] = [[x + "/1" for x in row] for row in integer["gram"]["entries"]]
     rep = rep_from_json_dict(integer["representation"])
-    divided = OrthoRep(
-        rep.dim, tuple(tuple(Fraction(x, 2 + max(map(abs, vec))) for x in vec) for vec in rep.vectors)
-    )
+    divided = [[Fraction(x, 2 + max(map(abs, vec))) for x in vec] for vec in rep.vectors]
     p_q = json.loads(out)
-    p_q["representation"] = rep_to_json_dict(divided)
-    p_q["gram"] = gram_to_json_dict(gram(divided))
+    p_q["representation"]["vectors"] = [[str(x) for x in vec] for vec in divided]
+    p_q["gram"]["entries"] = [[str(sum(map(mul, u, v))) for v in divided] for u in divided]
     assert all("/" in x for vec in p_q["representation"]["vectors"] for x in vec)
 
     def verified(bundle, tamper):
@@ -442,22 +451,31 @@ def test_verify_reads_integer_p_1_and_p_q_bundles_alike():
         return run_cli(["verify"], stdin_text=json.dumps(bundle))
 
     for tamper in (False, True):
-        reports = {verified(copy.deepcopy(b), tamper) for b in (integer, p_1, p_q)}
+        reports = {verified(copy.deepcopy(b), tamper) for b in (integer, p_1)}
         assert len(reports) == 1, reports
         code, report = reports.pop()
         assert code == (1 if tamper else 0)
         assert ("failed_pair" in json.loads(report)) == tamper
+        capsys.readouterr()
+        assert verified(copy.deepcopy(p_q), tamper) == (2, "")
+        first = p_q["representation"]["vectors"][0][0]
+        assert repr(first) in json.loads(capsys.readouterr().err)["error"]
 
 
-def test_verify_rejects_non_decimal_coordinates():
-    # int() alone accepts the last three, so the strict pattern runs first
+def test_verify_rejects_non_decimal_coordinates(capsys):
+    # int() alone accepts "1_000", " 12" and the Arabic-Indic digits, so the
+    # strict pattern runs first.  A fraction "p/q" with q other than 1 is
+    # refused too, even where its value is an integer ("6/3")
     _, out = run_cli(["certify", "--seed", "3", "--emit-gram", PRISM])
-    for bad in ("1e999999999", "1/0", "0x10/1", "1_000", " 12", "\u0661\u0662"):
+    bad_texts = ("1e999999999", "1/0", "0x10/1", "1_000", " 12", "\u0661\u0662")
+    for bad in bad_texts + ("3/4", "0/5", "6/3"):
         for section, key in (("representation", "vectors"), ("gram", "entries")):
             bundle = json.loads(out)
             bundle[section][key][0][0] = bad
-            code, _ = run_cli(["verify"], stdin_text=json.dumps(bundle))
-            assert code == 2, (bad, section)
+            capsys.readouterr()
+            code, report = run_cli(["verify"], stdin_text=json.dumps(bundle))
+            assert code == 2 and report == "", (bad, section)
+            assert repr(bad) in json.loads(capsys.readouterr().err)["error"], (bad, section)
 
 
 def test_verify_rejects_garbage():
@@ -774,6 +792,12 @@ def test_cold_start_without_dataclasses_where_nothing_is_constructed():
     code, out, heavy = cold_start(["verify"], bundle)
     assert code == 0 and json.loads(out)["bound"] == 3
     assert heavy == []
+    # nor for a bundle with "p/1" text, as 0.13.0 and earlier wrote it
+    p_1 = json.loads(bundle)
+    p_1["representation"]["vectors"] = [
+        [x + "/1" for x in vec] for vec in p_1["representation"]["vectors"]
+    ]
+    assert cold_start(["verify"], json.dumps(p_1)) == (0, out, [])
     # certify builds a GenericSampler, a dataclass, so the hook sees the import there
     code, out, heavy = cold_start(["certify", "--seed", "0", PRISM], "")
     assert code == 0 and out == bundle and heavy == ["dataclasses", "inspect"]

@@ -2,9 +2,9 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import pytest
 
@@ -21,7 +21,7 @@ from deltamsr import (
     verify_rep,
 )
 from deltamsr.families import cartesian_product, complete, cycle, mobius_ladder, path
-from deltamsr.linalg import dot, primitive_int_vector, primitive_part
+from deltamsr.linalg import dot, primitive_part
 from deltamsr.orthorep import (
     MAX_RESAMPLES,
     MAX_RESTARTS,
@@ -39,10 +39,6 @@ from deltamsr.orthorep import (
 import helpers
 
 PRISM = complement(cycle(6))
-
-
-def fr(x):
-    return Fraction(x)
 
 
 def base_triple(kind, d, sampler):
@@ -338,9 +334,7 @@ def test_construct_recovers_from_a_tiny_window_by_widening_and_restarting():
 
 
 def test_gram_identity_and_diagonal():
-    basis = tuple(
-        tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3)
-    )
+    basis = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
     assert gram(OrthoRep(3, basis)) == basis
     sg = gram(construct(PRISM, recognize_delta(PRISM), GenericSampler(seed=6)))
     for i in range(6):
@@ -348,7 +342,7 @@ def test_gram_identity_and_diagonal():
         for j in range(6):
             assert sg[i][j] == sg[j][i]
             if i != j:
-                assert (sg[i][j] != 0) == PRISM.has_edge(i, j)
+                assert (sg[i][j] != 0) == PRISM.adj[i] >> j & 1
 
 
 def test_gram_matches_all_pairs_reference():
@@ -361,8 +355,8 @@ def test_gram_matches_all_pairs_reference():
 
 
 def test_rank_examples():
-    eye = tuple(tuple(fr(int(i == j)) for j in range(3)) for i in range(3))
-    ones = tuple(tuple(fr(1) for _ in range(4)) for _ in range(4))
+    eye = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+    ones = tuple(tuple(1 for _ in range(4)) for _ in range(4))
     assert helpers.rank(eye) == 3
     assert helpers.rank(ones) == 1
 
@@ -379,7 +373,7 @@ def test_verify_rep_detects_zeroed_coordinate():
     cert = recognize_delta(PRISM)
     rep = construct(PRISM, cert, GenericSampler(seed=2))
     vecs = list(rep.vectors)
-    vecs[0] = (fr(0),) + vecs[0][1:]
+    vecs[0] = (0,) + vecs[0][1:]
     assert not verify_rep(PRISM, OrthoRep(rep.dim, tuple(vecs))).nonzero_ok
 
 
@@ -420,7 +414,7 @@ def test_zero_pattern_is_exact():
     for i in range(6):
         for j in range(i + 1, 6):
             value = dot(rep.vectors[i], rep.vectors[j])
-            if PRISM.has_edge(i, j):
+            if PRISM.adj[i] >> j & 1:
                 assert value != 0
             else:
                 assert value == 0
@@ -446,15 +440,17 @@ def test_rep_json_roundtrip():
     assert rep_from_json_dict(json.loads(payload)) == rep
 
 
-def test_rep_from_json_dict_reads_ints_and_fractions():
-    rep = rep_from_json_dict({"dim": 2, "vectors": [["3", "-12"], ["3/4", "-6/1"], ["0/5", "7"]]})
-    assert rep == OrthoRep(2, ((3, -12), (Fraction(3, 4), -6), (Fraction(0), 7)))
-    assert [[type(x) for x in vec] for vec in rep.vectors] == [
-        [int, int], [Fraction, int], [Fraction, int]
-    ]
+def test_rep_from_json_dict_reads_ints_and_p_1_and_refuses_p_q():
+    rep = rep_from_json_dict({"dim": 2, "vectors": [["3", "-12"], ["0/1", "-6/1"], ["0", "7"]]})
+    assert rep == OrthoRep(2, ((3, -12), (0, -6), (0, 7)))
+    assert all(type(x) is int for vec in rep.vectors for x in vec)
     assert [fraction_to_str(x) for vec in rep.vectors for x in vec] == [
-        "3", "-12", "3/4", "-6", "0", "7"
+        "3", "-12", "0", "-6", "0", "7"
     ]
+    # only "p" and "p/1" name an integer; the text is named in the error
+    for text in ("3/4", "0/5", "6/3", "-6/2", "3/01"):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            rep_from_json_dict({"dim": 2, "vectors": [["3", text]]})
 
 
 def test_gram_exports():
@@ -464,12 +460,11 @@ def test_gram_exports():
     for i in range(6):
         for j in range(6):
             assert fraction_from_str(d["entries"][i][j]) == gm[i][j]
-            if i != j and not PRISM.has_edge(i, j):
+            if i != j and not PRISM.adj[i] >> j & 1:
                 assert d["entries"][i][j] == "0"
 
 
 def test_primitive_part_divides_out_the_gcd_alone():
-    # integral vectors skip primitive_int_vector's scaling step and get the same answer
     rng = random.Random(18)
     cases = [(0, 0, 0), (6, -4, 10), (-3,), (2**70, -(2**71), 0)]
     cases += [
@@ -479,23 +474,31 @@ def test_primitive_part_divides_out_the_gcd_alone():
     for ints in cases:
         p = primitive_part(ints)
         g = math.gcd(*ints)
-        assert p == primitive_int_vector(ints) == tuple(x // (g or 1) for x in ints)
+        assert p == tuple(x // (g or 1) for x in ints)
         assert math.gcd(*p) == (1 if any(ints) else 0)
-    assert primitive_int_vector((Fraction(1, 2), Fraction(-1, 3), 0)) == (3, -2, 0)
 
 
 def test_gram_mismatch_compares_rescaled_vectors_exactly():
     rep = construct(PRISM, recognize_delta(PRISM), GenericSampler(seed=7))
     m = gram_to_json_dict(gram(rep))
     assert gram_mismatch(rep, m) is None
-    # v0 / 2 and 3 v5 / 7 as Fractions: entries in row and column 0 halve,
-    # those in row and column 5 scale by 3/7
+    # 2 v0 and -3 v5: entries in row and column 0 double, those in row and
+    # column 5 scale by -3; each entry must be the inner product of the
+    # vectors as written, so the unscaled matrix differs first at (0, 0)
     scaled = list(rep.vectors)
-    scaled[0] = tuple(Fraction(x, 2) for x in scaled[0])
-    scaled[5] = tuple(Fraction(3 * x, 7) for x in scaled[5])
+    scaled[0] = tuple(2 * x for x in scaled[0])
+    scaled[5] = tuple(-3 * x for x in scaled[5])
     scaled = OrthoRep(rep.dim, tuple(scaled))
     assert gram_mismatch(scaled, m) == (0, 0)
-    assert gram_mismatch(scaled, gram_to_json_dict(gram(scaled))) is None
+    scaled_m = gram_to_json_dict(gram(scaled))
+    assert gram_mismatch(scaled, scaled_m) is None
+    assert scaled_m["entries"][0][0] == str(4 * int(m["entries"][0][0]))
+    assert scaled_m["entries"][0][5] == str(-6 * int(m["entries"][0][5]))
+    # every entry is read before any is compared, so "p/q" text is refused
+    # even after the first differing entry
+    scaled_m["entries"][5][5] = "3/4"
+    with pytest.raises(ValueError, match="'3/4'"):
+        gram_mismatch(rep, scaled_m)
     # a zero vector's row and column are all 0; v1 is orthogonal to v0 anyway
     zero = OrthoRep(rep.dim, rep.vectors[:1] + ((0, 0, 0),) + rep.vectors[2:])
     assert gram_mismatch(zero, gram_to_json_dict(gram(zero))) is None
@@ -530,8 +533,7 @@ def test_coordinates_stay_small_on_long_orderings():
             assert verify_rep(g, rep).all_ok
             for vec in rep.vectors:
                 for x in vec:
-                    assert abs(x.numerator).bit_length() <= 1024
-                    assert x.denominator.bit_length() <= 1024
+                    assert abs(x).bit_length() <= 1024
 
 
 # construct's vectors, by vertex, as 0.13.0 builds them at seeds 0 and 1
@@ -635,11 +637,10 @@ def test_verify_rep_first_failing_pair():
     assert not ragged.dimension_ok and not ragged.pattern_ok and ragged.failed_pair is None
 
 
-def test_verify_rep_ignores_rational_scaling():
+def test_verify_rep_ignores_integer_scaling():
+    # vector k times k + 2: every check reads the primitive part, which is unchanged
     for name, vecs in tampered_prism_reps().items():
-        scaled = tuple(
-            tuple(Fraction(c, k + 2) for c in vec) for k, vec in enumerate(vecs)
-        )
+        scaled = tuple(tuple((k + 2) * c for c in vec) for k, vec in enumerate(vecs))
         for dim in (3, 4):
             expected = verify_rep(PRISM, OrthoRep(dim, tuple(vecs)))
             assert verify_rep(PRISM, OrthoRep(dim, scaled)) == expected, (name, dim)
@@ -666,8 +667,9 @@ def tamper(vecs, rng):
             for k in rng.sample(range(n), rng.randint(1, n)):
                 vecs[k] = [rng.randint(-1, 1) for _ in range(d)]
         elif kind == "rescale":
+            # each coordinate times its own nonzero integer, of size at most 81
             vecs = [
-                [x * Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for x in vec]
+                [x * rng.choice((-1, 1)) * rng.randint(1, 9) * rng.randint(1, 9) for x in vec]
                 for vec in vecs
             ]
         else:

@@ -3,10 +3,12 @@
 A name in a module's ``__all__`` must occur at least twice as a NAME token
 in the program's own code (the package modules, ``scripts/`` and the
 benchmark, but neither ``__init__.py`` nor any test): once where it is
-defined and at least once where it is used.  The same holds for every
-public method, property and classmethod of a class in an ``__all__``.  A
-function that only tests call is a test oracle, and oracles live in
-``tests/``.
+defined and at least once where it is used.  A public method, property
+or classmethod of a class in an ``__all__`` must occur at least once as an
+attribute, a NAME token right after a ``.`` token, in that code: its
+definition is not one, and neither is an unrelated function of the same
+name.  A function that only tests call is a test oracle, and oracles live
+in ``tests/``.
 """
 
 import importlib
@@ -27,14 +29,21 @@ def program_files():
     yield from (p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_"))
 
 
-def name_token_counts() -> Counter:
-    counts: Counter = Counter()
+def name_token_counts() -> tuple[Counter, Counter]:
+    """NAME tokens in the program's code: every one, and those right after a "." token."""
+    names: Counter = Counter()
+    attributes: Counter = Counter()
     for path in program_files():
         with path.open("rb") as fh:
+            previous = ""
             for tok in tokenize.tokenize(fh.readline):
+                if tok.type in (tokenize.NL, tokenize.COMMENT):
+                    continue  # a line break inside brackets may follow the "."
                 if tok.type == tokenize.NAME:
-                    counts[tok.string] += 1
-    return counts
+                    names[tok.string] += 1
+                    attributes[tok.string] += previous == "."
+                previous = tok.string if tok.type == tokenize.OP else ""
+    return names, attributes
 
 
 def public_names():
@@ -43,11 +52,11 @@ def public_names():
             continue
         module = importlib.import_module(f"deltamsr.{info.name}")
         for name in getattr(module, "__all__", ()):
-            yield f"{info.name}.{name}", name
+            yield f"{info.name}.{name}", name, False
             obj = getattr(module, name)
             if inspect.isclass(obj) and obj.__module__ == module.__name__:
                 for attr in public_methods(obj):
-                    yield f"{info.name}.{name}.{attr}", attr
+                    yield f"{info.name}.{name}.{attr}", attr, True
 
 
 def public_methods(cls):
@@ -60,9 +69,14 @@ def public_methods(cls):
 
 
 def test_every_public_name_is_used_outside_the_tests():
-    counts = name_token_counts()
-    names = list(public_names())
-    assert len(names) > 40  # the modules were found and their __all__ read
-    assert "to_json_dict" in {name for _, name in names}  # and their classes' methods
-    unused = [qualified for qualified, name in names if counts[name] < 2]
+    names, attributes = name_token_counts()
+    public = list(public_names())
+    assert len(public) > 40  # the modules were found and their __all__ read
+    # and their classes' methods
+    assert "to_json_dict" in {name for _, name, is_method in public if is_method}
+    unused = [
+        qualified
+        for qualified, name, is_method in public
+        if (attributes[name] < 1 if is_method else names[name] < 2)
+    ]
     assert not unused, f"public names with no caller outside the tests: {unused}"
