@@ -5,43 +5,43 @@ Subcommands: ``recognize`` (delta / C-delta membership), ``certify``
 emitted bundle), ``batch`` (one Delta Conjecture report per graph6 line)
 and ``gen`` (family generators emitting graph6).
 
+One table, ``_COMMANDS``, holds each subcommand's help, positional,
+options and handler, and drives parsing, ``-h``/``--help`` and usage
+errors; ``gen <family> <params>`` reads ``_GEN_FAMILIES``.  Options go
+before or after the positional, as ``--opt value`` or ``--opt=value``;
+``--`` ends them, and a long option is never abbreviated.  A usage error
+writes the usage line and ``deltamsr <cmd>: error: ...`` to stderr as
+plain text and exits 2; help goes to stdout and exits 0.  Each handler
+imports the modules it runs, so a process loads only what its subcommand
+needs: ``gen`` neither recognition nor construction, and only ``batch``
+the msr engine.
+
 Exit codes: 0 success or present, 1 clean negative (for ``verify``, a
 failed check or a bundled Gram entry that differs from the inner
-product), 2 input error, 3 internal failure (resampling and restart budget
-exhausted, or a constructed representation that fails its own
-verification), 4 undecided (the recognition search budget ran out), 141
-output closed by its reader (as a shell reports a program that SIGPIPE
+product), 2 input or usage error, 3 internal failure (resampling and
+restart budget exhausted, or a constructed representation that fails its
+own verification), 4 undecided (the recognition search budget ran out),
+141 output closed by its reader (as a shell reports a program that SIGPIPE
 ends; no traceback is printed).  ``batch`` reports each of the failures
 2 to 4 inline and goes on.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import io
 import json
 import os
 import sys
+import types
+from typing import TYPE_CHECKING
 
 from .graphs import (
     Graph, complement, is_connected, min_degree, parse_edge_list, parse_graph6, to_graph6
 )
-from .msr import check_delta_conjecture
-from .orthorep import (
-    RepReport,
-    RetryBudgetExceeded,
-    SelfCheckFailed,
-    construct_verified,
-    gram,
-    gram_mismatch,
-    gram_to_json_dict,
-    rep_from_json_dict,
-    rep_to_json_dict,
-    verify_rep,
-)
-from .recognition import SearchBudgetExceeded, recognize_delta
+
+if TYPE_CHECKING:
+    from .orthorep import RepReport
 
 __all__ = ["main"]
 
@@ -87,6 +87,8 @@ _C_DELTA_BASE_KIND = {"3K1": "K3", "K2+K1": "P3"}
 
 
 def _cmd_recognize(args) -> int:
+    from .recognition import SearchBudgetExceeded, recognize_delta
+
     try:
         g = _load_graph(args)
     except (ValueError, OSError) as exc:
@@ -106,6 +108,16 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .orthorep import (
+        RetryBudgetExceeded,
+        SelfCheckFailed,
+        construct_verified,
+        gram,
+        gram_to_json_dict,
+        rep_to_json_dict,
+    )
+    from .recognition import SearchBudgetExceeded, recognize_delta
+
     try:
         g = _load_graph(args)
     except (ValueError, OSError) as exc:
@@ -140,6 +152,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .orthorep import gram_mismatch, rep_from_json_dict, verify_rep
+
     try:
         data = _parse_file_or_literal(args.bundle, json.loads)
         if not isinstance(data["graph6"], str):
@@ -164,21 +178,25 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_ok and not gram_entry else 1
 
 
-def _batch_line(line: str, seed: int) -> dict:
-    try:
-        g = parse_graph6(line)
-    except ValueError as exc:
-        return {"graph": line, "error": str(exc)}
-    if not is_connected(g):
-        return {"graph": line, "error": "graph is disconnected"}
-    try:
-        return check_delta_conjecture(g, seed=seed, graph_id=line).to_json_dict()
-    except (RetryBudgetExceeded, SearchBudgetExceeded, SelfCheckFailed) as exc:
-        return {"graph": line, "error": str(exc)}
-
-
 def _cmd_batch(args) -> int:
     """One report line per input line, each written as soon as it is known."""
+    # only batch runs the conjecture check
+    from .msr import check_delta_conjecture
+    from .orthorep import RetryBudgetExceeded, SelfCheckFailed
+    from .recognition import SearchBudgetExceeded
+
+    def report(line: str) -> dict:
+        try:
+            g = parse_graph6(line)
+        except ValueError as exc:
+            return {"graph": line, "error": str(exc)}
+        if not is_connected(g):
+            return {"graph": line, "error": "graph is disconnected"}
+        try:
+            return check_delta_conjecture(g, seed=args.seed, graph_id=line).to_json_dict()
+        except (RetryBudgetExceeded, SearchBudgetExceeded, SelfCheckFailed) as exc:
+            return {"graph": line, "error": str(exc)}
+
     if args.input is None or args.input == "-":
         if isinstance(sys.stdin, io.TextIOWrapper):
             # undecodable bytes become error lines whatever the locale's error handler
@@ -193,7 +211,7 @@ def _cmd_batch(args) -> int:
         for line in lines:
             line = line.strip()
             if line:
-                print(json.dumps(_batch_line(line, args.seed), sort_keys=True), flush=True)
+                print(json.dumps(report(line), sort_keys=True), flush=True)
     return 0
 
 
@@ -227,59 +245,186 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The whole argparse tree, built once per process; parse_args leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="deltamsr",
-        description="delta-graph recognition and msr certification",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# option -> (value type, choices, default, help); a switch has type None and default False
+_FORMAT_OPTION = {
+    "--format": (
+        str, ("g6", "edgelist"), "g6", "input format; edgelist is 'n' then one 'u v' line per edge"
+    ),
+}
+_GRAPH = ("graph", "graph file or literal (default: stdin)")
 
-    def add_graph_input(p):
-        p.add_argument("graph", nargs="?", help="graph file or literal (default: stdin)")
-        p.add_argument(
-            "--format",
-            choices=("g6", "edgelist"),
-            default="g6",
-            help="input format; edgelist is 'n' then one 'u v' line per edge",
-        )
+# command -> (help, optional positional (name, help) or None, options, handler);
+# gen's positionals are a family from _GEN_FAMILIES and that family's parameters
+_COMMANDS = {
+    "recognize": (
+        "find a delta or C-delta certificate",
+        _GRAPH,
+        {**_FORMAT_OPTION, "--c-delta": (None, None, False, "search the complement (C-delta)")},
+        _cmd_recognize,
+    ),
+    "certify": (
+        "certificate + representation bundle",
+        _GRAPH,
+        {
+            **_FORMAT_OPTION,
+            "--seed": (int, None, 0, "construction seed (default: 0)"),
+            "--emit-gram": (None, None, False, "add the exact Gram matrix to the bundle"),
+        },
+        _cmd_certify,
+    ),
+    "verify": (
+        "re-verify an emitted certify bundle",
+        ("bundle", "bundle JSON file or literal (default: stdin)"),
+        {},
+        _cmd_verify,
+    ),
+    "batch": (
+        "Delta Conjecture report per graph6 line",
+        ("input", "file of graph6 lines (default: stdin)"),
+        {"--seed": (int, None, 0, "construction seed of every line (default: 0)")},
+        _cmd_batch,
+    ),
+    "gen": ("emit a named family member as graph6", None, {}, _cmd_gen),
+}
+_HELP_FLAGS = ("-h", "--help")
 
-    p = sub.add_parser("recognize", help="find a delta or C-delta certificate")
-    add_graph_input(p)
-    p.add_argument("--c-delta", action="store_true", help="search the complement (C-delta)")
-    p.set_defaults(func=_cmd_recognize)
 
-    p = sub.add_parser("certify", help="certificate + representation bundle")
-    add_graph_input(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--emit-gram", action="store_true")
-    p.set_defaults(func=_cmd_certify)
+class _UsageError(Exception):
+    """A command line that _COMMANDS does not accept; command is "", "gen" or "gen <family>"."""
 
-    p = sub.add_parser("verify", help="re-verify an emitted certify bundle")
-    p.add_argument("bundle", nargs="?", help="bundle JSON file or literal (default: stdin)")
-    p.set_defaults(func=_cmd_verify)
+    def __init__(self, command: str, message: str):
+        super().__init__(message)
+        self.command = command
 
-    p = sub.add_parser("batch", help="Delta Conjecture report per graph6 line")
-    p.add_argument("input", nargs="?", help="file of graph6 lines (default: stdin)")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_batch)
 
-    p = sub.add_parser("gen", help="emit a named family member as graph6")
-    gen_sub = p.add_subparsers(dest="family", required=True)
-    for name, (helptext, params, _) in _GEN_FAMILIES.items():
-        q = gen_sub.add_parser(name, help=helptext)
-        for param in params:
-            q.add_argument(param, type=int if param == "n" else str)
-    p.set_defaults(func=_cmd_gen)
+def _prog(command: str) -> str:
+    return f"deltamsr {command}" if command else "deltamsr"
 
-    return parser
+
+def _option_usage(flag: str, kind, choices) -> str:
+    if kind is None:
+        return flag
+    return f"{flag} {{{','.join(choices)}}}" if choices else f"{flag} {flag[2:].upper()}"
+
+
+def _usage(command: str) -> str:
+    if command in ("", "gen"):
+        names = _GEN_FAMILIES if command else _COMMANDS
+        tail = f"{{{','.join(names)}}} ..."
+    elif command.startswith("gen "):
+        tail = " ".join(_GEN_FAMILIES[command[4:]][1])
+    else:
+        _, (positional, _), options, _ = _COMMANDS[command]
+        flags = (f"[{_option_usage(flag, *spec[:2])}]" for flag, spec in options.items())
+        tail = " ".join([*flags, f"[{positional}]"])
+    return f"usage: {_prog(command)} [-h] {tail}".rstrip()
+
+
+def _print_help(command: str) -> int:
+    if not command:
+        description = "delta-graph recognition and msr certification"
+        rows = [(name, spec[0]) for name, spec in _COMMANDS.items()]
+    elif command == "gen":
+        description = _COMMANDS["gen"][0] + "; n is an integer, g and h are graph6 text"
+        rows = [(" ".join((name, *spec[1])), spec[0]) for name, spec in _GEN_FAMILIES.items()]
+    else:
+        description, positional, options, _ = _COMMANDS[command]
+        rows = [positional]
+        rows += [(_option_usage(flag, *spec[:2]), spec[3]) for flag, spec in options.items()]
+    rows.append((", ".join(_HELP_FLAGS), "show this help and exit"))
+    print(_usage(command), "", description, "", sep="\n")
+    for left, text in rows:
+        print(f"  {left:<22}  {text}")
+    return 0
+
+
+def _is_option(token: str) -> bool:
+    # "-" names stdin and "-3" is a number, as argparse read them
+    return token.startswith("-") and token != "-" and not token[1:].isdigit()
+
+
+def _convert(command: str, argument: str, kind, text: str, choices=None):
+    try:
+        value = kind(text)
+    except ValueError:
+        raise _UsageError(command, f"{argument}: invalid {kind.__name__} value: {text!r}") from None
+    if choices and value not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise _UsageError(command, f"{argument}: invalid choice: {text!r} (choose from {listed})")
+    return value
+
+
+def _parse(argv: list[str]):
+    """(handler, argument) for a command line; help is a handler that prints it."""
+    if not argv:
+        raise _UsageError("", "the following arguments are required: command")
+    command, tokens = argv[0], iter(argv[1:])
+    if command in _HELP_FLAGS:
+        return _print_help, ""
+    _convert("", "argument command", str, command, _COMMANDS)
+    _, positional, options, handler = _COMMANDS[command]
+    values = {flag: spec[2] for flag, spec in options.items()}
+    words = []
+    for token in tokens:
+        if token in _HELP_FLAGS:
+            return _print_help, command
+        if token == "--":
+            words.extend(tokens)
+        elif _is_option(token):
+            flag, has_value, text = token.partition("=")
+            kind, choices, _, _ = options.get(flag, (None, None, None, None))
+            if flag not in options or kind is None and has_value:  # a switch takes no value
+                raise _UsageError(command, f"unrecognized arguments: {token}")
+            if kind is None:
+                value = True
+            else:
+                if not has_value:
+                    text = next(tokens, None)
+                    if text is None:
+                        raise _UsageError(command, f"argument {flag}: expected one argument")
+                value = _convert(command, f"argument {flag}", kind, text, choices)
+            values[flag] = value
+        else:
+            words.append(token)
+    args = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+    if positional is None:
+        args.update(_gen_arguments(words))
+    elif len(words) > 1:
+        raise _UsageError(command, f"unrecognized arguments: {' '.join(words[1:])}")
+    else:
+        args[positional[0]] = words[0] if words else None
+    return handler, types.SimpleNamespace(**args)
+
+
+def _gen_arguments(words: list[str]) -> dict:
+    """gen's family and that family's parameters, by name."""
+    if not words:
+        raise _UsageError("gen", "the following arguments are required: family")
+    family, *words = words
+    _convert("gen", "argument family", str, family, _GEN_FAMILIES)
+    params = _GEN_FAMILIES[family][1]
+    command = f"gen {family}"
+    if len(words) < len(params):
+        missing = ", ".join(params[len(words):])
+        raise _UsageError(command, f"the following arguments are required: {missing}")
+    if len(words) > len(params):
+        raise _UsageError(command, f"unrecognized arguments: {' '.join(words[len(params):])}")
+    args = {"family": family}
+    for param, word in zip(params, words):
+        args[param] = _convert(command, f"argument {param}", int if param == "n" else str, word)
+    return args
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one command line; returns the exit code and never raises SystemExit."""
     try:
-        code = args.func(args)
+        try:
+            handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        except _UsageError as exc:
+            error = f"{_prog(exc.command)}: error: {exc}"
+            print(_usage(exc.command), error, sep="\n", file=sys.stderr)
+            return 2
+        code = handler(args)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout; the interpreter flushes it again at

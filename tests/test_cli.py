@@ -582,6 +582,21 @@ def test_batch_exits_quietly_when_its_reader_closes_the_pipe():
         proc.kill()
         proc.wait()
         proc.stderr.close()
+    # help takes the same path: into a pipe already closed, -h ends with 141 too
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        help_proc = subprocess.run(
+            [sys.executable, "-m", "deltamsr", "-h"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=subprocess_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (help_proc.returncode, help_proc.stderr) == (141, "")
 
 
 def test_batch_decides_a_cycle_with_a_long_pendant_path(tmp_path):
@@ -759,11 +774,105 @@ def test_gen_caps_edge_count(monkeypatch, capsys):
             assert f"edge count {edges} exceeds the cap of 10" in error, argv
 
 
+# --- usage ------------------------------------------------------------------------
+
+
+def run_process(argv) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "deltamsr", *argv],
+        input="",
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=60,
+    )
+
+
+# each command line, and the text that names its offending token
+USAGE_ERRORS = [
+    ([], "command"),
+    (["frobnicate"], "'frobnicate'"),
+    (["certify", "--seed", "abc"], "invalid int value: 'abc'"),
+    (["recognize", "--format", "xml"], "'xml'"),
+    (["certify", "--bogus"], "--bogus"),
+    (["verify", "a", "b"], ": b"),
+    (["gen"], "family"),
+    (["gen", "cycle"], ": n"),
+    (["gen", "cycle", "x"], "'x'"),
+    (["gen", "nosuch"], "'nosuch'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, named", USAGE_ERRORS, ids=[" ".join(argv) or "none" for argv, _ in USAGE_ERRORS]
+)
+def test_usage_errors_exit_2_naming_the_token(argv, named):
+    proc = run_process(argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert lines[0].startswith("usage: deltamsr") and "Traceback" not in proc.stderr
+    assert ": error: " in lines[-1] and named in lines[-1]
+
+
+GEN_FAMILIES = ("cycle", "path", "complete", "star", "mobius", "robertson", "cartesian", "corona")
+
+
+# each command and what its help must name
+HELP_NAMES = [
+    ([], ("-h", "recognize", "certify", "verify", "batch", "gen")),
+    (["recognize"], ("-h", "--format", "g6", "edgelist", "--c-delta", "graph")),
+    (["certify"], ("-h", "--format", "--seed", "--emit-gram", "graph")),
+    (["verify"], ("-h", "bundle")),
+    (["batch"], ("-h", "--seed", "input")),
+    (["gen"], ("-h", *GEN_FAMILIES)),
+]
+
+
+@pytest.mark.parametrize(
+    "command, names", HELP_NAMES, ids=[" ".join(command) or "top" for command, _ in HELP_NAMES]
+)
+def test_help_names_every_flag_and_family(command, names):
+    proc = run_process([*command, "-h"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith(" ".join(["usage: deltamsr", *command]))
+    missing = [name for name in names if name not in proc.stdout]
+    assert not missing, proc.stdout
+
+
+def test_main_returns_usage_exit_codes_in_process(capsys):
+    assert main(["frobnicate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: deltamsr")
+    assert "'frobnicate'" in captured.err
+    assert main(["certify", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: deltamsr certify") and captured.err == ""
+    # long options are not abbreviated
+    assert main(["recognize", "--form", "g6", C6]) == 2
+    assert "--form" in capsys.readouterr().err
+
+
+def test_options_go_before_or_after_the_positional():
+    expected = run_cli(["certify", "--seed", "7", "--emit-gram", PRISM])
+    assert expected[0] == 0
+    for argv in (
+        ["certify", PRISM, "--seed", "7", "--emit-gram"],
+        ["certify", "--emit-gram", PRISM, "--seed=7"],
+        ["certify", "--seed=7", "--emit-gram", "--", PRISM],
+    ):
+        assert run_cli(argv) == expected, argv
+    assert run_cli(["certify", "--seed", "-5", PRISM])[0] == 0
+    assert run_cli(["recognize", "--c-delta", C6, "--format=g6"]) == run_cli(
+        ["recognize", "--c-delta", C6]
+    )
+
+
 # What `python3 -m deltamsr` does, as the benchmark launches it, reporting at
 # exit which of the named modules the program itself imported.
 COLD_START = """\
 import atexit, json, runpy, sys
-HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "deltamsr.families"}
+HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext"}
+HEAVY |= {"deltamsr." + m for m in ("families", "msr", "recognition", "orthorep")}
 preloaded = HEAVY & set(sys.modules)
 atexit.register(lambda: print(json.dumps(sorted(HEAVY & set(sys.modules) - preloaded)), file=sys.stderr))
 runpy.run_module("deltamsr", run_name="__main__", alter_sys=True)
@@ -783,27 +892,34 @@ def cold_start(argv, stdin: str) -> tuple[int, str, list[str]]:
 
 
 def test_cold_start_without_dataclasses_where_nothing_is_constructed():
-    # nor fractions or decimal: every number a bundle holds is an integer
+    # nor fractions or decimal: every number a bundle holds is an integer;
+    # no command parses its arguments with argparse, which loads gettext,
+    # and each loads only the layers it runs
     # C6 is not a delta-graph: batch decides it by the cycle rule
     code, out, heavy = cold_start(["batch"], C6 + "\n")
     assert code == 0 and json.loads(out)["verdict"] == "holds"
-    assert heavy == []
+    assert heavy == ["deltamsr.msr", "deltamsr.orthorep", "deltamsr.recognition"]
     bundle = run_cli(["certify", "--seed", "0", PRISM])[1]
     code, out, heavy = cold_start(["verify"], bundle)
     assert code == 0 and json.loads(out)["bound"] == 3
-    assert heavy == []
+    assert heavy == ["deltamsr.orthorep", "deltamsr.recognition"]
     # nor for a bundle with "p/1" text, as 0.13.0 and earlier wrote it
     p_1 = json.loads(bundle)
     p_1["representation"]["vectors"] = [
         [x + "/1" for x in vec] for vec in p_1["representation"]["vectors"]
     ]
-    assert cold_start(["verify"], json.dumps(p_1)) == (0, out, [])
+    assert cold_start(["verify"], json.dumps(p_1)) == (0, out, heavy)
     # certify builds a GenericSampler, a dataclass, so the hook sees the import there
     code, out, heavy = cold_start(["certify", "--seed", "0", PRISM], "")
-    assert code == 0 and out == bundle and heavy == ["dataclasses", "inspect"]
+    assert code == 0 and out == bundle
+    assert heavy == ["dataclasses", "deltamsr.orthorep", "deltamsr.recognition", "inspect"]
+    code, out, heavy = cold_start(["recognize", "--c-delta", C6], "")
+    assert code == 0 and heavy == ["deltamsr.recognition"]
     # only gen imports the family builders
     code, out, heavy = cold_start(["gen", "cycle", "6"], "")
     assert code == 0 and out == C6 + "\n" and heavy == ["deltamsr.families"]
+    code, out, heavy = cold_start(["-h"], "")
+    assert code == 0 and out.startswith("usage: deltamsr") and heavy == []
 
 
 def test_module_entry_point():

@@ -9,14 +9,23 @@ attribute, a NAME token right after a ``.`` token, in that code: its
 definition is not one, and neither is an unrelated function of the same
 name.  A function that only tests call is a test oracle, and oracles live
 in ``tests/``.
+
+The package itself re-exports a fixed set of names, each resolved from its
+home module on first use, so that importing the package loads none of them.
 """
 
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 import tokenize
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import deltamsr
 
@@ -80,3 +89,43 @@ def test_every_public_name_is_used_outside_the_tests():
         if (attributes[name] < 1 if is_method else names[name] < 2)
     ]
     assert not unused, f"public names with no caller outside the tests: {unused}"
+
+
+# the names the 0.17.0 package imported eagerly, and GenericSampler, which it
+# resolved on first use
+PACKAGE_EXPORTS = {
+    "MAX_VERTICES", "Graph", "blocks", "complement", "from_edge_list", "is_connected",
+    "min_degree", "parse_edge_list", "parse_graph6", "to_graph6",
+    "SEARCH_BUDGET", "DeltaCertificate", "SearchBudgetExceeded", "check_certificate",
+    "max_excluded", "recognize_delta",
+    "OrthoRep", "RepReport", "RetryBudgetExceeded", "construct", "gram", "verify_rep",
+    "ConjectureReport", "check_delta_conjecture", "clique_cover_number", "msr_exact",
+    "GenericSampler",
+}
+
+
+def test_package_exports_are_their_home_modules_names():
+    assert set(deltamsr._EXPORTS) == PACKAGE_EXPORTS == set(deltamsr.__all__)
+    for name, home in deltamsr._EXPORTS.items():
+        module = importlib.import_module(f"deltamsr.{home}")
+        assert name in module.__all__ and getattr(deltamsr, name) is getattr(module, name), name
+    assert PACKAGE_EXPORTS <= set(dir(deltamsr))
+    namespace: dict = {}
+    exec("from deltamsr import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PACKAGE_EXPORTS
+    with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+        deltamsr.nosuch
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = (
+        "import json, sys, deltamsr; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('deltamsr.'))))"
+    )
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
