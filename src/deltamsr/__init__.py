@@ -43,7 +43,7 @@ _EXPORTS = {
 }
 
 __all__ = list(_EXPORTS)
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 
 def __getattr__(name: str):

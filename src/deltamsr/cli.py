@@ -12,9 +12,11 @@ before or after the positional, as ``--opt value`` or ``--opt=value``;
 ``--`` ends them, and a long option is never abbreviated.  A usage error
 writes the usage line and ``deltamsr <cmd>: error: ...`` to stderr as
 plain text and exits 2; help goes to stdout and exits 0.  Each handler
-imports the modules it runs, so a process loads only what its subcommand
-needs: ``gen`` neither recognition nor construction, and only ``batch``
-the msr engine.
+imports the modules it runs, and each layer imports the next where it is
+first called, so a process loads only what its subcommand and input reach:
+``gen`` neither recognition nor construction, ``verify`` no recognition,
+only ``batch`` the msr engine, and ``batch`` the construction layers only
+at its first delta-graph line.
 
 Exit codes: 0 success or present, 1 clean negative (for ``verify``, a
 failed check or a bundled Gram entry that differs from the inner
@@ -182,7 +184,6 @@ def _cmd_batch(args) -> int:
     """One report line per input line, each written as soon as it is known."""
     # only batch runs the conjecture check
     from .msr import check_delta_conjecture
-    from .orthorep import RetryBudgetExceeded, SelfCheckFailed
     from .recognition import SearchBudgetExceeded
 
     def report(line: str) -> dict:
@@ -194,7 +195,15 @@ def _cmd_batch(args) -> int:
             return {"graph": line, "error": "graph is disconnected"}
         try:
             return check_delta_conjecture(g, seed=args.seed, graph_id=line).to_json_dict()
-        except (RetryBudgetExceeded, SearchBudgetExceeded, SelfCheckFailed) as exc:
+        except SearchBudgetExceeded as exc:
+            return {"graph": line, "error": str(exc)}
+        except RuntimeError as exc:
+            # construction's two failures; orthorep is loaded whenever it
+            # raised one, and any other RuntimeError is a fault that escapes
+            from .orthorep import RetryBudgetExceeded, SelfCheckFailed
+
+            if not isinstance(exc, (RetryBudgetExceeded, SelfCheckFailed)):
+                raise
             return {"graph": line, "error": str(exc)}
 
     if args.input is None or args.input == "-":

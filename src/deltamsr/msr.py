@@ -6,7 +6,9 @@ Holst, LAA 375, 2003).  The engine knows three kinds of block: K1 or K2
 number).  A graph with any other block gets no exact value.  Each block
 stays a vertex bitmask of the whole graph: one simplicial elimination on
 it both tests chordality and counts the clique cover.
-``check_delta_conjecture`` produces the per-graph verdict.
+``check_delta_conjecture`` produces the per-graph verdict; it imports the
+construction layers only for a delta-graph, so a run that meets none
+starts without them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graphs import Graph, _bits, blocks, min_degree
-from .orthorep import construct_verified
 from .recognition import recognize_delta
 
 __all__ = [
@@ -132,6 +133,10 @@ def check_delta_conjecture(g: Graph, seed: int, graph_id: str) -> ConjectureRepo
     delta_bound = n - min_degree(g)
     cert = recognize_delta(g)
     if cert is not None:
+        # imported where it is used: a batch with no delta-graph line
+        # starts without the construction layers
+        from .orthorep import construct_verified
+
         _, report = construct_verified(g, cert, seed)
         return ConjectureReport(graph_id, n, delta_bound, report.bound, "holds-by-construction")
     value = msr_exact(g)

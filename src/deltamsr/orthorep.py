@@ -42,21 +42,23 @@ from integer text.
 The records here are NamedTuples.  The sampler, the package's one
 dataclass, lives in ``deltamsr.sampler``; ``construct_verified``, the one
 construct-and-check step of the CLI and the conjecture verdicts, imports
-it where it is used.
+it where it is used, as ``construct`` imports ``check_certificate``, so
+reading and verifying a bundle loads neither the sampler nor recognition.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from itertools import combinations
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .graphs import Graph, min_degree
 from .linalg import dot, int_nullspace_basis, primitive_part
-from .recognition import DeltaCertificate, check_certificate
 
 if TYPE_CHECKING:
+    from .recognition import DeltaCertificate
     from .sampler import GenericSampler
 
 __all__ = [
@@ -208,6 +210,9 @@ def construct(g: Graph, cert: DeltaCertificate, sampler: GenericSampler) -> Orth
     sampler's window and walks the ordering again, up to MAX_RESTARTS
     times.  Vectors in the result are indexed by vertex id.
     """
+    # imported where it is used: verify reads bundles without recognition
+    from .recognition import check_certificate
+
     chk = check_certificate(g, cert)
     if not chk.ok:
         raise ValueError(f"invalid certificate: {chk.reason}")
@@ -307,14 +312,15 @@ def verify_rep(g: Graph, rep: OrthoRep) -> RepReport:
 # --- serialization ----------------------------------------------------------
 
 
-# A coordinate or Gram entry is an integer, written as "p" by str() and
-# read by int() within the interpreter's int/str digit limit, and past it
-# through Decimal, whose conversions the limit does not bound.  "p/1", as
-# 0.13.0 and earlier wrote every integer, is read too; any other "p/q" text
-# is refused, as no version of construct made a coordinate that is not an
-# integer.  The strict pattern runs before any conversion, so no exponent
-# such as "1e999999999" reaches one, nor any text that int() alone accepts
-# ("1_000", " 12", non-ASCII digits).
+# A coordinate or Gram entry is an integer, written as "p" by str() within
+# the interpreter's int/str digit limit and past it through Decimal, whose
+# conversions the limit does not bound.  It is read by int(), and past the
+# limit by int() on chunks within it, joined by powers of ten in a balanced
+# tree of products.  "p/1", as 0.13.0 and earlier wrote every integer, is
+# read too; any other "p/q" text is refused, as no version of construct
+# made a coordinate that is not an integer.  The strict pattern runs before
+# any conversion, so no exponent such as "1e999999999" reaches one, nor any
+# text that int() alone accepts ("1_000", " 12", non-ASCII digits).
 _INT_TEXT = re.compile(r"(-?[0-9]+)(?:/1)?")
 
 
@@ -347,9 +353,28 @@ def fraction_from_str(s: str) -> int:
     try:
         return int(digits)
     except ValueError:  # past the interpreter's int/str digit limit
-        from decimal import Decimal
+        magnitude = _int_from_long_digits(digits.lstrip("-"), sys.get_int_max_str_digits())
+        return -magnitude if digits[0] == "-" else magnitude
 
-        return int(Decimal(digits))
+
+def _int_from_long_digits(digits: str, width: int) -> int:
+    """int of a run of decimal digits longer than width, in chunks of width digits.
+
+    Pairs of neighbouring chunks are joined level by level, the scale
+    10**width squared at each, so most of the work is the few products at
+    the top, in Karatsuba multiplication, instead of int()'s quadratic
+    reading of the whole run that the digit limit exists to stop.
+    """
+    # least significant chunk first; only the most significant may be short
+    parts = [int(digits[max(end - width, 0):end]) for end in range(len(digits), 0, -width)]
+    scale = 10**width
+    while len(parts) > 1:
+        if len(parts) % 2:
+            parts.append(0)
+        parts = [low + high * scale for low, high in zip(parts[::2], parts[1::2])]
+        if len(parts) > 1:
+            scale *= scale
+    return parts[0]
 
 
 def rep_to_json_dict(rep: OrthoRep) -> dict:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import deltamsr.msr
 import deltamsr.orthorep
 import deltamsr.sampler
 from deltamsr import (
@@ -535,6 +536,22 @@ def test_batch_reports_search_budget_inline(monkeypatch):
     assert lines[1]["graph"] == C6 and lines[1]["verdict"] == "holds"
 
 
+def test_batch_lets_any_other_runtime_error_escape(monkeypatch, capsys):
+    # only RetryBudgetExceeded, SearchBudgetExceeded and SelfCheckFailed
+    # become error lines; any other RuntimeError, RecursionError included,
+    # is a fault of the program and escapes main
+    for error in (RuntimeError, RecursionError):
+
+        def broken(g, error=error):
+            raise error("engine fault")
+
+        monkeypatch.setattr(deltamsr.msr, "msr_exact", broken)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"{C6}\n"))
+        with pytest.raises(error, match="engine fault"):
+            main(["batch"])
+        assert capsys.readouterr().out == ""
+
+
 def test_batch_streams_each_report():
     # the report for one line arrives while stdin is still open
     proc = subprocess.Popen(
@@ -872,7 +889,9 @@ def test_options_go_before_or_after_the_positional():
 COLD_START = """\
 import atexit, json, runpy, sys
 HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext"}
-HEAVY |= {"deltamsr." + m for m in ("families", "msr", "recognition", "orthorep")}
+HEAVY |= {
+    "deltamsr." + m for m in ("families", "msr", "recognition", "orthorep", "linalg", "sampler")
+}
 preloaded = HEAVY & set(sys.modules)
 atexit.register(lambda: print(json.dumps(sorted(HEAVY & set(sys.modules) - preloaded)), file=sys.stderr))
 runpy.run_module("deltamsr", run_name="__main__", alter_sys=True)
@@ -895,24 +914,40 @@ def test_cold_start_without_dataclasses_where_nothing_is_constructed():
     # nor fractions or decimal: every number a bundle holds is an integer;
     # no command parses its arguments with argparse, which loads gettext,
     # and each loads only the layers it runs
-    # C6 is not a delta-graph: batch decides it by the cycle rule
+    # C6 is not a delta-graph: batch decides it by the cycle rule and loads
+    # no construction layer
     code, out, heavy = cold_start(["batch"], C6 + "\n")
     assert code == 0 and json.loads(out)["verdict"] == "holds"
-    assert heavy == ["deltamsr.msr", "deltamsr.orthorep", "deltamsr.recognition"]
+    assert heavy == ["deltamsr.msr", "deltamsr.recognition"]
+    # verify reads and checks a bundle without recognition
     bundle = run_cli(["certify", "--seed", "0", PRISM])[1]
     code, out, heavy = cold_start(["verify"], bundle)
     assert code == 0 and json.loads(out)["bound"] == 3
-    assert heavy == ["deltamsr.orthorep", "deltamsr.recognition"]
-    # nor for a bundle with "p/1" text, as 0.13.0 and earlier wrote it
+    assert heavy == ["deltamsr.linalg", "deltamsr.orthorep"]
+    # nor for a bundle with "p/1" text, as 0.13.0 and earlier wrote it, nor
+    # for one with coordinates longer than the int/str digit limit
     p_1 = json.loads(bundle)
     p_1["representation"]["vectors"] = [
         [x + "/1" for x in vec] for vec in p_1["representation"]["vectors"]
     ]
     assert cold_start(["verify"], json.dumps(p_1)) == (0, out, heavy)
+    long = json.loads(bundle)
+    vectors = long["representation"]["vectors"]
+    vectors[0] = [x + "0" * 5000 for x in vectors[0]]
+    assert cold_start(["verify"], json.dumps(long)) == (0, out, heavy)
     # certify builds a GenericSampler, a dataclass, so the hook sees the import there
+    constructs = [
+        "dataclasses", "deltamsr.linalg", "deltamsr.orthorep", "deltamsr.recognition",
+        "deltamsr.sampler", "inspect",
+    ]
     code, out, heavy = cold_start(["certify", "--seed", "0", PRISM], "")
     assert code == 0 and out == bundle
-    assert heavy == ["dataclasses", "deltamsr.orthorep", "deltamsr.recognition", "inspect"]
+    assert heavy == constructs
+    # a batch loads the construction layers at its first delta-graph line
+    code, out, heavy = cold_start(["batch"], f"{C6}\n{PRISM}\n")
+    verdicts = [json.loads(line)["verdict"] for line in out.splitlines()]
+    assert code == 0 and verdicts == ["holds", "holds-by-construction"]
+    assert heavy == sorted(constructs + ["deltamsr.msr"])
     code, out, heavy = cold_start(["recognize", "--c-delta", C6], "")
     assert code == 0 and heavy == ["deltamsr.recognition"]
     # only gen imports the family builders

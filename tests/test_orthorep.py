@@ -453,6 +453,30 @@ def test_rep_from_json_dict_reads_ints_and_p_1_and_refuses_p_q():
             rep_from_json_dict({"dim": 2, "vectors": [["3", text]]})
 
 
+def test_fraction_from_str_reads_past_the_digit_limit_as_int_does():
+    # past the int/str digit limit the text is read in chunks within it, at
+    # the default limit and at the lowest one the interpreter allows;
+    # compared with int() with the limit lifted, with a sign, leading zeros
+    # and "/1", at lengths about 3000 and 4300 and far past them
+    rng = random.Random(22)
+    texts = []
+    for length in (1, 2999, 3000, 3001, 4300, 4301, 10_007, 123_457):
+        digits = "".join(rng.choices("0123456789", k=length))
+        padded = ("000" + digits)[:length]
+        texts += [digits, "-" + digits, padded, "-" + padded]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = [int(text) for text in texts]
+        info = sys.int_info
+        for lowered in (info.default_max_str_digits, info.str_digits_check_threshold):
+            sys.set_int_max_str_digits(lowered)
+            assert [fraction_from_str(text) for text in texts] == expected, lowered
+            assert [fraction_from_str(text + "/1") for text in texts] == expected, lowered
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_gram_exports():
     gm = gram(construct(PRISM, recognize_delta(PRISM), GenericSampler(seed=7)))
     d = json.loads(json.dumps(gram_to_json_dict(gm)))
