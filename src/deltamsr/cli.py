@@ -24,8 +24,11 @@ product), 2 input or usage error, 3 internal failure (resampling and
 restart budget exhausted, or a constructed representation that fails its
 own verification), 4 undecided (the recognition search budget ran out),
 141 output closed by its reader (as a shell reports a program that SIGPIPE
-ends; no traceback is printed).  ``batch`` reports each of the failures
-2 to 4 inline and goes on.
+ends; no traceback is printed).  The failures behind 3 and 4 are the
+package's three failure classes, and one table, ``_FAILURE_EXIT``, gives
+each its code: ``main`` returns that code for a failure that escapes a
+handler, and ``batch`` instead reports each of them, like each input
+error, inline and goes on.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import sys
 import types
 from typing import TYPE_CHECKING
 
+from . import RetryBudgetExceeded, SearchBudgetExceeded, SelfCheckFailed
 from .graphs import (
     Graph, complement, is_connected, min_degree, parse_edge_list, parse_graph6, to_graph6
 )
@@ -46,6 +50,10 @@ if TYPE_CHECKING:
     from .orthorep import RepReport
 
 __all__ = ["main"]
+
+# failure that stops a graph before its answer -> exit code; batch reports
+# each inline instead
+_FAILURE_EXIT = {SearchBudgetExceeded: 4, RetryBudgetExceeded: 3, SelfCheckFailed: 3}
 
 
 def _print_json(obj) -> None:
@@ -89,16 +97,13 @@ _C_DELTA_BASE_KIND = {"3K1": "K3", "K2+K1": "P3"}
 
 
 def _cmd_recognize(args) -> int:
-    from .recognition import SearchBudgetExceeded, recognize_delta
+    from .recognition import recognize_delta
 
     try:
         g = _load_graph(args)
     except (ValueError, OSError) as exc:
         return _fail(str(exc), 2)
-    try:
-        cert = recognize_delta(complement(g) if args.c_delta else g)
-    except SearchBudgetExceeded as exc:
-        return _fail(str(exc), 4)
+    cert = recognize_delta(complement(g) if args.c_delta else g)
     if cert is None:
         print("absent")
         return 1
@@ -110,32 +115,17 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    from .orthorep import (
-        RetryBudgetExceeded,
-        SelfCheckFailed,
-        construct_verified,
-        gram,
-        gram_to_json_dict,
-        rep_to_json_dict,
-    )
-    from .recognition import SearchBudgetExceeded, recognize_delta
+    from .orthorep import construct_verified, gram, gram_to_json_dict, rep_to_json_dict
+    from .recognition import recognize_delta
 
     try:
         g = _load_graph(args)
     except (ValueError, OSError) as exc:
         return _fail(str(exc), 2)
-    try:
-        cert = recognize_delta(g)
-    except SearchBudgetExceeded as exc:
-        return _fail(str(exc), 4)
+    cert = recognize_delta(g)
     if cert is None:
         return _fail("graph was not recognized as a delta-graph", 1)
-    try:
-        rep, report = construct_verified(g, cert, args.seed)
-    except RetryBudgetExceeded as exc:
-        return _fail(str(exc), 3)
-    except SelfCheckFailed as exc:
-        return _fail(str(exc), 3, failed_pair=exc.failed_pair)
+    rep, report = construct_verified(g, cert, args.seed)
     bundle = {
         "graph6": to_graph6(g),
         "n": g.n,
@@ -184,7 +174,6 @@ def _cmd_batch(args) -> int:
     """One report line per input line, each written as soon as it is known."""
     # only batch runs the conjecture check
     from .msr import check_delta_conjecture
-    from .recognition import SearchBudgetExceeded
 
     def report(line: str) -> dict:
         try:
@@ -195,15 +184,7 @@ def _cmd_batch(args) -> int:
             return {"graph": line, "error": "graph is disconnected"}
         try:
             return check_delta_conjecture(g, seed=args.seed, graph_id=line).to_json_dict()
-        except SearchBudgetExceeded as exc:
-            return {"graph": line, "error": str(exc)}
-        except RuntimeError as exc:
-            # construction's two failures; orthorep is loaded whenever it
-            # raised one, and any other RuntimeError is a fault that escapes
-            from .orthorep import RetryBudgetExceeded, SelfCheckFailed
-
-            if not isinstance(exc, (RetryBudgetExceeded, SelfCheckFailed)):
-                raise
+        except tuple(_FAILURE_EXIT) as exc:
             return {"graph": line, "error": str(exc)}
 
     if args.input is None or args.input == "-":
@@ -435,6 +416,9 @@ def main(argv=None) -> int:
             return 2
         code = handler(args)
         sys.stdout.flush()
+    except tuple(_FAILURE_EXIT) as exc:
+        details = {"failed_pair": exc.failed_pair} if isinstance(exc, SelfCheckFailed) else {}
+        return _fail(str(exc), _FAILURE_EXIT[type(exc)], **details)
     except BrokenPipeError:
         # the reader closed stdout; the interpreter flushes it again at
         # exit, so point it at devnull to keep that flush quiet too

@@ -14,12 +14,14 @@ covers without building a subgraph.
 
 ``Graph(n, adj)``, and ``_make`` and ``_replace`` through it, checks the
 adjacency a caller supplies: at least one vertex, one mask per vertex, no
-bit at or above n, no loop and no asymmetric pair.  ``parse_graph6`` and
-``complement`` build through ``_built_graph``, which skips those checks,
-because their masks meet them by construction: graph6 sets bits in pairs
-(i, j) with i < j < n, and a complement mask is ``~adj & full & ~(1 << v)``
-of a graph that passed them.  The parser still refuses every malformed
-line before any mask is built.
+bit at or above n, no loop and no asymmetric pair.  ``parse_graph6``,
+``from_edge_list`` and ``complement`` build through ``_built_graph``,
+which skips those checks, because their masks meet them by construction:
+graph6 sets bits in pairs (i, j) with i < j < n, ``from_edge_list`` sets
+both bits of each edge after checking that its ends are distinct and
+below n, and a complement mask is ``~adj & full & ~(1 << v)`` of a graph
+that passed them.  The graph6 parser still refuses every malformed line
+before any mask is built, and ``from_edge_list`` still refuses n < 1.
 """
 
 from __future__ import annotations
@@ -136,7 +138,9 @@ def from_edge_list(n: int, edges) -> Graph:
             raise ValueError(f"loop edge at vertex {u}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    if n < 1:
+        raise ValueError("graph needs at least one vertex")
+    return _built_graph(n, tuple(adj))
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -28,6 +28,10 @@ condition is sign-invariant, and no redraw can change the outcome.  Such a
 step can only be mended by different earlier vectors, so construct widens
 the window and starts over from the first vertex, on the same sampler
 stream, up to MAX_RESTARTS times before RetryBudgetExceeded escapes.
+``construct_verified`` raises SelfCheckFailed when verify_rep rejects what
+construct built.  Both classes are defined in the package, with
+recognition's SearchBudgetExceeded, so a caller catches them without
+loading this module; they are imported here from there.
 
 Dependence is decided one way throughout, on inner products already taken.
 Two nonzero primitive integer vectors u and v are dependent iff v = +-u,
@@ -54,6 +58,7 @@ from itertools import combinations
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import RetryBudgetExceeded, SelfCheckFailed
 from .graphs import Graph, min_degree
 from .linalg import dot, int_nullspace_basis, primitive_part
 
@@ -88,25 +93,6 @@ WIDEN_EVERY = 8
 MAX_RESTARTS = 8
 
 IntVector = tuple[int, ...]
-
-
-class RetryBudgetExceeded(RuntimeError):
-    """Raised when a solve step finds no admissible vector in its draws.
-
-    construct raises it only after MAX_RESTARTS widened restarts failed too.
-    """
-
-
-class SelfCheckFailed(RuntimeError):
-    """Raised when verify_rep rejects a representation that construct built.
-
-    ``failed_pair`` is the report's first failing vertex pair, or None.
-    """
-
-    def __init__(self, failed_pair: tuple[int, int] | None) -> None:
-        self.failed_pair = failed_pair
-        where = "" if failed_pair is None else f", failed_pair {list(failed_pair)}"
-        super().__init__(f"constructed representation failed verification{where}")
 
 
 class OrthoRep(NamedTuple):

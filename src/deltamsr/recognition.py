@@ -24,7 +24,9 @@ completion, so the first certificate found is the first ordering in that
 order.  The search runs on an explicit stack, so its depth is not limited
 by the interpreter's recursion limit.  The problem has no known polynomial
 algorithm, so the search is bounded: after ``SEARCH_BUDGET`` expanded sets
-it raises ``SearchBudgetExceeded``, the "undecided" outcome.
+it raises ``SearchBudgetExceeded``, the "undecided" outcome.  That class is
+defined in the package, with construction's two failures, so a caller
+catches it without loading this module; it is imported here from there.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 from itertools import accumulate, combinations
 from typing import NamedTuple
 
+from . import SearchBudgetExceeded
 from .graphs import Graph, complement, is_connected
 
 __all__ = [
@@ -49,14 +52,6 @@ _BASE_EDGE_COUNT = {"3K1": 0, "K2+K1": 1}
 
 # expanded vertex sets per recognize_delta call, over all base triples
 SEARCH_BUDGET = 1_000_000
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """Raised when recognize_delta expands SEARCH_BUDGET sets without an answer."""
-
-    def __init__(self, nodes: int) -> None:
-        super().__init__(f"delta-graph search undecided after {nodes} expanded vertex sets")
-        self.nodes = nodes
 
 
 class DeltaCertificate(NamedTuple):

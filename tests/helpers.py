@@ -538,16 +538,27 @@ def construct_from_priors(
     starts over, up to MAX_RESTARTS times.
     """
     d = g.n - min(a.bit_count() for a in g.adj)
-    order = cert.ordering
     for restart in range(MAX_RESTARTS + 1):
         if restart:
             sampler.widen()
-        vectors = [()] * g.n
         try:
-            for i, v in enumerate(order):
-                priors = [(vectors[u], g.adj[u] >> v & 1) for u in order[:i]]
-                vectors[v] = solve_from_priors(priors, d, sampler)
+            return vectors_from_priors(g, cert, d, sampler), restart
         except RetryBudgetExceeded:
             continue
-        return tuple(vectors), restart
     raise RetryBudgetExceeded("out of restarts")
+
+
+def vectors_from_priors(
+    g: Graph, cert: DeltaCertificate, d: int, sampler
+) -> tuple[tuple[int, ...], ...]:
+    """One solve_from_priors step per vertex in certificate order, in dimension d.
+
+    Any d above the largest excluded-count works, so this also builds
+    representations in a dimension other than |G| - min_degree(G).
+    """
+    order = cert.ordering
+    vectors = [()] * g.n
+    for i, v in enumerate(order):
+        priors = [(vectors[u], g.adj[u] >> v & 1) for u in order[:i]]
+        vectors[v] = solve_from_priors(priors, d, sampler)
+    return tuple(vectors)

@@ -304,6 +304,24 @@ def test_verify_names_the_first_failing_pair():
     assert not result["checks"]["independent"] and not result["checks"]["pattern"]
 
 
+def test_verify_refuses_a_representation_above_the_delta_bound():
+    import helpers
+
+    # valid vectors in dimension 4 = n - delta + 1 pass every check but the dimension
+    _, out = run_cli(["certify", "--seed", "3", PRISM])
+    bundle = json.loads(out)
+    g = parse_graph6(PRISM)
+    vectors = helpers.vectors_from_priors(g, recognize_delta(g), 4, GenericSampler(seed=0))
+    bundle["representation"] = rep_to_json_dict(OrthoRep(4, vectors))
+    code, report = run_cli(["verify"], stdin_text=json.dumps(bundle))
+    assert code == 1
+    assert json.loads(report) == {
+        "bound": None,
+        "checks": {"pattern": True, "nonzero": True, "independent": True, "dimension": False},
+        "failed_pair": None,
+    }
+
+
 def test_verify_checks_the_bundled_gram(capsys):
     _, out = run_cli(["certify", "--seed", "3", "--emit-gram", PRISM])
     code, report = run_cli(["verify"], stdin_text=out)
@@ -962,6 +980,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "deltamsr", "recognize", "--c-delta", C6],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["base_kind"] in ("K3", "P3")

@@ -17,7 +17,16 @@ from deltamsr import (
     parse_graph6,
     to_graph6,
 )
-from deltamsr.families import complete, cycle, path, robertson_cage, star
+from deltamsr.families import (
+    cartesian_product,
+    complete,
+    corona,
+    cycle,
+    mobius_ladder,
+    path,
+    robertson_cage,
+    star,
+)
 
 import helpers
 
@@ -137,19 +146,49 @@ def non_edges(g):
 
 
 def test_builders_make_what_the_checking_constructor_accepts_on_atlas():
-    # parse_graph6 and complement skip Graph's checks; their masks must pass them
+    # parse_graph6, from_edge_list and complement skip Graph's checks; their
+    # masks must pass them
     for line in helpers.ATLAS_PATH.read_text().splitlines():
         g = parse_graph6(line)
         assert_checked_equal(g, g)
         assert_checked_equal(parse_graph6(to_graph6(g)), g)
         assert_checked_equal(complement(g), from_edge_list(g.n, non_edges(g)))
+        # each edge in both orientations, so every pair is set twice
+        both = g.edges() + [(v, u) for u, v in g.edges()]
+        assert_checked_equal(from_edge_list(g.n, both), g)
 
 
 @given(graphs(max_n=70))
 def test_builders_make_what_the_checking_constructor_accepts(g):
-    # n up to 70, so masks run past one 64-bit word
+    # n up to 70, so masks run past one 64-bit word; g is from_edge_list's
+    assert_checked_equal(g, parse_graph6(to_graph6(g)))
     assert_checked_equal(parse_graph6(to_graph6(g)), g)
     assert_checked_equal(complement(g), from_edge_list(g.n, non_edges(g)))
+
+
+def test_family_builders_make_what_the_checking_constructor_accepts():
+    # every builder returns from_edge_list's graph
+    p4 = path(4)
+    for g in (
+        cycle(70),
+        path(66),
+        complete(9),
+        star(65),
+        mobius_ladder(10),
+        cartesian_product(complete(3), p4),
+        corona(star(2), p4),
+        robertson_cage(),
+    ):
+        assert_checked_equal(g, parse_graph6(to_graph6(g)))
+
+
+def test_from_edge_list_refuses_an_empty_vertex_set():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^graph needs at least one vertex$"):
+            from_edge_list(n, [])
+    # an out-of-range edge is named before the empty vertex set
+    with pytest.raises(ValueError, match=r"^edge \(0,1\) out of range for n=0$"):
+        from_edge_list(0, [(0, 1)])
 
 
 @given(graphs(max_n=14))

@@ -401,6 +401,17 @@ def test_verify_rep_handles_ragged_vectors():
     assert not report.dimension_ok and not report.all_ok
 
 
+def test_verify_rep_holds_the_dimension_to_the_delta_bound():
+    # the prism's certificate walked in dimension 4, one above n - delta = 3:
+    # every other check passes, and a representation in dimension 4 shows
+    # only msr <= 4, so no bound is reported
+    cert = recognize_delta(PRISM)
+    vectors = helpers.vectors_from_priors(PRISM, cert, 4, GenericSampler(seed=0))
+    assert {len(v) for v in vectors} == {4}
+    report = verify_rep(PRISM, OrthoRep(4, vectors))
+    assert report == (True, True, True, False, None, None)
+
+
 def test_construct_handles_noncanonical_base_arrangement():
     # base triple listed with the adjacent pair in positions 2 and 3
     cert = DeltaCertificate((0, 2, 3, 1), "K2+K1", (1,))

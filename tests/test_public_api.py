@@ -11,7 +11,8 @@ name.  A function that only tests call is a test oracle, and oracles live
 in ``tests/``.
 
 The package itself re-exports a fixed set of names, each resolved from its
-home module on first use, so that importing the package loads none of them.
+home module on first use, so that importing the package loads none of them,
+and defines the three failure classes that its submodules raise.
 """
 
 import importlib
@@ -92,27 +93,40 @@ def test_every_public_name_is_used_outside_the_tests():
 
 
 # the names the 0.17.0 package imported eagerly, and GenericSampler, which it
-# resolved on first use
+# resolved on first use, less the two failure classes the package now defines
 PACKAGE_EXPORTS = {
     "MAX_VERTICES", "Graph", "blocks", "complement", "from_edge_list", "is_connected",
     "min_degree", "parse_edge_list", "parse_graph6", "to_graph6",
-    "SEARCH_BUDGET", "DeltaCertificate", "SearchBudgetExceeded", "check_certificate",
-    "max_excluded", "recognize_delta",
-    "OrthoRep", "RepReport", "RetryBudgetExceeded", "construct", "gram", "verify_rep",
+    "SEARCH_BUDGET", "DeltaCertificate", "check_certificate", "max_excluded",
+    "recognize_delta",
+    "OrthoRep", "RepReport", "construct", "gram", "verify_rep",
     "ConjectureReport", "check_delta_conjecture", "clique_cover_number", "msr_exact",
     "GenericSampler",
+}
+# failure class defined in the package -> the submodule that raises it and
+# imports it from there
+PACKAGE_FAILURES = {
+    "SearchBudgetExceeded": "recognition",
+    "RetryBudgetExceeded": "orthorep",
+    "SelfCheckFailed": "orthorep",
 }
 
 
 def test_package_exports_are_their_home_modules_names():
-    assert set(deltamsr._EXPORTS) == PACKAGE_EXPORTS == set(deltamsr.__all__)
+    assert set(deltamsr._EXPORTS) == PACKAGE_EXPORTS
+    assert set(deltamsr.__all__) == PACKAGE_EXPORTS | set(PACKAGE_FAILURES)
     for name, home in deltamsr._EXPORTS.items():
         module = importlib.import_module(f"deltamsr.{home}")
         assert name in module.__all__ and getattr(deltamsr, name) is getattr(module, name), name
-    assert PACKAGE_EXPORTS <= set(dir(deltamsr))
+    for name, home in PACKAGE_FAILURES.items():
+        cls = vars(deltamsr)[name]
+        assert cls.__module__ == "deltamsr" and issubclass(cls, RuntimeError), name
+        module = importlib.import_module(f"deltamsr.{home}")
+        assert name in module.__all__ and getattr(module, name) is cls, name
+    assert set(deltamsr.__all__) <= set(dir(deltamsr))
     namespace: dict = {}
     exec("from deltamsr import *", namespace)
-    assert set(namespace) - {"__builtins__"} == PACKAGE_EXPORTS
+    assert set(namespace) - {"__builtins__"} == set(deltamsr.__all__)
     with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
         deltamsr.nosuch
 

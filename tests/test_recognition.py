@@ -111,6 +111,36 @@ def test_check_certificate_reports_first_violation():
     assert not chk.ok and chk.failed_at == 5
 
 
+@pytest.mark.parametrize(
+    "g, cert, failed_at, reason",
+    [
+        (path(3), DeltaCertificate((0, 1, 2), "K2+K1", ()), None, "fewer than four vertices"),
+        (
+            PRISM,
+            PRISM_CERT._replace(excluded_counts=(1, 1)),
+            None,
+            "excluded_counts has wrong length",
+        ),
+        # every count the loop reads agrees with the graph: only the length check refuses it
+        (
+            PRISM,
+            PRISM_CERT._replace(excluded_counts=(1, 1, 2, 0)),
+            None,
+            "excluded_counts has wrong length",
+        ),
+        # v5 = 4 misses priors 1 and 2 of C5, one more than floor(5/2) - 1
+        (
+            cycle(5),
+            DeltaCertificate((0, 1, 3, 2, 4), "K2+K1", (1, 2)),
+            5,
+            "excluded-count exceeds the bound",
+        ),
+    ],
+)
+def test_check_certificate_names_each_rejection(g, cert, failed_at, reason):
+    assert check_certificate(g, cert) == (False, failed_at, reason)
+
+
 def test_check_certificate_rejects_non_permutation():
     with pytest.raises(ValueError, match="permutation"):
         check_certificate(PRISM, DeltaCertificate((0, 0, 2, 3, 4, 5), "K2+K1", (1, 1, 2)))
