@@ -3,7 +3,11 @@
 Subcommands: ``recognize`` (delta / C-delta membership), ``certify``
 (certificate + exact representation bundle), ``verify`` (re-check an
 emitted bundle), ``batch`` (one Delta Conjecture report per graph6 line)
-and ``gen`` (family generators emitting graph6).
+and ``gen`` (family generators emitting graph6).  ``batch`` reads its
+input in chunks and writes each report no later than its next read of the
+input: a producer that sends one line at a time gets each answer before it
+sends the next, and a file or a fast pipe gets its reports in groups, one
+write per read.
 
 One table, ``_COMMANDS``, holds each subcommand's help, positional,
 options and handler, and drives parsing, ``-h``/``--help`` and usage
@@ -20,19 +24,21 @@ at its first delta-graph line.
 
 Exit codes: 0 success or present, 1 clean negative (for ``verify``, a
 failed check or a bundled Gram entry that differs from the inner
-product), 2 input or usage error, 3 internal failure (resampling and
-restart budget exhausted, or a constructed representation that fails its
-own verification), 4 undecided (the recognition search budget ran out),
-141 output closed by its reader (as a shell reports a program that SIGPIPE
-ends; no traceback is printed).  The failures behind 3 and 4 are the
-package's three failure classes, and one table, ``_FAILURE_EXIT``, gives
-each its code: ``main`` returns that code for a failure that escapes a
-handler, and ``batch`` instead reports each of them, like each input
-error, inline and goes on.
+product), 2 input or usage error (a process started with its stdout
+closed, or with its stdin closed where it reads stdin, included), 3
+internal failure (resampling and restart budget exhausted, or a
+constructed representation that fails its own verification), 4 undecided
+(the recognition search budget ran out), 141 output closed by its reader
+(as a shell reports a program that SIGPIPE ends; no traceback is
+printed).  The failures behind 3 and 4 are the package's three failure
+classes, and one table, ``_FAILURE_EXIT``, gives each its code: ``main``
+returns that code for a failure that escapes a handler, and ``batch``
+instead reports each of them, like each input error, inline and goes on.
 """
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import io
 import json
@@ -65,10 +71,17 @@ def _fail(message: str, code: int, **details) -> int:
     return code
 
 
+def _stdin():
+    """sys.stdin; OSError when the process started with its stdin closed."""
+    if sys.stdin is None:
+        raise OSError("stdin is closed")
+    return sys.stdin
+
+
 def _parse_file_or_literal(source: str | None, parse):
     """Parse stdin for None or "-", else the file that source names, else source itself."""
     if source is None or source == "-":
-        return parse(sys.stdin.read())
+        return parse(_stdin().read())
     if os.path.exists(source):
         with open(source) as fh:
             return parse(fh.read())
@@ -170,10 +183,46 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_ok and not gram_entry else 1
 
 
+def _reads(stream):
+    """The text of each read of stream, up to its last line end; the rest waits for the next read.
+
+    A read takes at most io.DEFAULT_BUFFER_SIZE bytes, as many as one read of
+    the binary layer returns, and decodes them incrementally with the
+    stream's own encoding and errors="surrogateescape", so a character split
+    between two reads is decoded whole.  The last piece is the text after
+    the last line end; a text stream with no binary layer (io.StringIO) is
+    read whole as one piece.
+    """
+    binary = getattr(stream, "buffer", None)
+    if binary is None:
+        yield stream.read()
+        return
+    decode = codecs.getincrementaldecoder(stream.encoding)("surrogateescape").decode
+    head = []  # the text since the last line end
+    while chunk := binary.read1(io.DEFAULT_BUFFER_SIZE):
+        text = decode(chunk)
+        cut = max(text.rfind("\n"), text.rfind("\r")) + 1
+        if cut:
+            yield "".join([*head, text[:cut]])
+            head = []
+        head.append(text[cut:])
+    yield "".join([*head, decode(b"", final=True)])
+
+
 def _cmd_batch(args) -> int:
-    """One report line per input line, each written as soon as it is known."""
+    """One report line per input line, written no later than batch's next read of its input.
+
+    The reports of each read's lines go out in one write and one flush before
+    the next read, and in one write whenever they reach io.DEFAULT_BUFFER_SIZE
+    characters: a producer that sends one line at a time gets each report
+    before it sends the next, and a file or a fast pipe gets them in groups.
+    A line ends at "\n", "\r\n" or a lone "\r"; it is stripped, and a blank
+    one is skipped.
+    """
     # only batch runs the conjecture check
     from .msr import check_delta_conjecture
+
+    encode = json.JSONEncoder(sort_keys=True).encode
 
     def report(line: str) -> dict:
         try:
@@ -187,21 +236,30 @@ def _cmd_batch(args) -> int:
         except tuple(_FAILURE_EXIT) as exc:
             return {"graph": line, "error": str(exc)}
 
-    if args.input is None or args.input == "-":
-        if isinstance(sys.stdin, io.TextIOWrapper):
-            # undecodable bytes become error lines whatever the locale's error handler
-            sys.stdin.reconfigure(errors="surrogateescape")
-        source = contextlib.nullcontext(sys.stdin)
-    else:
-        try:
-            source = open(args.input, errors="surrogateescape")
-        except OSError as exc:
-            return _fail(str(exc), 2)
-    with source as lines:
-        for line in lines:
-            line = line.strip()
-            if line:
-                print(json.dumps(report(line), sort_keys=True), flush=True)
+    try:
+        if args.input is None or args.input == "-":
+            source = contextlib.nullcontext(_stdin())
+        else:
+            source = open(args.input)
+    except OSError as exc:
+        return _fail(str(exc), 2)
+    pending, size = [], 0  # report lines not yet written, and their length
+    with source as stream:
+        for text in _reads(stream):
+            # a "\r\n" end leaves an empty line between its halves, skipped below
+            for line in text.replace("\r", "\n").split("\n"):
+                line = line.strip()
+                if not line:
+                    continue
+                pending.append(encode(report(line)) + "\n")
+                size += len(pending[-1])
+                if size >= io.DEFAULT_BUFFER_SIZE:
+                    sys.stdout.write("".join(pending))
+                    pending, size = [], 0
+            if pending:
+                sys.stdout.write("".join(pending))
+                pending, size = [], 0
+            sys.stdout.flush()
     return 0
 
 
@@ -414,6 +472,8 @@ def main(argv=None) -> int:
             error = f"{_prog(exc.command)}: error: {exc}"
             print(_usage(exc.command), error, sep="\n", file=sys.stderr)
             return 2
+        if sys.stdout is None:  # the process started with its stdout closed
+            return _fail("stdout is closed", 2)
         code = handler(args)
         sys.stdout.flush()
     except tuple(_FAILURE_EXIT) as exc:

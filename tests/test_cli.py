@@ -6,12 +6,14 @@ import os
 import selectors
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
 
 import pytest
 
+import helpers
 import deltamsr.msr
 import deltamsr.orthorep
 import deltamsr.sampler
@@ -29,6 +31,7 @@ from deltamsr import (
     to_graph6,
 )
 from deltamsr.cli import main
+from deltamsr.msr import check_delta_conjecture
 from deltamsr.orthorep import gram_to_json_dict, rep_from_json_dict, rep_to_json_dict
 from deltamsr.families import complete, cycle, path
 
@@ -70,8 +73,6 @@ def test_recognize_c6_c_delta():
 
 
 def test_recognize_c_delta_prints_the_complement_certificate_as_g_induces_it():
-    import helpers
-
     kinds = set()
     for g in helpers.atlas_graphs(min_n=4, max_n=7):
         line = to_graph6(g)
@@ -571,7 +572,8 @@ def test_batch_lets_any_other_runtime_error_escape(monkeypatch, capsys):
 
 
 def test_batch_streams_each_report():
-    # the report for one line arrives while stdin is still open
+    # the report for each line arrives while stdin is still open, before the
+    # producer sends the next line
     proc = subprocess.Popen(
         [sys.executable, "-m", "deltamsr", "batch"],
         stdin=subprocess.PIPE,
@@ -580,12 +582,13 @@ def test_batch_streams_each_report():
         env=subprocess_env(),
     )
     try:
-        proc.stdin.write(C6 + "\n")
-        proc.stdin.flush()
-        with selectors.DefaultSelector() as sel:
-            sel.register(proc.stdout, selectors.EVENT_READ)
-            assert sel.select(timeout=20), "no report before stdin closed"
-        assert json.loads(proc.stdout.readline())["graph"] == C6
+        for line in (C6, P4):
+            proc.stdin.write(line + "\n")
+            proc.stdin.flush()
+            with selectors.DefaultSelector() as sel:
+                sel.register(proc.stdout, selectors.EVENT_READ)
+                assert sel.select(timeout=20), f"no report for {line!r} before stdin closed"
+            assert json.loads(proc.stdout.readline())["graph"] == line
         proc.stdin.close()
         assert proc.wait(timeout=30) == 0
     finally:
@@ -632,6 +635,147 @@ def test_batch_exits_quietly_when_its_reader_closes_the_pipe():
     finally:
         os.close(write_end)
     assert (help_proc.returncode, help_proc.stderr) == (141, "")
+
+
+def test_batch_writes_its_reports_once_per_read_not_once_per_line(monkeypatch):
+    class CountingStdout(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    out = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["batch", str(helpers.ATLAS_PATH)]) == 0
+    text = out.getvalue()
+    assert len(text.splitlines()) == len(helpers.ATLAS_PATH.read_text().splitlines())
+    # one write per read of the input, and one per io.DEFAULT_BUFFER_SIZE of output
+    assert out.writes <= -(-len(text.encode()) // io.DEFAULT_BUFFER_SIZE) + 2, out.writes
+
+
+# each line's bytes and the line end that follows it
+SHAPED_LINES = [
+    (C6.encode(), b"\r\n"),
+    (P4.encode(), b"\r"),  # a lone CR
+    (K4.encode(), b"\r\n"),
+    (b"", b"\n"),
+    (b" \t", b"\r\n"),  # a whitespace-only line
+    (b" " + PRISM.encode() + b"  ", b"\n"),
+    (b"E?\xff", b"\n"),  # undecodable
+    (b"C\xc3\xa9", b"\r"),  # a two-byte character
+    (C6.encode(), b""),  # no final line end
+]
+SHAPED_INPUT = b"".join(line + end for line, end in SHAPED_LINES)
+
+
+def expected_batch_output(encoding: str) -> str:
+    """batch's output for SHAPED_LINES, built line by line from the library."""
+    out = []
+    for raw, _ in SHAPED_LINES:
+        line = raw.decode(encoding, "surrogateescape").strip()
+        if not line:
+            continue
+        try:
+            g = parse_graph6(line)
+        except ValueError as exc:
+            report = {"graph": line, "error": str(exc)}
+        else:
+            report = check_delta_conjecture(g, seed=0, graph_id=line).to_json_dict()
+        out.append(json.dumps(report, sort_keys=True) + "\n")
+    return "".join(out)
+
+
+class PieceReader:
+    """A binary stream whose read1 returns the given pieces, one per read."""
+
+    def __init__(self, pieces):
+        self.pieces = [piece for piece in pieces if piece]
+
+    def read1(self, size):
+        assert 0 < size <= io.DEFAULT_BUFFER_SIZE
+        return self.pieces.pop(0) if self.pieces else b""
+
+
+def test_batch_keeps_its_line_semantics_across_reads(tmp_path, monkeypatch):
+    path = tmp_path / "shaped.g6"
+    path.write_bytes(SHAPED_INPUT)
+    with open(path) as fh:
+        encoding = fh.encoding  # the locale's, as batch opens the file
+    expected = expected_batch_output(encoding)
+    assert run_cli(["batch", str(path)]) == (0, expected)
+    assert len(expected.splitlines()) == 7
+    # every split into two reads, a CR apart from its LF and a character
+    # apart from its second byte included, and reads of a few fixed sizes
+    splits = [(SHAPED_INPUT[:i], SHAPED_INPUT[i:]) for i in range(len(SHAPED_INPUT) + 1)]
+    for size in (1, 2, 3, 7):
+        splits.append([SHAPED_INPUT[i:i + size] for i in range(0, len(SHAPED_INPUT), size)])
+    for pieces in splits:
+        out = io.StringIO()
+        stdin = types.SimpleNamespace(buffer=PieceReader(pieces), encoding=encoding)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["batch"]) == 0
+        assert out.getvalue() == expected, pieces
+    # in an encoding that is not ASCII-compatible, read 3 bytes at a time
+    wide = "\r\n".join([C6, P4, K4]).encode("utf-16")
+    pieces = [wide[i:i + 3] for i in range(0, len(wide), 3)]
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=PieceReader(pieces), encoding="utf-16"))
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["batch"]) == 0
+    assert out.getvalue() == "".join(expected.splitlines(keepends=True)[:3])
+    # a text stdin with no binary layer is read whole, with the same lines
+    text = SHAPED_INPUT.decode(encoding, "surrogateescape")
+    assert run_cli(["batch"], stdin_text=text) == (0, expected)
+    # and a real stdin gives the bytes that a file argument gives
+    from_file, from_stdin = (
+        subprocess.run(
+            [sys.executable, "-m", "deltamsr", "batch", *argv],
+            input=SHAPED_INPUT,
+            capture_output=True,
+            env=subprocess_env(),
+            timeout=60,
+        )
+        for argv in ([str(path)], [])
+    )
+    assert from_file.returncode == from_stdin.returncode == 0
+    assert from_stdin.stdout == from_file.stdout
+
+
+def run_with_closed(fd: str, argv, stdin=None) -> subprocess.CompletedProcess:
+    """deltamsr in a process that starts with file descriptor fd (0 or 1) closed."""
+    return subprocess.run(
+        ["sh", "-c", f'exec "$@" {fd}>&-', "sh", sys.executable, "-m", "deltamsr", *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["recognize"], ["certify"], ["batch"], ["batch", "-"]],
+    ids=["verify", "recognize", "certify", "batch", "batch-dash"],
+)
+def test_a_closed_stdin_is_an_input_error(argv):
+    proc = run_with_closed("0", argv)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert json.loads(proc.stderr) == {"error": "stdin is closed"}
+
+
+def test_a_closed_stdin_is_no_error_where_none_is_read():
+    proc = run_with_closed("0", ["gen", "cycle", "6"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, C6 + "\n", "")
+
+
+@pytest.mark.parametrize("argv", [["batch"], ["gen", "cycle", "6"], ["-h"]], ids=["batch", "gen", "help"])
+def test_a_closed_stdout_is_an_output_error(argv):
+    proc = run_with_closed("1", argv, stdin=C6 + "\n")
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert json.loads(proc.stderr) == {"error": "stdout is closed"}
 
 
 def test_batch_decides_a_cycle_with_a_long_pendant_path(tmp_path):
