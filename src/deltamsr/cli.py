@@ -3,11 +3,15 @@
 Subcommands: ``recognize`` (delta / C-delta membership), ``certify``
 (certificate + exact representation bundle), ``verify`` (re-check an
 emitted bundle), ``batch`` (one Delta Conjecture report per graph6 line)
-and ``gen`` (family generators emitting graph6).  ``batch`` reads its
-input in chunks and writes each report no later than its next read of the
-input: a producer that sends one line at a time gets each answer before it
-sends the next, and a file or a fast pipe gets its reports in groups, one
-write per read.
+and ``gen`` (family generators emitting graph6).  ``recognize``,
+``certify`` and ``gen``'s graph parameters read graph6 or an edge list and
+tell them apart by the first non-blank character: every graph6 character
+lies in ``>``..``~``, and an edge list starts with its vertex count, a
+digit or a sign; ``verify``'s bundles and ``batch``'s lines hold graph6
+only.  ``batch`` reads its input in chunks and writes each report no later
+than its next read of the input: a producer that sends one line at a time
+gets each answer before it sends the next, and a file or a fast pipe gets
+its reports in groups, one write per read.
 
 One table, ``_COMMANDS``, holds each subcommand's help, positional,
 options and handler, and drives parsing, ``-h``/``--help`` and usage
@@ -78,13 +82,26 @@ def _stdin():
     return sys.stdin
 
 
+# the input names that read stdin
+_STDIN = (None, "-")
+
+
+def _input(source: str | None):
+    """A context manager for stdin when source is in _STDIN, else for the file it names.
+
+    Raises OSError when that stream cannot be had: a closed stdin or a file that
+    cannot be opened.
+    """
+    if source in _STDIN:
+        return contextlib.nullcontext(_stdin())
+    return open(source)
+
+
 def _parse_file_or_literal(source: str | None, parse):
-    """Parse stdin for None or "-", else the file that source names, else source itself."""
-    if source is None or source == "-":
-        return parse(_stdin().read())
-    if os.path.exists(source):
-        with open(source) as fh:
-            return parse(fh.read())
+    """Parse the text of _input(source), or source itself when it names no file."""
+    if source in _STDIN or os.path.exists(source):
+        with _input(source) as stream:
+            return parse(stream.read())
     try:
         return parse(source)
     except ValueError as exc:
@@ -100,9 +117,16 @@ def _checks(report: RepReport) -> dict:
     }
 
 
-def _load_graph(args) -> Graph:
-    parse = parse_edge_list if args.format == "edgelist" else parse_graph6
-    return _parse_file_or_literal(args.graph, parse)
+def _parse_graph(text: str) -> Graph:
+    """The graph of graph6 or edge-list text, told apart by its first non-blank character.
+
+    Every graph6 character, and the ">" that starts its optional header, lies
+    in ">".."~"; an edge list starts with its vertex count, and int() takes
+    only a sign or a digit there.  Text with no non-blank character is read
+    as graph6, which names it empty.
+    """
+    first = text.lstrip()[:1]
+    return parse_graph6(text) if not first or ">" <= first <= "~" else parse_edge_list(text)
 
 
 # the complement's base triple as G induces it; the ordering and counts carry over
@@ -113,7 +137,7 @@ def _cmd_recognize(args) -> int:
     from .recognition import recognize_delta
 
     try:
-        g = _load_graph(args)
+        g = _parse_file_or_literal(args.graph, _parse_graph)
     except (ValueError, OSError) as exc:
         return _fail(str(exc), 2)
     cert = recognize_delta(complement(g) if args.c_delta else g)
@@ -132,7 +156,7 @@ def _cmd_certify(args) -> int:
     from .recognition import recognize_delta
 
     try:
-        g = _load_graph(args)
+        g = _parse_file_or_literal(args.graph, _parse_graph)
     except (ValueError, OSError) as exc:
         return _fail(str(exc), 2)
     cert = recognize_delta(g)
@@ -217,7 +241,8 @@ def _cmd_batch(args) -> int:
     characters: a producer that sends one line at a time gets each report
     before it sends the next, and a file or a fast pipe gets them in groups.
     A line ends at "\n", "\r\n" or a lone "\r"; it is stripped, and a blank
-    one is skipped.
+    one is skipped.  A fault of the program that escapes a line's report
+    escapes batch too, after the reports before it are written.
     """
     # only batch runs the conjecture check
     from .msr import check_delta_conjecture
@@ -237,10 +262,7 @@ def _cmd_batch(args) -> int:
             return {"graph": line, "error": str(exc)}
 
     try:
-        if args.input is None or args.input == "-":
-            source = contextlib.nullcontext(_stdin())
-        else:
-            source = open(args.input)
+        source = _input(args.input)
     except OSError as exc:
         return _fail(str(exc), 2)
     pending, size = [], 0  # report lines not yet written, and their length
@@ -251,7 +273,14 @@ def _cmd_batch(args) -> int:
                 line = line.strip()
                 if not line:
                     continue
-                pending.append(encode(report(line)) + "\n")
+                try:
+                    answer = report(line)
+                except Exception:
+                    # a fault of the program: the answers before it still go out
+                    sys.stdout.write("".join(pending))
+                    sys.stdout.flush()
+                    raise
+                pending.append(encode(answer) + "\n")
                 size += len(pending[-1])
                 if size >= io.DEFAULT_BUFFER_SIZE:
                     sys.stdout.write("".join(pending))
@@ -264,7 +293,7 @@ def _cmd_batch(args) -> int:
 
 
 # gen family -> (help text, positional arguments, builder in deltamsr.families);
-# n is an int, g and h are graph6 text
+# n is an int, g and h are graph6 or edge-list text
 _GEN_FAMILIES = {
     "cycle": ("cycle C_n", "n", "cycle"),
     "path": ("path P_n", "n", "path"),
@@ -273,9 +302,9 @@ _GEN_FAMILIES = {
     "mobius": ("Moebius ladder on n vertices (even n >= 6)", "n", "mobius_ladder"),
     "robertson": ("Robertson (4,5)-cage", "", "robertson_cage"),
     "cartesian": (
-        "Cartesian (box) product of two graph6 graphs", "gh", "cartesian_product"
+        "Cartesian (box) product of two graphs", "gh", "cartesian_product"
     ),
-    "corona": ("corona of two graph6 graphs", "gh", "corona"),
+    "corona": ("corona of two graphs", "gh", "corona"),
 }
 
 
@@ -286,20 +315,19 @@ def _cmd_gen(args) -> int:
     _, params, builder = _GEN_FAMILIES[args.family]
     build = getattr(families, builder)
     try:
-        g = build(*(args.n if p == "n" else parse_graph6(getattr(args, p)) for p in params))
+        g = build(*(args.n if p == "n" else _parse_graph(getattr(args, p)) for p in params))
     except ValueError as exc:
         return _fail(str(exc), 2)
     print(to_graph6(g))
     return 0
 
 
-# option -> (value type, choices, default, help); a switch has type None and default False
-_FORMAT_OPTION = {
-    "--format": (
-        str, ("g6", "edgelist"), "g6", "input format; edgelist is 'n' then one 'u v' line per edge"
-    ),
-}
-_GRAPH = ("graph", "graph file or literal (default: stdin)")
+# option -> (value type, default, help); a switch has type None and default False
+_GRAPH = (
+    "graph",
+    "graph file or literal (default: stdin): an edge list ('n', then one 'u v' line per"
+    " edge) if its first non-blank character lies outside '>'..'~', as a digit does, else graph6",
+)
 
 # command -> (help, optional positional (name, help) or None, options, handler);
 # gen's positionals are a family from _GEN_FAMILIES and that family's parameters
@@ -307,16 +335,15 @@ _COMMANDS = {
     "recognize": (
         "find a delta or C-delta certificate",
         _GRAPH,
-        {**_FORMAT_OPTION, "--c-delta": (None, None, False, "search the complement (C-delta)")},
+        {"--c-delta": (None, False, "search the complement (C-delta)")},
         _cmd_recognize,
     ),
     "certify": (
         "certificate + representation bundle",
         _GRAPH,
         {
-            **_FORMAT_OPTION,
-            "--seed": (int, None, 0, "construction seed (default: 0)"),
-            "--emit-gram": (None, None, False, "add the exact Gram matrix to the bundle"),
+            "--seed": (int, 0, "construction seed (default: 0)"),
+            "--emit-gram": (None, False, "add the exact Gram matrix to the bundle"),
         },
         _cmd_certify,
     ),
@@ -329,7 +356,7 @@ _COMMANDS = {
     "batch": (
         "Delta Conjecture report per graph6 line",
         ("input", "file of graph6 lines (default: stdin)"),
-        {"--seed": (int, None, 0, "construction seed of every line (default: 0)")},
+        {"--seed": (int, 0, "construction seed of every line (default: 0)")},
         _cmd_batch,
     ),
     "gen": ("emit a named family member as graph6", None, {}, _cmd_gen),
@@ -349,10 +376,8 @@ def _prog(command: str) -> str:
     return f"deltamsr {command}" if command else "deltamsr"
 
 
-def _option_usage(flag: str, kind, choices) -> str:
-    if kind is None:
-        return flag
-    return f"{flag} {{{','.join(choices)}}}" if choices else f"{flag} {flag[2:].upper()}"
+def _option_usage(flag: str, kind) -> str:
+    return flag if kind is None else f"{flag} {flag[2:].upper()}"
 
 
 def _usage(command: str) -> str:
@@ -363,7 +388,7 @@ def _usage(command: str) -> str:
         tail = " ".join(_GEN_FAMILIES[command[4:]][1])
     else:
         _, (positional, _), options, _ = _COMMANDS[command]
-        flags = (f"[{_option_usage(flag, *spec[:2])}]" for flag, spec in options.items())
+        flags = (f"[{_option_usage(flag, spec[0])}]" for flag, spec in options.items())
         tail = " ".join([*flags, f"[{positional}]"])
     return f"usage: {_prog(command)} [-h] {tail}".rstrip()
 
@@ -373,12 +398,12 @@ def _print_help(command: str) -> int:
         description = "delta-graph recognition and msr certification"
         rows = [(name, spec[0]) for name, spec in _COMMANDS.items()]
     elif command == "gen":
-        description = _COMMANDS["gen"][0] + "; n is an integer, g and h are graph6 text"
+        description = f"{_COMMANDS['gen'][0]}; n is an integer, g and h are graph6 or edge lists"
         rows = [(" ".join((name, *spec[1])), spec[0]) for name, spec in _GEN_FAMILIES.items()]
     else:
         description, positional, options, _ = _COMMANDS[command]
         rows = [positional]
-        rows += [(_option_usage(flag, *spec[:2]), spec[3]) for flag, spec in options.items()]
+        rows += [(_option_usage(flag, spec[0]), spec[2]) for flag, spec in options.items()]
     rows.append((", ".join(_HELP_FLAGS), "show this help and exit"))
     print(_usage(command), "", description, "", sep="\n")
     for left, text in rows:
@@ -411,7 +436,7 @@ def _parse(argv: list[str]):
         return _print_help, ""
     _convert("", "argument command", str, command, _COMMANDS)
     _, positional, options, handler = _COMMANDS[command]
-    values = {flag: spec[2] for flag, spec in options.items()}
+    values = {flag: spec[1] for flag, spec in options.items()}
     words = []
     for token in tokens:
         if token in _HELP_FLAGS:
@@ -420,7 +445,7 @@ def _parse(argv: list[str]):
             words.extend(tokens)
         elif _is_option(token):
             flag, has_value, text = token.partition("=")
-            kind, choices, _, _ = options.get(flag, (None, None, None, None))
+            kind = options.get(flag, (None,))[0]
             if flag not in options or kind is None and has_value:  # a switch takes no value
                 raise _UsageError(command, f"unrecognized arguments: {token}")
             if kind is None:
@@ -430,7 +455,7 @@ def _parse(argv: list[str]):
                     text = next(tokens, None)
                     if text is None:
                         raise _UsageError(command, f"argument {flag}: expected one argument")
-                value = _convert(command, f"argument {flag}", kind, text, choices)
+                value = _convert(command, f"argument {flag}", kind, text)
             values[flag] = value
         else:
             words.append(token)

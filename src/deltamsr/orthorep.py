@@ -370,12 +370,24 @@ def rep_to_json_dict(rep: OrthoRep) -> dict:
     }
 
 
+def _rows(value, name: str) -> list:
+    """value, a JSON list of lists; TypeError naming it otherwise.
+
+    A string or a dict is iterable too, and would otherwise be read as its
+    characters or its keys.
+    """
+    if type(value) is not list or any(type(row) is not list for row in value):
+        raise TypeError(f"{name} must be a list of lists")
+    return value
+
+
 def rep_from_json_dict(d: dict) -> OrthoRep:
     if type(d["dim"]) is not int:
         raise TypeError("representation dim must be an integer")
+    vectors = _rows(d["vectors"], "representation vectors")
     return OrthoRep(
         dim=d["dim"],
-        vectors=tuple(tuple(fraction_from_str(s) for s in vec) for vec in d["vectors"]),
+        vectors=tuple(tuple(fraction_from_str(s) for s in vec) for vec in vectors),
     )
 
 
@@ -395,13 +407,14 @@ def gram_mismatch(rep: OrthoRep, m: dict) -> tuple[int, int] | None:
     different lengths have no inner product, so their entries never agree.
     Every entry is read before any is compared, so text that is not an
     integer raises ValueError wherever it stands.  Raises TypeError when
-    m's n is not an integer, as rep_from_json_dict does for dim, and
-    ValueError when m is not n x n for rep's n vectors, as verify_rep does
-    for a representation of the wrong size.
+    m's n is not an integer or its entries are not a list of lists, as
+    rep_from_json_dict does for dim and vectors, and ValueError when m is
+    not n x n for rep's n vectors, as verify_rep does for a representation
+    of the wrong size.
     """
     vecs = rep.vectors
     n = len(vecs)
-    entries = m["entries"]
+    entries = _rows(m["entries"], "gram entries")
     if type(m["n"]) is not int:
         raise TypeError("gram n must be an integer")
     if m["n"] != n or len(entries) != n or any(len(row) != n for row in entries):

@@ -123,15 +123,48 @@ def test_search_budget_exit_code(monkeypatch, capsys):
         assert "after 100 expanded vertex sets" in err["error"]
 
 
-def test_recognize_edgelist_vertex_cap():
-    code, _ = run_cli(["recognize", "--format", "edgelist", f"{10**18}\n0 1\n"])
-    assert code == 2
+def test_recognize_edgelist_vertex_cap(capsys):
+    # an edge list is told from graph6 by its first character, a digit
+    assert main(["recognize", f"{10**18}\n0 1\n"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the input cap of 65536" in json.loads(captured.err)["error"]
 
 
-def test_recognize_edgelist_format():
+def test_recognize_edgelist_format(tmp_path):
+    # no flag names the format: an edge list literal, file or stdin reads as
+    # its graph6 does, leading blank lines and spaces included
     text = "6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
-    code, out = run_cli(["recognize", "--c-delta", "--format", "edgelist", text])
-    assert code == 0
+    path = tmp_path / "c6.txt"
+    path.write_text(text)
+    expected = run_cli(["recognize", "--c-delta", C6])
+    assert expected[0] == 0
+    for argv, stdin_text in (
+        ([text], ""),
+        ([f"\n  {text}"], ""),
+        ([str(path)], ""),
+        ([], text),
+        (["-"], text),
+    ):
+        assert run_cli(["recognize", "--c-delta", *argv], stdin_text) == expected, argv
+    assert run_cli(["certify", "--seed", "3", text]) == run_cli(["certify", "--seed", "3", C6])
+
+
+def test_graph_format_is_read_off_the_first_non_blank_character(capsys):
+    # ">".."~" (graph6 and its header) or nothing at all is graph6; anything
+    # else, a digit, a sign or another character, is an edge list
+    for text, same_as in ((">>graph6<<" + C6, C6), ("+6\n0 1\n", "6\n0 1\n")):
+        assert run_cli(["recognize", "--", text]) == run_cli(["recognize", same_as]), text
+    for text, message in (
+        ("", "empty graph6 string"),
+        ("  \n", "empty graph6 string"),
+        ("~", "graph6"),
+        ("-1\n", "graph needs at least one vertex"),
+        ("/x", "bad vertex count line"),
+        ("\x7f", "bad vertex count line"),
+    ):
+        assert main(["recognize", "--", text]) == 2, text
+        assert message in json.loads(capsys.readouterr().err)["error"], text
 
 
 # --- certify / verify -----------------------------------------------------------
@@ -377,11 +410,28 @@ def test_verify_malformed_bundles_are_input_errors(capsys):
         bundle["representation"]["dim"] = dim
         return bundle
 
+    def k1_with_vectors(vectors):
+        return {"graph6": "@", "representation": {"dim": 1, "vectors": vectors}}
+
+    # vectors and Gram rows that are iterable but not lists: a string would
+    # be read as its characters and a dict as its keys
+    dict_vectors = json.loads(out)
+    vectors = dict_vectors["representation"]["vectors"]
+    vectors[:] = [dict.fromkeys(vec, 0) for vec in vectors]
+    _, gram_out = run_cli(["certify", "--seed", "3", "--emit-gram", PRISM])
+    text_rows = json.loads(gram_out)
+    text_rows["gram"]["entries"] = ["1" * 6] * 6
+
     for bundle, message in (
         (short, "representation size does not match the graph"),
         (not_text, "graph6 must be a string"),
         (with_dim(3.9), "dim must be an integer"),
         (with_dim("3"), "dim must be an integer"),
+        (k1_with_vectors("5"), "vectors must be a list of lists"),
+        (k1_with_vectors(["5"]), "vectors must be a list of lists"),
+        (k1_with_vectors({"5": 0}), "vectors must be a list of lists"),
+        (dict_vectors, "vectors must be a list of lists"),
+        (text_rows, "gram entries must be a list of lists"),
     ):
         assert main(["verify", json.dumps(bundle)]) == 2
         captured = capsys.readouterr()
@@ -406,6 +456,7 @@ def test_verify_reads_long_coordinates_in_a_fresh_process():
             capture_output=True,
             text=True,
             env=subprocess_env(),
+            timeout=60,
         )
         if suffix == "/7":
             assert proc.returncode == 2 and proc.stdout == "", proc.stderr
@@ -438,6 +489,7 @@ def test_verify_writes_and_reads_integers_past_the_digit_limit():
         capture_output=True,
         text=True,
         env=subprocess_env(),
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     checks = ("pattern", "nonzero", "independent", "dimension", "gram")
@@ -558,17 +610,30 @@ def test_batch_reports_search_budget_inline(monkeypatch):
 def test_batch_lets_any_other_runtime_error_escape(monkeypatch, capsys):
     # only RetryBudgetExceeded, SearchBudgetExceeded and SelfCheckFailed
     # become error lines; any other RuntimeError, RecursionError included,
-    # is a fault of the program and escapes main
+    # is a fault of the program and escapes main, after the reports before
+    # it in the same read are written.  PRISM is decided by construction,
+    # without msr_exact; C6 by msr_exact
+    prism_report = run_cli(["batch"], f"{PRISM}\n")[1]
+    assert json.loads(prism_report)["verdict"] == "holds-by-construction"
     for error in (RuntimeError, RecursionError):
 
         def broken(g, error=error):
             raise error("engine fault")
 
         monkeypatch.setattr(deltamsr.msr, "msr_exact", broken)
-        monkeypatch.setattr(sys, "stdin", io.StringIO(f"{C6}\n"))
-        with pytest.raises(error, match="engine fault"):
-            main(["batch"])
-        assert capsys.readouterr().out == ""
+        for lines, written in ((f"{C6}\n", ""), (f"{PRISM}\n{C6}\n", prism_report)):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(lines))
+            with pytest.raises(error, match="engine fault"):
+                main(["batch"])
+            assert capsys.readouterr().out == written
+
+
+def next_report(proc, line: str) -> dict:
+    """The next report on proc's stdout, which must start to arrive within 20 s."""
+    with selectors.DefaultSelector() as sel:
+        sel.register(proc.stdout, selectors.EVENT_READ)
+        assert sel.select(timeout=20), f"no report for {line!r} before stdin closed"
+    return json.loads(proc.stdout.readline())
 
 
 def test_batch_streams_each_report():
@@ -585,10 +650,7 @@ def test_batch_streams_each_report():
         for line in (C6, P4):
             proc.stdin.write(line + "\n")
             proc.stdin.flush()
-            with selectors.DefaultSelector() as sel:
-                sel.register(proc.stdout, selectors.EVENT_READ)
-                assert sel.select(timeout=20), f"no report for {line!r} before stdin closed"
-            assert json.loads(proc.stdout.readline())["graph"] == line
+            assert next_report(proc, line)["graph"] == line
         proc.stdin.close()
         assert proc.wait(timeout=30) == 0
     finally:
@@ -610,7 +672,7 @@ def test_batch_exits_quietly_when_its_reader_closes_the_pipe():
     try:
         proc.stdin.write(C6 + "\n")
         proc.stdin.flush()
-        assert json.loads(proc.stdout.readline())["graph"] == C6
+        assert next_report(proc, C6)["graph"] == C6
         proc.stdout.close()
         proc.stdin.write(P4 + "\n")
         proc.stdin.close()
@@ -833,14 +895,16 @@ def test_batch_stdin_with_undecodable_bytes_under_strict_encoding():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "{dir}/missing.json"],
-        ["recognize", "--format", "edgelist", "{dir}/missing.txt"],
-        ["recognize", "{dir}/missing.g6"],
+        ["verify", "missing.json"],
+        # a name that starts with a digit is read as an edge list, one that
+        # starts with a letter as graph6
+        ["recognize", "0-missing.txt"],
+        ["recognize", "missing.g6"],
     ],
     ids=["verify", "recognize-edgelist", "recognize-graph6"],
 )
-def test_missing_input_file_is_named(argv, tmp_path, capsys):
-    argv = [a.format(dir=tmp_path) for a in argv]
+def test_missing_input_file_is_named(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -854,7 +918,7 @@ def test_missing_input_file_is_named(argv, tmp_path, capsys):
         ["verify", "{dir}"],
         ["batch", "{dir}/missing.g6"],
         ["batch", "{dir}"],
-        ["recognize", "--format", "edgelist", "{dir}"],
+        ["recognize", "{dir}"],
     ],
     ids=["verify-directory", "batch-missing-file", "batch-directory", "recognize-directory"],
 )
@@ -972,7 +1036,9 @@ USAGE_ERRORS = [
     ([], "command"),
     (["frobnicate"], "'frobnicate'"),
     (["certify", "--seed", "abc"], "invalid int value: 'abc'"),
-    (["recognize", "--format", "xml"], "'xml'"),
+    # the input names its own format, so --format is an unknown option
+    (["recognize", "--format", "xml"], "unrecognized arguments: --format"),
+    (["certify", "--format=g6", C6], "unrecognized arguments: --format=g6"),
     (["certify", "--bogus"], "--bogus"),
     (["verify", "a", "b"], ": b"),
     (["gen"], "family"),
@@ -999,8 +1065,8 @@ GEN_FAMILIES = ("cycle", "path", "complete", "star", "mobius", "robertson", "car
 # each command and what its help must name
 HELP_NAMES = [
     ([], ("-h", "recognize", "certify", "verify", "batch", "gen")),
-    (["recognize"], ("-h", "--format", "g6", "edgelist", "--c-delta", "graph")),
-    (["certify"], ("-h", "--format", "--seed", "--emit-gram", "graph")),
+    (["recognize"], ("-h", "--c-delta", "graph", "graph6", "edge list")),
+    (["certify"], ("-h", "--seed", "--emit-gram", "graph", "graph6", "edge list")),
     (["verify"], ("-h", "bundle")),
     (["batch"], ("-h", "--seed", "input")),
     (["gen"], ("-h", *GEN_FAMILIES)),
@@ -1027,8 +1093,8 @@ def test_main_returns_usage_exit_codes_in_process(capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: deltamsr certify") and captured.err == ""
     # long options are not abbreviated
-    assert main(["recognize", "--form", "g6", C6]) == 2
-    assert "--form" in capsys.readouterr().err
+    assert main(["certify", "--emit", PRISM]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith("unrecognized arguments: --emit")
 
 
 def test_options_go_before_or_after_the_positional():
@@ -1041,9 +1107,7 @@ def test_options_go_before_or_after_the_positional():
     ):
         assert run_cli(argv) == expected, argv
     assert run_cli(["certify", "--seed", "-5", PRISM])[0] == 0
-    assert run_cli(["recognize", "--c-delta", C6, "--format=g6"]) == run_cli(
-        ["recognize", "--c-delta", C6]
-    )
+    assert run_cli(["recognize", C6, "--c-delta"]) == run_cli(["recognize", "--c-delta", C6])
 
 
 # What `python3 -m deltamsr` does, as the benchmark launches it, reporting at
@@ -1068,6 +1132,7 @@ def cold_start(argv, stdin: str) -> tuple[int, str, list[str]]:
         capture_output=True,
         text=True,
         env=subprocess_env(),
+        timeout=60,
     )
     return proc.returncode, proc.stdout, json.loads(proc.stderr.splitlines()[-1])
 
@@ -1125,6 +1190,7 @@ def test_module_entry_point():
         capture_output=True,
         text=True,
         env=subprocess_env(),
+        timeout=60,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["base_kind"] in ("K3", "P3")
