@@ -4,8 +4,9 @@ Subcommands: ``recognize`` (delta / C-delta membership), ``certify``
 (certificate + exact representation bundle), ``verify`` (re-check an
 emitted bundle), ``batch`` (one Delta Conjecture report per graph6 line)
 and ``gen`` (family generators emitting graph6).  ``recognize``,
-``certify`` and ``gen``'s graph parameters read graph6 or an edge list and
-tell them apart by the first non-blank character: every graph6 character
+``certify`` and ``gen``'s graph parameters each read a file, stdin for
+``-``, or else the argument itself, holding graph6 or an edge list, and
+tell the two apart by the first non-blank character: every graph6 character
 lies in ``>``..``~``, and an edge list starts with its vertex count, a
 digit or a sign; ``verify``'s bundles and ``batch``'s lines hold graph6
 only.  ``batch`` reads its input in chunks and writes each report no later
@@ -315,8 +316,12 @@ def _cmd_gen(args) -> int:
     _, params, builder = _GEN_FAMILIES[args.family]
     build = getattr(families, builder)
     try:
-        g = build(*(args.n if p == "n" else _parse_graph(getattr(args, p)) for p in params))
-    except ValueError as exc:
+        values = [
+            args.n if p == "n" else _parse_file_or_literal(getattr(args, p), _parse_graph)
+            for p in params
+        ]
+        g = build(*values)
+    except (ValueError, OSError) as exc:
         return _fail(str(exc), 2)
     print(to_graph6(g))
     return 0
@@ -398,7 +403,10 @@ def _print_help(command: str) -> int:
         description = "delta-graph recognition and msr certification"
         rows = [(name, spec[0]) for name, spec in _COMMANDS.items()]
     elif command == "gen":
-        description = f"{_COMMANDS['gen'][0]}; n is an integer, g and h are graph6 or edge lists"
+        description = (
+            f"{_COMMANDS['gen'][0]}; n is an integer, g and h are graph6 or edge lists,"
+            " each a file ('-' is stdin) or a literal"
+        )
         rows = [(" ".join((name, *spec[1])), spec[0]) for name, spec in _GEN_FAMILIES.items()]
     else:
         description, positional, options, _ = _COMMANDS[command]

@@ -5,14 +5,22 @@ per vertex in dimension d = max_degree(complement(G)) + 1 such that inner
 products are nonzero exactly on edges.  The span of the vectors then
 witnesses msr(G) <= d = |G| - min_degree(G).
 
+Every vector is an integer vector, with no tolerances and no other number
+type, and a primitive one has coprime entries: ``primitive_part`` divides
+out the gcd, which changes no zero coordinate, no zero/nonzero inner
+product and no linear (in)dependence.
+
 Vertices are adjoined in certificate order, as in the general-position
 argument of Lovasz, Saks and Schrijver: each new vector is a random integer
-combination of a fraction-free integer basis of the nullspace of its prior
-non-neighbours, a system of t < d rows in d columns.  A vertex's adjacency
-mask splits its placed priors into those rows and its prior neighbours,
-and each neighbour comes with the norm that its own step returned, so no
-norm is taken twice.  With no rows the basis is the identity.  Every
-remaining condition (nonzero coordinates, nonzero inner product with each
+combination of an integer basis of the nullspace of its prior
+non-neighbours, a system of t < d rows in d columns.  ``int_nullspace_basis``
+takes that basis by fraction-free Gauss-Jordan elimination (Bareiss): each
+row update is divided exactly by the previous pivot entry, so rows stay
+integral with no gcd per row, and each basis vector is made primitive by
+one gcd.  A vertex's adjacency mask splits its placed priors into those
+rows and its prior neighbours, and each neighbour comes with the norm that
+its own step returned, so no norm is taken twice.  Every remaining
+condition (nonzero coordinates, nonzero inner product with each
 prior neighbour, independence from every prior) is checked in integer
 arithmetic.
 Each condition fails only on a proper subvariety, so by Schwartz-Zippel a
@@ -55,12 +63,12 @@ from __future__ import annotations
 import re
 import sys
 from itertools import combinations
+from math import gcd
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import RetryBudgetExceeded, SelfCheckFailed
 from .graphs import Graph, min_degree
-from .linalg import dot, int_nullspace_basis, primitive_part
 
 if TYPE_CHECKING:
     from .recognition import DeltaCertificate
@@ -84,6 +92,9 @@ __all__ = [
     "rep_from_json_dict",
     "gram_to_json_dict",
     "gram_mismatch",
+    "dot",
+    "primitive_part",
+    "int_nullspace_basis",
 ]
 
 # per-step redraw budget, and the restarts of a whole construction that
@@ -93,6 +104,68 @@ WIDEN_EVERY = 8
 MAX_RESTARTS = 8
 
 IntVector = tuple[int, ...]
+
+
+def dot(u, v):
+    if len(u) != len(v):
+        raise ValueError("inner product of vectors of different lengths")
+    return sum(map(mul, u, v), 0)
+
+
+def primitive_part(ints) -> tuple[int, ...]:
+    """An integer vector divided by the gcd of its entries; zero stays zero."""
+    g = gcd(*ints)
+    if g > 1:
+        return tuple([x // g for x in ints])
+    return tuple(ints)
+
+
+def int_nullspace_basis(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
+    """Basis of {x : row . x = 0 for every row} over integer rows.
+
+    One vector per free column: the primitive multiple, positive in its
+    free column, of the vector the reduced row echelon form gives (1 in the
+    free column, minus the reduced rows' entries in the pivot columns).
+    Fraction-free Gauss-Jordan elimination (Bareiss) takes every row but the
+    pivot row to (pv*x - f*y) // prev, where pv is the pivot entry, f the
+    row's entry in the pivot column and prev the previous pivot entry
+    (1 at the first), a division that is always exact.  Each pivot row then
+    is its reduced row times the last pivot entry D, so the vector for free
+    column c is |D| at c and -sign(D) * row[c] at each pivot column, and one
+    gcd per vector makes it primitive.  With no rows, or only zero rows,
+    every column is free and D = 1: the identity.
+    """
+    mat = list(rows)  # a row is replaced, never changed in place
+    pivots: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        for p in range(r, len(mat)):
+            if mat[p][c]:
+                break
+        else:
+            continue
+        prow = mat[p]
+        mat[p] = mat[r]
+        mat[r] = prow
+        pv = prow[c]
+        for i, row in enumerate(mat):
+            if i != r:
+                f = row[c]
+                mat[i] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
+        prev = pv
+        pivots.append(c)
+    sign = 1 if prev > 0 else -1
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [0] * ncols
+        vec[fc] = sign * prev
+        for pc, row in zip(pivots, mat):
+            vec[pc] = -sign * row[fc]
+        basis.append(primitive_part(vec))
+    return tuple(basis)
 
 
 class OrthoRep(NamedTuple):

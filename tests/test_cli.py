@@ -957,6 +957,27 @@ def test_gen_cartesian_prism():
     assert helpers.are_isomorphic(parse_graph6(out.strip()), complement(cycle(6)))
 
 
+def test_gen_reads_graph_parameters_from_a_file_or_a_literal(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c6.g6").write_text(C6 + "\n")
+    (tmp_path / "k2.txt").write_text("2\n0 1\n")
+    expected = run_cli(["gen", "cartesian", C6, "A_"])
+    assert expected[0] == 0
+    assert run_cli(["gen", "cartesian", "c6.g6", "A_"]) == expected
+    assert run_cli(["gen", "cartesian", "c6.g6", "k2.txt"]) == expected
+    assert run_cli(["gen", "cartesian", "-", "A_"], C6) == expected
+    capsys.readouterr()
+    assert main(["gen", "corona", "A_", "missing.g6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error.startswith("no such file") and "missing.g6" in error
+    # a file parameter needs no stdin; gen cycle 6 is checked in
+    # test_a_closed_stdin_is_no_error_where_none_is_read
+    proc = run_with_closed("0", ["gen", "cartesian", str(tmp_path / "c6.g6"), "A_"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected[1], "")
+
+
 def test_gen_corona_of_two_k1_is_k2():
     code, out = run_cli(["gen", "corona", "@", "@"])
     assert code == 0 and out.strip() == "A_"
@@ -1116,7 +1137,7 @@ COLD_START = """\
 import atexit, json, runpy, sys
 HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext"}
 HEAVY |= {
-    "deltamsr." + m for m in ("families", "msr", "recognition", "orthorep", "linalg", "sampler")
+    "deltamsr." + m for m in ("families", "msr", "recognition", "orthorep", "sampler")
 }
 preloaded = HEAVY & set(sys.modules)
 atexit.register(lambda: print(json.dumps(sorted(HEAVY & set(sys.modules) - preloaded)), file=sys.stderr))
@@ -1150,7 +1171,7 @@ def test_cold_start_without_dataclasses_where_nothing_is_constructed():
     bundle = run_cli(["certify", "--seed", "0", PRISM])[1]
     code, out, heavy = cold_start(["verify"], bundle)
     assert code == 0 and json.loads(out)["bound"] == 3
-    assert heavy == ["deltamsr.linalg", "deltamsr.orthorep"]
+    assert heavy == ["deltamsr.orthorep"]
     # nor for a bundle with "p/1" text, as 0.13.0 and earlier wrote it, nor
     # for one with coordinates longer than the int/str digit limit
     p_1 = json.loads(bundle)
@@ -1164,7 +1185,7 @@ def test_cold_start_without_dataclasses_where_nothing_is_constructed():
     assert cold_start(["verify"], json.dumps(long)) == (0, out, heavy)
     # certify builds a GenericSampler, a dataclass, so the hook sees the import there
     constructs = [
-        "dataclasses", "deltamsr.linalg", "deltamsr.orthorep", "deltamsr.recognition",
+        "dataclasses", "deltamsr.orthorep", "deltamsr.recognition",
         "deltamsr.sampler", "inspect",
     ]
     code, out, heavy = cold_start(["certify", "--seed", "0", PRISM], "")

@@ -21,17 +21,19 @@ from deltamsr import (
     verify_rep,
 )
 from deltamsr.families import cartesian_product, complete, cycle, mobius_ladder, path
-from deltamsr.linalg import dot, primitive_part
 from deltamsr.orthorep import (
     MAX_RESAMPLES,
     MAX_RESTARTS,
     WIDEN_EVERY,
     RetryBudgetExceeded,
     _solve_vector,
+    dot,
     fraction_from_str,
     fraction_to_str,
     gram_mismatch,
     gram_to_json_dict,
+    int_nullspace_basis,
+    primitive_part,
     rep_from_json_dict,
     rep_to_json_dict,
 )
@@ -511,6 +513,44 @@ def test_primitive_part_divides_out_the_gcd_alone():
         g = math.gcd(*ints)
         assert p == tuple(x // (g or 1) for x in ints)
         assert math.gcd(*p) == (1 if any(ints) else 0)
+
+
+def test_int_nullspace_basis_matches_the_oracle():
+    rng = random.Random(26)
+    row, other = (3, -6, 0, 9, 12), (1, 0, 2, 0, 1)
+    cases = [
+        ([], 4),
+        ([(0, 0, 0), (0, 0, 0)], 3),
+        # scaled and dependent copies of two rows
+        ([row, tuple(-2 * x for x in row), other, tuple(2 * x - y for x, y in zip(row, other))], 5),
+        # full rank
+        ([(2, 1, 0), (1, 1, 1), (0, 3, 1)], 3),
+        # the last pivot entry is negative: -2, and then det((1, 2), (3, 1)) = -5
+        ([(-2, 1, 3)], 3),
+        ([(1, 2, 0, 1), (3, 1, 1, 0)], 4),
+    ]
+    for _ in range(300):
+        d = rng.randint(1, 8)
+        rows = [
+            tuple(rng.randint(-9, 9) * (rng.random() < 0.7) for _ in range(d))
+            for _ in range(rng.randint(0, d))
+        ]
+        if rows:
+            rows.append(tuple(rng.choice((-2, 3)) * x for x in rng.choice(rows)))
+        cases.append((rows, d))
+    assert int_nullspace_basis([], 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert int_nullspace_basis(cases[3][0], 3) == ()
+    for rows, d in cases:
+        basis = int_nullspace_basis(rows, d)
+        assert list(basis) == helpers.nullspace_basis_by_elimination(rows, d), (rows, d)
+        assert len(basis) == d - helpers.rank(rows)
+        # a vector's free column is its last nonzero one: each pivot row is
+        # zero before its pivot
+        free = [max(c for c, x in enumerate(vec) if x) for vec in basis]
+        assert free == sorted(set(free))
+        for vec, c in zip(basis, free):
+            assert math.gcd(*vec) == 1 and vec[c] > 0
+            assert all(dot(vec, r) == 0 for r in rows)
 
 
 def test_gram_mismatch_compares_rescaled_vectors_exactly():

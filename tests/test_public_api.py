@@ -20,6 +20,7 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import tokenize
@@ -143,3 +144,12 @@ def test_importing_the_package_loads_no_submodule():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_readme_module_table_names_every_module_and_no_other():
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("## What's in the box", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `deltamsr\.(\w+)`", table, re.MULTILINE)
+    modules = {info.name for info in pkgutil.iter_modules(deltamsr.__path__)} - {"__main__"}
+    assert len(rows) == len(set(rows)), rows
+    assert set(rows) == modules
