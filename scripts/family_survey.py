@@ -3,7 +3,8 @@
 
 For each family member, recognize the C-delta ordering, build the exact
 orthogonal representation of the complement, and print one JSON line with
-the certified bound next to whatever the exact engine knows.  A quick way
+the certified bound next to whatever the exact engine knows, and the
+bit-length of the longest coordinate next to the wall time.  A quick way
 to reproduce the headline numbers:
 
     python scripts/family_survey.py [--seed N]
@@ -71,6 +72,7 @@ def main() -> None:
             row["complement_msr_upper"] = report.bound
             row["complement_delta_bound"] = gbar.n - min_degree(gbar)
             row["rep_dim"] = rep.dim
+            row["coord_bits_max"] = max(abs(x).bit_length() for vec in rep.vectors for x in vec)
             row["verified"] = report.all_ok
         row["msr_exact"] = msr_exact(g)
         row["seconds"] = round(time.monotonic() - t0, 3)

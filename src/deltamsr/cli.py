@@ -5,14 +5,15 @@ Subcommands: ``recognize`` (delta / C-delta membership), ``certify``
 emitted bundle), ``batch`` (one Delta Conjecture report per graph6 line)
 and ``gen`` (family generators emitting graph6).  ``recognize``,
 ``certify`` and ``gen``'s graph parameters each read a file, stdin for
-``-``, or else the argument itself, holding graph6 or an edge list, and
-tell the two apart by the first non-blank character: every graph6 character
-lies in ``>``..``~``, and an edge list starts with its vertex count, a
-digit or a sign; ``verify``'s bundles and ``batch``'s lines hold graph6
-only.  ``batch`` reads its input in chunks and writes each report no later
-than its next read of the input: a producer that sends one line at a time
-gets each answer before it sends the next, and a file or a fast pipe gets
-its reports in groups, one write per read.
+``-`` (for one of ``gen``'s two at most), or else the argument itself,
+holding graph6 or an edge list, and tell the two apart by the first
+non-blank character: every graph6 character lies in ``>``..``~``, and an
+edge list starts with its vertex count, a digit or a sign; ``verify``'s
+bundles and ``batch``'s lines hold graph6 only.  ``batch`` reads its input
+in chunks and writes each report no later than its next read of the input:
+a producer that sends one line at a time gets each answer before it sends
+the next, and a file or a fast pipe gets its reports in groups, one write
+per read.
 
 One table, ``_COMMANDS``, holds each subcommand's help, positional,
 options and handler, and drives parsing, ``-h``/``--help`` and usage
@@ -315,6 +316,8 @@ def _cmd_gen(args) -> int:
 
     _, params, builder = _GEN_FAMILIES[args.family]
     build = getattr(families, builder)
+    if params == "gh" and args.g in _STDIN and args.h in _STDIN:
+        return _fail("g and h both name stdin, which can be read only once", 2)
     try:
         values = [
             args.n if p == "n" else _parse_file_or_literal(getattr(args, p), _parse_graph)
@@ -405,7 +408,7 @@ def _print_help(command: str) -> int:
     elif command == "gen":
         description = (
             f"{_COMMANDS['gen'][0]}; n is an integer, g and h are graph6 or edge lists,"
-            " each a file ('-' is stdin) or a literal"
+            " each a file ('-' is stdin, for one of them at most) or a literal"
         )
         rows = [(" ".join((name, *spec[1])), spec[0]) for name, spec in _GEN_FAMILIES.items()]
     else:

@@ -10,19 +10,25 @@ type, and a primitive one has coprime entries: ``primitive_part`` divides
 out the gcd, which changes no zero coordinate, no zero/nonzero inner
 product and no linear (in)dependence.
 
-Vertices are adjoined in certificate order, as in the general-position
-argument of Lovasz, Saks and Schrijver: each new vector is a random integer
+Vertices are adjoined one at a time, as in the general-position argument
+of Lovasz, Saks and Schrijver: each new vector is a random integer
 combination of an integer basis of the nullspace of its prior
-non-neighbours, a system of t < d rows in d columns.  ``int_nullspace_basis``
-takes that basis by fraction-free Gauss-Jordan elimination (Bareiss): each
-row update is divided exactly by the previous pivot entry, so rows stay
-integral with no gcd per row, and each basis vector is made primitive by
-one gcd.  A vertex's adjacency mask splits its placed priors into those
-rows and its prior neighbours, and each neighbour comes with the norm that
-its own step returned, so no norm is taken twice.  Every remaining
-condition (nonzero coordinates, nonzero inner product with each
-prior neighbour, independence from every prior) is checked in integer
-arithmetic.
+non-neighbours, a system of t < d rows in d columns, since in dimension
+d = |G| - min_degree(G) every vertex has fewer than d non-neighbours.  The
+basis entries are minors of those rows, so coordinate bits add up along
+directed paths of the complement, and the ordering sets them.  The first
+walk takes, of the certificate ordering and a greedy one, whichever
+predicts fewer bits (``_first_ordering``); the certificate ordering wins
+ties, and every restart walks it, as the paper's guarantee covers it
+alone.  ``int_nullspace_basis`` takes that basis by fraction-free
+Gauss-Jordan elimination (Bareiss): each row update is divided exactly by
+the previous pivot entry, so rows stay integral with no gcd per row, and
+each basis vector is made primitive by one gcd.  A vertex's adjacency
+mask splits its placed priors into those rows and its prior neighbours, and
+each neighbour comes with the norm that its own step returned, so no norm
+is taken twice.  Every remaining condition (nonzero coordinates, nonzero
+inner product with each prior neighbour, independence from every prior) is
+checked in integer arithmetic.
 Each condition fails only on a proper subvariety, so by Schwartz-Zippel a
 draw from the sampler's window fails with probability at most the
 subvariety's degree over the window's width, a bound that halves each time
@@ -34,8 +40,9 @@ every WIDEN_EVERY draws, when its nullspace basis has two or more vectors.
 A basis of one vector is drawn once: x is then +-that vector, every
 condition is sign-invariant, and no redraw can change the outcome.  Such a
 step can only be mended by different earlier vectors, so construct widens
-the window and starts over from the first vertex, on the same sampler
-stream, up to MAX_RESTARTS times before RetryBudgetExceeded escapes.
+the window and starts over from the first vertex of the certificate
+ordering, on the same sampler stream, up to MAX_RESTARTS times before
+RetryBudgetExceeded escapes.
 ``construct_verified`` raises SelfCheckFailed when verify_rep rejects what
 construct built.  Both classes are defined in the package, with
 recognition's SearchBudgetExceeded, so a caller catches them without
@@ -62,6 +69,7 @@ from __future__ import annotations
 
 import re
 import sys
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd
 from operator import mul
@@ -218,8 +226,9 @@ def _solve_vector(
     with that vector's norm u.u, carried from the step that made it.  Every
     earlier vector is a primitive integer vector, as this function returns.
     Returns the new vector x and its norm x.x, so that later steps need not
-    take it again.  Requires fewer than d zero rows, which any valid
-    certificate guarantees.
+    take it again.  Requires fewer than d zero rows, which holds along any
+    ordering in d = |G| - min_degree(G), where every vertex has fewer than
+    d non-neighbours.
 
     The new vector x is orthogonal to every (nonzero) zero row, so only a
     neighbour u can be a multiple of x.  Both are primitive, so that means
@@ -258,16 +267,73 @@ def _solve_vector(
     )
 
 
+def _first_ordering(g: Graph, cert_order: tuple[int, ...]) -> tuple[int, ...]:
+    """The ordering construct walks first: the greedy one if it predicts fewer bits.
+
+    A step's coordinates are minors of its prior non-neighbours' vectors,
+    so their bits add up along directed paths of the complement.  The
+    predicted bits of v under an ordering are p(v) = 4 + the sum of p(u)
+    over the complement neighbours u placed before v.  The greedy ordering
+    places next the unplaced vertex with the least p, ties broken by the
+    highest complement degree, then the lowest label; a heap with lazy
+    deletion finds it, as p only grows.  Returns the greedy ordering when
+    its largest p is below the certificate ordering's, else cert_order, as
+    soon as a greedy p reaches that largest.  In O((n + E) log n) for E
+    complement edges, with no linear algebra.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    nbrs = []
+    for v, mask in enumerate(g.adj):
+        mask ^= full ^ (1 << v)
+        vs = []
+        while mask:
+            low = mask & -mask
+            vs.append(low.bit_length() - 1)
+            mask ^= low
+        nbrs.append(vs)
+
+    p = [4] * n
+    cert_max = 0
+    for v in cert_order:
+        pv = p[v]
+        cert_max = max(cert_max, pv)
+        for w in nbrs[v]:
+            p[w] += pv
+
+    p = [4] * n
+    ties = [-len(vs) for vs in nbrs]
+    heap = [(4, tie, v) for v, tie in enumerate(ties)]
+    heapify(heap)
+    greedy: list[int] = []
+    while heap:
+        pv, _, v = heappop(heap)
+        if pv != p[v]:
+            continue  # a stale entry: v is placed (p[v] = 0), or its p has grown since
+        if pv >= cert_max:
+            return cert_order
+        p[v] = 0
+        greedy.append(v)
+        for w in nbrs[v]:
+            if p[w]:
+                p[w] += pv
+                heappush(heap, (p[w], ties[w], w))
+    return tuple(greedy)
+
+
 def construct(g: Graph, cert: DeltaCertificate, sampler: GenericSampler) -> OrthoRep:
     """Representation of g in dimension |g| - min_degree(g).
 
-    That dimension is max_degree(complement(g)) + 1.  Walks the certificate
-    ordering with one solve per vertex, drawing every coefficient from
-    sampler.  A vertex's placed priors split on its adjacency mask into the
-    rows its vector must be orthogonal to and its neighbours, each with the
-    norm its own step returned.  When a solve runs out of draws, widens the
-    sampler's window and walks the ordering again, up to MAX_RESTARTS
-    times.  Vectors in the result are indexed by vertex id.
+    That dimension is max_degree(complement(g)) + 1.  Walks an ordering
+    with one solve per vertex, drawing every coefficient from sampler: first
+    the greedy ordering if it predicts fewer coordinate bits than the
+    certificate ordering, else the certificate ordering (_first_ordering).
+    A vertex's placed priors split on its adjacency mask into the rows its
+    vector must be orthogonal to and its neighbours, each with the norm its
+    own step returned.  When a solve runs out of draws, widens the sampler's
+    window and walks the certificate ordering, up to MAX_RESTARTS times, so
+    a greedy walk that fails costs one walk.  Vectors in the result are
+    indexed by vertex id.
     """
     # imported where it is used: verify reads bundles without recognition
     from .recognition import check_certificate
@@ -276,11 +342,12 @@ def construct(g: Graph, cert: DeltaCertificate, sampler: GenericSampler) -> Orth
     if not chk.ok:
         raise ValueError(f"invalid certificate: {chk.reason}")
     d = g.n - min_degree(g)
-    order = cert.ordering
+    order = _first_ordering(g, cert.ordering)
     adj = g.adj
     for restart in range(MAX_RESTARTS + 1):
         if restart:
             sampler.widen()
+            order = cert.ordering
         vectors: list[IntVector] = [()] * g.n
         norms = [0] * g.n
         try:

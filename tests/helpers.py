@@ -11,7 +11,8 @@ representation checks take plain Fraction dots and rank, random
 delta-graphs are drawn along the definition's own ordering, and the
 construction kernel is replayed step by step from each vertex's full list
 of priors, with its own elimination and a sampler that draws through
-``randint``.
+``randint``, along an ordering whose predicted bits are summed afresh
+from lists of placed vertices.
 """
 
 from __future__ import annotations
@@ -528,35 +529,73 @@ def solve_from_priors(priors, d: int, sampler) -> tuple[int, ...]:
     raise RetryBudgetExceeded(f"step out of {draws} draws")
 
 
+def predicted_bits(g: Graph, order) -> list[int]:
+    """p(v) = 4 + the sum of p(u) over the non-neighbours u before v, by position in order."""
+    p: list[int] = []
+    for i, v in enumerate(order):
+        p.append(4 + sum(pu for u, pu in zip(order[:i], p) if not g.adj[u] >> v & 1))
+    return p
+
+
+def greedy_ordering(g: Graph) -> list[int]:
+    """Place next the unplaced vertex of least p, then most non-neighbours, then lowest label.
+
+    Each candidate's p is summed afresh from the list of placed vertices.
+    """
+    order: list[int] = []
+    p: list[int] = []
+    rest = list(range(g.n))
+    while rest:
+        scores = []
+        for v in rest:
+            pv = 4 + sum(pu for u, pu in zip(order, p) if not g.adj[u] >> v & 1)
+            non_neighbours = sum(1 for u in range(g.n) if u != v and not g.adj[u] >> v & 1)
+            scores.append((pv, -non_neighbours, v))
+        pv, _, v = min(scores)
+        order.append(v)
+        p.append(pv)
+        rest.remove(v)
+    return order
+
+
+def first_ordering(g: Graph, cert: DeltaCertificate) -> tuple[int, ...]:
+    """The greedy ordering when its largest p is below the certificate ordering's, else that."""
+    greedy = greedy_ordering(g)
+    if max(predicted_bits(g, greedy)) < max(predicted_bits(g, cert.ordering)):
+        return tuple(greedy)
+    return cert.ordering
+
+
 def construct_from_priors(
-    g: Graph, cert: DeltaCertificate, sampler
+    g: Graph, cert: DeltaCertificate, sampler, first=None
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
     """construct's vectors for a valid certificate, and how often it restarted.
 
-    Each vertex in certificate order gets solve_from_priors over the list of
-    all the vertices before it; a step out of draws widens the window and
-    starts over, up to MAX_RESTARTS times.
+    The first walk places each vertex of first (certificate order when
+    None) by solve_from_priors over the list of all the vertices before it;
+    a step out of draws widens the window and walks the certificate order,
+    up to MAX_RESTARTS times.
     """
     d = g.n - min(a.bit_count() for a in g.adj)
+    order = cert.ordering if first is None else first
     for restart in range(MAX_RESTARTS + 1):
         if restart:
             sampler.widen()
+            order = cert.ordering
         try:
-            return vectors_from_priors(g, cert, d, sampler), restart
+            return vectors_from_priors(g, order, d, sampler), restart
         except RetryBudgetExceeded:
             continue
     raise RetryBudgetExceeded("out of restarts")
 
 
-def vectors_from_priors(
-    g: Graph, cert: DeltaCertificate, d: int, sampler
-) -> tuple[tuple[int, ...], ...]:
-    """One solve_from_priors step per vertex in certificate order, in dimension d.
+def vectors_from_priors(g: Graph, order, d: int, sampler) -> tuple[tuple[int, ...], ...]:
+    """One solve_from_priors step per vertex of order, in dimension d.
 
-    Any d above the largest excluded-count works, so this also builds
-    representations in a dimension other than |G| - min_degree(G).
+    Any d above the largest excluded-count of a certificate ordering works,
+    so this also builds representations in a dimension other than
+    |G| - min_degree(G).
     """
-    order = cert.ordering
     vectors = [()] * g.n
     for i, v in enumerate(order):
         priors = [(vectors[u], g.adj[u] >> v & 1) for u in order[:i]]

@@ -345,7 +345,8 @@ def test_verify_refuses_a_representation_above_the_delta_bound():
     _, out = run_cli(["certify", "--seed", "3", PRISM])
     bundle = json.loads(out)
     g = parse_graph6(PRISM)
-    vectors = helpers.vectors_from_priors(g, recognize_delta(g), 4, GenericSampler(seed=0))
+    order = recognize_delta(g).ordering
+    vectors = helpers.vectors_from_priors(g, order, 4, GenericSampler(seed=0))
     bundle["representation"] = rep_to_json_dict(OrthoRep(4, vectors))
     code, report = run_cli(["verify"], stdin_text=json.dumps(bundle))
     assert code == 1
@@ -976,6 +977,15 @@ def test_gen_reads_graph_parameters_from_a_file_or_a_literal(tmp_path, monkeypat
     # test_a_closed_stdin_is_no_error_where_none_is_read
     proc = run_with_closed("0", ["gen", "cartesian", str(tmp_path / "c6.g6"), "A_"])
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected[1], "")
+
+
+def test_gen_refuses_stdin_for_both_graph_parameters(capsys):
+    # stdin holds one graph; reading it for g left h an empty graph6 string
+    for family in ("cartesian", "corona"):
+        assert run_cli(["gen", family, "-", "-"], C6) == (2, "")
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == "g and h both name stdin, which can be read only once"
+    assert run_cli(["gen", "corona", "A_", "-"], C6)[0] == 0
 
 
 def test_gen_corona_of_two_k1_is_k2():

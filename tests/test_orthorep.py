@@ -26,6 +26,7 @@ from deltamsr.orthorep import (
     MAX_RESTARTS,
     WIDEN_EVERY,
     RetryBudgetExceeded,
+    _first_ordering,
     _solve_vector,
     dot,
     fraction_from_str,
@@ -233,7 +234,9 @@ def test_exhausted_restarts_name_the_failing_step():
 
 def test_construct_matches_the_prior_list_oracle():
     # construct against the step-by-step oracle that solves each vertex
-    # from the list of all its priors: the same vectors, draws and widenings
+    # from the list of all its priors, walking first the ordering that the
+    # oracle's own predictor picks and the certificate's on every restart:
+    # the same vectors, draws and widenings
     cases = []
     for g in helpers.atlas_graphs(min_n=4):
         cert = recognize_delta(g)
@@ -251,7 +254,8 @@ def test_construct_matches_the_prior_list_oracle():
     for g, cert, seed, magnitude in cases:
         counting = CountingSampler(seed=seed, magnitude=magnitude)
         oracle = helpers.RandintSampler(seed=seed, magnitude=magnitude)
-        vectors, restarted = helpers.construct_from_priors(g, cert, oracle)
+        first = helpers.first_ordering(g, cert)
+        vectors, restarted = helpers.construct_from_priors(g, cert, oracle, first)
         assert construct(g, cert, counting).vectors == vectors, (to_graph6(g), seed)
         assert (counting.draws, counting.widenings) == (oracle.draws, oracle.widenings)
         restarts += restarted
@@ -408,7 +412,7 @@ def test_verify_rep_holds_the_dimension_to_the_delta_bound():
     # every other check passes, and a representation in dimension 4 shows
     # only msr <= 4, so no bound is reported
     cert = recognize_delta(PRISM)
-    vectors = helpers.vectors_from_priors(PRISM, cert, 4, GenericSampler(seed=0))
+    vectors = helpers.vectors_from_priors(PRISM, cert.ordering, 4, GenericSampler(seed=0))
     assert {len(v) for v in vectors} == {4}
     report = verify_rep(PRISM, OrthoRep(4, vectors))
     assert report == (True, True, True, False, None, None)
@@ -611,51 +615,70 @@ def test_coordinates_stay_small_on_long_orderings():
                     assert abs(x).bit_length() <= 1024
 
 
-# construct's vectors, by vertex, as 0.13.0 builds them at seeds 0 and 1
+def test_the_first_walk_predicts_no_more_bits_than_the_certificate_ordering():
+    # rdg(48, 48) (d = 22) reached 25,533 bits along its certificate
+    # ordering and reaches 8,424 along the greedy one
+    g = helpers.random_delta_graph(48, random.Random(48))
+    rep = construct(g, recognize_delta(g), GenericSampler(seed=0))
+    assert verify_rep(g, rep).all_ok
+    assert max(abs(x).bit_length() for vec in rep.vectors for x in vec) < 12_000
+    graphs = helpers.atlas_graphs(min_n=4)
+    graphs += [complement(family) for family in helpers.certify_verify_families()]
+    cases = [(g, cert) for g in graphs if (cert := recognize_delta(g)) is not None]
+    assert len(cases) == 218 + 43
+    for g, cert in cases:
+        first = _first_ordering(g, cert.ordering)
+        assert sorted(first) == list(range(g.n))
+        predicted = max(helpers.predicted_bits(g, first))
+        assert predicted <= max(helpers.predicted_bits(g, cert.ordering)), to_graph6(g)
+
+
+# construct's vectors, by vertex, as 0.24.0 builds them at seeds 0 and 1;
+# both graphs take the greedy ordering on their first walk, with no restart
 PINNED_VECTORS = {
     ("PRISM", 0): [
         (13, -14, -16),
-        (166, 65, 78),
-        (-65, 1162, -830),
-        (3154, 260, 117),
-        (299, -7885, 9462),
-        (-258628, -127790, -98319),
+        (-94, 251, -296),
+        (10, 12, 7),
+        (1, -2, 2),
+        (-10, 4, 9),
+        (-62, 43, -88),
     ],
     ("PRISM", 1): [
         (5, -3, 16),
-        (32, 16, -7),
-        (-46, 1, -208),
-        (-935, 46, 207),
-        (299, 1870, 935),
-        (32725, -109, -10247),
+        (109, 251, 13),
+        (16, -7, 1),
+        (64, 157, 75),
+        (-13, 1, 9),
+        (-43, -253, -34),
     ],
     ("ML12_COMPLEMENT", 0): [
         (13, -14, -16, 10),
-        (380, 156, 91, -130),
-        (-104, 38, 342, -19),
-        (20235, 5543, 5653, 2080),
-        (3, -11, -4, 11),
-        (268, 39, 3, -33),
-        (-425562, -4989148, -1935449, -9528295),
-        (-260, 1045, -1140, -304),
-        (-43605, -14856, -10241, 24630),
-        (7, -16, -9, -1),
-        (-526, -241, 29, -87),
-        (86370, -274118, 578837, 430093),
+        (-918, 220, -964, -41),
+        (12, 7, -10, 4),
+        (307, -714, 111, 606),
+        (9, -5, 3, -11),
+        (-33, -33, 11, -9),
+        (-2698, 1511, -3363, 242),
+        (-4, 11, 7, -16),
+        (2055, -1144, 1388, -693),
+        (-9, -1, 13, 1),
+        (-208, -801, -216, 135),
+        (20808, -13039, 44520, 25927),
     ],
     ("ML12_COMPLEMENT", 1): [
         (5, -3, 16, 16),
-        (171, -35, 5, -65),
-        (170, 57, 513, 456),
-        (-11856, 51695, -9223, 8334),
-        (4, -1, 1, 13),
-        (-23, 4, 5, 7),
-        (315837, 1448363, -130358, 303227),
-        (625, -684, -1710, 1881),
-        (36936, -273733, 65021, -52702),
-        (7, 4, 8, -6),
-        (-22, -55, 46, -1),
-        (743, 6545, 8028, -7033),
+        (-1681, -519, 834, -406),
+        (-7, 1, -13, 1),
+        (-522, 525, 409, 1138),
+        (9, 8, 4, -1),
+        (-53, 63, -18, -45),
+        (513, -1545, 3862, -4312),
+        (1, 13, 14, 8),
+        (-1643, -1141, 842, 586),
+        (8, -6, 4, 5),
+        (-784, 764, 649, 1652),
+        (-1339479, -1186577, 466172, -270068),
     ],
 }
 

@@ -22,3 +22,5 @@ def test_family_survey_runs_and_certifies():
     for row in certified:
         assert row["verified"], row["family"]
         assert row["complement_msr_upper"] == row["complement_delta_bound"], row["family"]
+        bits = row["coord_bits_max"]
+        assert type(bits) is int and bits > 0, row["family"]
