@@ -1,9 +1,11 @@
+import contextlib
 import copy
 import functools
 import io
 import json
 import os
 import selectors
+import signal
 import subprocess
 import sys
 import types
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import helpers
+import deltamsr.cli
 import deltamsr.msr
 import deltamsr.orthorep
 import deltamsr.sampler
@@ -657,6 +660,7 @@ def test_batch_streams_each_report():
     finally:
         proc.kill()
         proc.wait()
+        proc.stdout.close()
 
 
 def test_batch_exits_quietly_when_its_reader_closes_the_pipe():
@@ -804,6 +808,172 @@ def test_batch_keeps_its_line_semantics_across_reads(tmp_path, monkeypatch):
     )
     assert from_file.returncode == from_stdin.returncode == 0
     assert from_stdin.stdout == from_file.stdout
+
+
+# --- batch shares a long read among forked helpers -------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="batch forks only where os.fork exists")
+
+
+def share_each_read(monkeypatch, cpus: int) -> list[int]:
+    """Make batch share each read from its first line on among cpus processes.
+
+    Returns the list of helper pids that batch forks from then on.
+    """
+    monkeypatch.setattr(deltamsr.cli, "_SHARE_AFTER_S", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    forked, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
+
+
+@contextlib.contextmanager
+def within(seconds: int):
+    """Raise TimeoutError in the block once it has run for seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def batch_in_process(monkeypatch, argv, stdin=None) -> str:
+    """batch's stdout for argv, run in this process within 60 s; it must exit 0."""
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", stdin)
+    with within(60):
+        assert main(argv) == 0
+    assert_no_child_left()
+    return out.getvalue()
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [3, 5])  # 5: more processes than the test host may have CPUs
+def test_batch_shares_each_read_among_helpers_with_the_output_of_one_process(cpus, monkeypatch):
+    atlas = [["batch", "--seed", str(seed), str(helpers.ATLAS_PATH)] for seed in (0, 3, 17)]
+    # SHAPED_INPUT cut into reads of several lines each, a line split between two reads included
+    cuts = [[SHAPED_INPUT[:i], SHAPED_INPUT[i:]] for i in range(0, len(SHAPED_INPUT) + 1, 4)]
+    cuts += [[SHAPED_INPUT[i:i + size] for i in range(0, len(SHAPED_INPUT), size)] for size in (7, 16)]
+
+    def outputs() -> list[str]:
+        texts = [batch_in_process(monkeypatch, argv) for argv in atlas]
+        for pieces in cuts:
+            stdin = types.SimpleNamespace(buffer=PieceReader(pieces), encoding="utf-8")
+            texts.append(batch_in_process(monkeypatch, ["batch"], stdin))
+        return texts
+
+    unforked = share_each_read(monkeypatch, 1)
+    alone = outputs()
+    assert unforked == []
+    assert alone[0].count("\n") == len(helpers.ATLAS_PATH.read_text().splitlines())
+    assert all(text == expected_batch_output("utf-8") for text in alone[3:])
+    forked = share_each_read(monkeypatch, cpus)
+    assert outputs() == alone
+    # each atlas run forks cpus - 1 helpers for its one read
+    assert len(forked) >= 3 * (cpus - 1)
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("share", ["helper", "parent"])
+def test_a_fault_on_the_shared_path_escapes_after_the_reports_before_it(share, error, monkeypatch, capfd):
+    # three processes share the atlas from its first line on, so line j goes
+    # to process j mod 3, and process 0 is batch's own.  msr_exact breaks on
+    # one line that it decides, in the given share
+    text = helpers.ATLAS_PATH.read_text()
+    share_each_read(monkeypatch, 1)
+    reports = run_cli(["batch"], text)[1].splitlines(keepends=True)
+    target = next(
+        j for j, report in enumerate(reports)
+        if j > 20 and (j % 3 == 0) == (share == "parent") and json.loads(report).get("verdict") == "holds"
+    )
+    broken_graph = parse_graph6(json.loads(reports[target])["graph"])
+    real = deltamsr.msr.msr_exact
+
+    def breaks_on_target(g):
+        if g == broken_graph:
+            raise error("engine fault")
+        return real(g)
+
+    monkeypatch.setattr(deltamsr.msr, "msr_exact", breaks_on_target)
+    forked = share_each_read(monkeypatch, 3)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    capfd.readouterr()
+    with within(60), pytest.raises(error, match="engine fault"):
+        main(["batch"])
+    assert_no_child_left()
+    assert len(forked) == 2
+    # a program fault writes the reports before its line; an interrupt writes
+    # none; and no helper writes to stdout or stderr
+    out, err = capfd.readouterr()
+    assert out == ("".join(reports[:target]) if error is RuntimeError else "")
+    assert err == ""
+
+
+@needs_fork
+@pytest.mark.parametrize("blocker", ["a second thread", "a fork that fails"])
+def test_batch_answers_every_line_itself_where_it_cannot_fork(blocker, monkeypatch):
+    import threading
+
+    share_each_read(monkeypatch, 1)
+    expected = run_cli(["batch", str(helpers.ATLAS_PATH)])[1]
+    forked = share_each_read(monkeypatch, 3)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(60,))
+    if blocker == "a second thread":
+        thread.start()
+    else:
+
+        def fork():
+            raise BlockingIOError("no process left")
+
+        monkeypatch.setattr(os, "fork", fork)
+    try:
+        out = batch_in_process(monkeypatch, ["batch", str(helpers.ATLAS_PATH)])
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert forked == [] and out == expected
+
+
+def test_batch_in_a_fresh_process_gives_the_output_of_one_process(monkeypatch):
+    # the real CPU count and time before sharing; both pipes reach their end
+    # within the timeout, so no helper holds them once batch exits
+    with subprocess.Popen(
+        [sys.executable, "-m", "deltamsr", "batch", str(helpers.ATLAS_PATH)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=subprocess_env(),
+    ) as proc:
+        try:
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert (proc.returncode, err) == (0, b"")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert out.decode() == batch_in_process(monkeypatch, ["batch", str(helpers.ATLAS_PATH)])
 
 
 def run_with_closed(fd: str, argv, stdin=None) -> subprocess.CompletedProcess:
