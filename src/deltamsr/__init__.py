@@ -3,17 +3,17 @@
 Every public name but the three failure classes is resolved on first use
 from ``_EXPORTS``, so importing the package imports none of its
 submodules: ``deltamsr.recognize_delta`` loads ``deltamsr.recognition``,
-``deltamsr.GenericSampler`` loads the sampler and with it ``dataclasses``,
-and a CLI process loads only what its subcommand runs.  The family
-builders, which only ``gen`` needs, are a submodule that nothing here
-names: ``from deltamsr import families`` loads it.
+``deltamsr.construct`` loads ``deltamsr.construction``, and a CLI process
+loads only what its subcommand runs.  The family builders, which only
+``gen`` needs, are a submodule that nothing here names:
+``from deltamsr import families`` loads it.
 
 The three failures that stop a graph before its answer are defined here:
 ``SearchBudgetExceeded`` (the recognition search is undecided),
 ``RetryBudgetExceeded`` (construction ran out of draws) and
 ``SelfCheckFailed`` (a constructed representation failed its own check).
 The package runs before any submodule, so every layer raises or catches
-them without loading another layer; ``recognition`` and ``orthorep``
+them without loading another layer; ``recognition`` and ``construction``
 import them from here, and the CLI maps them to exit codes.
 """
 
@@ -39,7 +39,7 @@ _EXPORTS = {
     "GenericSampler": "sampler",
     "OrthoRep": "orthorep",
     "RepReport": "orthorep",
-    "construct": "orthorep",
+    "construct": "construction",
     "gram": "orthorep",
     "verify_rep": "orthorep",
     "ConjectureReport": "msr",
@@ -49,7 +49,7 @@ _EXPORTS = {
 }
 
 __all__ = [*_EXPORTS, "SearchBudgetExceeded", "RetryBudgetExceeded", "SelfCheckFailed"]
-__version__ = "0.25.0"
+__version__ = "0.26.0"
 
 
 class SearchBudgetExceeded(RuntimeError):

@@ -6,9 +6,9 @@ Holst, LAA 375, 2003).  The engine knows three kinds of block: K1 or K2
 number).  A graph with any other block gets no exact value.  Each block
 stays a vertex bitmask of the whole graph: one simplicial elimination on
 it both tests chordality and counts the clique cover.
-``check_delta_conjecture`` produces the per-graph verdict; it imports the
-construction layers only for a delta-graph, so a run that meets none
-starts without them.
+``check_delta_conjecture`` produces the per-graph verdict; it imports
+``deltamsr.construction``, and with it ``orthorep`` and the sampler, only
+for a delta-graph, so a run that meets none starts without them.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def check_delta_conjecture(g: Graph, seed: int, graph_id: str) -> ConjectureRepo
     if cert is not None:
         # imported where it is used: a batch with no delta-graph line
         # starts without the construction layers
-        from .orthorep import construct_verified
+        from .construction import construct_verified
 
         _, report = construct_verified(g, cert, seed)
         return ConjectureReport(graph_id, n, delta_bound, report.bound, "holds-by-construction")

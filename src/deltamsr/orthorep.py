@@ -1,52 +1,14 @@
 """Exact orthogonal representations for certified delta-graphs.
 
-Given a delta-graph certificate for G, build one primitive integer vector
-per vertex in dimension d = max_degree(complement(G)) + 1 such that inner
-products are nonzero exactly on edges.  The span of the vectors then
-witnesses msr(G) <= d = |G| - min_degree(G).
+A representation of G holds one integer vector per vertex in dimension
+d = max_degree(complement(G)) + 1, and its inner products are nonzero
+exactly on edges.  The span of the vectors then witnesses
+msr(G) <= d = |G| - min_degree(G).
 
 Every vector is an integer vector, with no tolerances and no other number
 type, and a primitive one has coprime entries: ``primitive_part`` divides
 out the gcd, which changes no zero coordinate, no zero/nonzero inner
 product and no linear (in)dependence.
-
-Vertices are adjoined one at a time, as in the general-position argument
-of Lovasz, Saks and Schrijver: each new vector is a random integer
-combination of an integer basis of the nullspace of its prior
-non-neighbours, a system of t < d rows in d columns, since in dimension
-d = |G| - min_degree(G) every vertex has fewer than d non-neighbours.  The
-basis entries are minors of those rows, so coordinate bits add up along
-directed paths of the complement, and the ordering sets them.  The first
-walk takes, of the certificate ordering and a greedy one, whichever
-predicts fewer bits (``_first_ordering``); the certificate ordering wins
-ties, and every restart walks it, as the paper's guarantee covers it
-alone.  ``int_nullspace_basis`` takes that basis by fraction-free
-Gauss-Jordan elimination (Bareiss): each row update is divided exactly by
-the previous pivot entry, so rows stay integral with no gcd per row, and
-each basis vector is made primitive by one gcd.  A vertex's adjacency
-mask splits its placed priors into those rows and its prior neighbours, and
-each neighbour comes with the norm that its own step returned, so no norm
-is taken twice.  Every remaining condition (nonzero coordinates, nonzero
-inner product with each prior neighbour, independence from every prior) is
-checked in integer arithmetic.
-Each condition fails only on a proper subvariety, so by Schwartz-Zippel a
-draw from the sampler's window fails with probability at most the
-subvariety's degree over the window's width, a bound that halves each time
-the window doubles.  The window starts small (16), which keeps every
-vector, and so every later layer, short.
-
-A failed step is redrawn, up to MAX_RESAMPLES times with the window doubled
-every WIDEN_EVERY draws, when its nullspace basis has two or more vectors.
-A basis of one vector is drawn once: x is then +-that vector, every
-condition is sign-invariant, and no redraw can change the outcome.  Such a
-step can only be mended by different earlier vectors, so construct widens
-the window and starts over from the first vertex of the certificate
-ordering, on the same sampler stream, up to MAX_RESTARTS times before
-RetryBudgetExceeded escapes.
-``construct_verified`` raises SelfCheckFailed when verify_rep rejects what
-construct built.  Both classes are defined in the package, with
-recognition's SearchBudgetExceeded, so a caller catches them without
-loading this module; they are imported here from there.
 
 Dependence is decided one way throughout, on inner products already taken.
 Two nonzero primitive integer vectors u and v are dependent iff v = +-u,
@@ -58,40 +20,27 @@ their norms and pairwise inner products.  Coordinates are integers
 everywhere: construct builds nothing else, and a bundle is read back only
 from integer text.
 
-The records here are NamedTuples.  The sampler, the package's one
-dataclass, lives in ``deltamsr.sampler``; ``construct_verified``, the one
-construct-and-check step of the CLI and the conjecture verdicts, imports
-it where it is used, as ``construct`` imports ``check_certificate``, so
-reading and verifying a bundle loads neither the sampler nor recognition.
+The records here are NamedTuples.  This module holds what reading and
+verifying a bundle runs, and nothing more: the records, ``dot``,
+``primitive_part``, ``gram``, ``verify_rep`` and the serialization.  The
+construction, with the sampler and recognition it calls, lives in
+``deltamsr.construction``, which ``verify`` never loads.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd
 from operator import mul
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from . import RetryBudgetExceeded, SelfCheckFailed
 from .graphs import Graph, min_degree
 
-if TYPE_CHECKING:
-    from .recognition import DeltaCertificate
-    from .sampler import GenericSampler
-
 __all__ = [
-    "MAX_RESAMPLES",
-    "MAX_RESTARTS",
-    "WIDEN_EVERY",
-    "RetryBudgetExceeded",
-    "SelfCheckFailed",
     "OrthoRep",
     "RepReport",
-    "construct",
-    "construct_verified",
     "gram",
     "verify_rep",
     "fraction_to_str",
@@ -102,14 +51,7 @@ __all__ = [
     "gram_mismatch",
     "dot",
     "primitive_part",
-    "int_nullspace_basis",
 ]
-
-# per-step redraw budget, and the restarts of a whole construction that
-# follow a step out of draws; exhausting both signals a bug
-MAX_RESAMPLES = 32
-WIDEN_EVERY = 8
-MAX_RESTARTS = 8
 
 IntVector = tuple[int, ...]
 
@@ -127,53 +69,6 @@ def primitive_part(ints) -> tuple[int, ...]:
         return tuple([x // g for x in ints])
     return tuple(ints)
 
-
-def int_nullspace_basis(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
-    """Basis of {x : row . x = 0 for every row} over integer rows.
-
-    One vector per free column: the primitive multiple, positive in its
-    free column, of the vector the reduced row echelon form gives (1 in the
-    free column, minus the reduced rows' entries in the pivot columns).
-    Fraction-free Gauss-Jordan elimination (Bareiss) takes every row but the
-    pivot row to (pv*x - f*y) // prev, where pv is the pivot entry, f the
-    row's entry in the pivot column and prev the previous pivot entry
-    (1 at the first), a division that is always exact.  Each pivot row then
-    is its reduced row times the last pivot entry D, so the vector for free
-    column c is |D| at c and -sign(D) * row[c] at each pivot column, and one
-    gcd per vector makes it primitive.  With no rows, or only zero rows,
-    every column is free and D = 1: the identity.
-    """
-    mat = list(rows)  # a row is replaced, never changed in place
-    pivots: list[int] = []
-    prev = 1
-    for c in range(ncols):
-        r = len(pivots)
-        for p in range(r, len(mat)):
-            if mat[p][c]:
-                break
-        else:
-            continue
-        prow = mat[p]
-        mat[p] = mat[r]
-        mat[r] = prow
-        pv = prow[c]
-        for i, row in enumerate(mat):
-            if i != r:
-                f = row[c]
-                mat[i] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
-        prev = pv
-        pivots.append(c)
-    sign = 1 if prev > 0 else -1
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [0] * ncols
-        vec[fc] = sign * prev
-        for pc, row in zip(pivots, mat):
-            vec[pc] = -sign * row[fc]
-        basis.append(primitive_part(vec))
-    return tuple(basis)
 
 
 class OrthoRep(NamedTuple):
@@ -212,173 +107,6 @@ class RepReport(NamedTuple):
             and self.dimension_ok
         )
 
-
-def _solve_vector(
-    zero_rows: list[IntVector],
-    neighbours: list[tuple[IntVector, int]],
-    d: int,
-    sampler: GenericSampler,
-) -> tuple[IntVector, int]:
-    """Vector orthogonal to zero_rows with a nonzero inner product with each neighbour.
-
-    zero_rows are the earlier vectors the new one must be orthogonal to,
-    and neighbours pair each earlier vector it must not be orthogonal to
-    with that vector's norm u.u, carried from the step that made it.  Every
-    earlier vector is a primitive integer vector, as this function returns.
-    Returns the new vector x and its norm x.x, so that later steps need not
-    take it again.  Requires fewer than d zero rows, which holds along any
-    ordering in d = |G| - min_degree(G), where every vertex has fewer than
-    d non-neighbours.
-
-    The new vector x is orthogonal to every (nonzero) zero row, so only a
-    neighbour u can be a multiple of x.  Both are primitive, so that means
-    u = +-x: x.x = u.u and |x.u| = x.x, tested on the x.u that the nonzero
-    condition already takes.
-    """
-    t = len(zero_rows)
-    if t >= d:
-        raise ValueError(
-            f"{t} orthogonality constraints in dimension {d} can force the "
-            "zero vector; the certificate bound is violated"
-        )
-    basis = int_nullspace_basis(zero_rows, d)
-    columns = list(zip(*basis))
-    nonzero = sampler.nonzero
-
-    # a one-vector basis gives x = +-basis[0] on every draw
-    draws = min(MAX_RESAMPLES, 1) if len(basis) == 1 else MAX_RESAMPLES
-    for attempt in range(draws):
-        if attempt and attempt % WIDEN_EVERY == 0:
-            sampler.widen()
-        coeffs = [nonzero() for _ in basis]
-        x = [sum(map(mul, coeffs, col)) for col in columns]
-        if not all(x):
-            continue
-        xt = primitive_part(x)
-        xx = sum(map(mul, xt, xt))
-        # every vector here has length d, so no inner product needs dot's length check
-        if all(
-            (xu := sum(map(mul, xt, u))) and (xx != uu or abs(xu) != xx) for u, uu in neighbours
-        ):
-            return xt, xx
-    raise RetryBudgetExceeded(
-        f"no admissible vector after {draws} resamples "
-        f"(dimension {d}, {t + len(neighbours)} priors, {t} orthogonality constraints)"
-    )
-
-
-def _first_ordering(g: Graph, cert_order: tuple[int, ...]) -> tuple[int, ...]:
-    """The ordering construct walks first: the greedy one if it predicts fewer bits.
-
-    A step's coordinates are minors of its prior non-neighbours' vectors,
-    so their bits add up along directed paths of the complement.  The
-    predicted bits of v under an ordering are p(v) = 4 + the sum of p(u)
-    over the complement neighbours u placed before v.  The greedy ordering
-    places next the unplaced vertex with the least p, ties broken by the
-    highest complement degree, then the lowest label; a heap with lazy
-    deletion finds it, as p only grows.  Returns the greedy ordering when
-    its largest p is below the certificate ordering's, else cert_order, as
-    soon as a greedy p reaches that largest.  In O((n + E) log n) for E
-    complement edges, with no linear algebra.
-    """
-    n = g.n
-    full = (1 << n) - 1
-    nbrs = []
-    for v, mask in enumerate(g.adj):
-        mask ^= full ^ (1 << v)
-        vs = []
-        while mask:
-            low = mask & -mask
-            vs.append(low.bit_length() - 1)
-            mask ^= low
-        nbrs.append(vs)
-
-    p = [4] * n
-    cert_max = 0
-    for v in cert_order:
-        pv = p[v]
-        cert_max = max(cert_max, pv)
-        for w in nbrs[v]:
-            p[w] += pv
-
-    p = [4] * n
-    ties = [-len(vs) for vs in nbrs]
-    heap = [(4, tie, v) for v, tie in enumerate(ties)]
-    heapify(heap)
-    greedy: list[int] = []
-    while heap:
-        pv, _, v = heappop(heap)
-        if pv != p[v]:
-            continue  # a stale entry: v is placed (p[v] = 0), or its p has grown since
-        if pv >= cert_max:
-            return cert_order
-        p[v] = 0
-        greedy.append(v)
-        for w in nbrs[v]:
-            if p[w]:
-                p[w] += pv
-                heappush(heap, (p[w], ties[w], w))
-    return tuple(greedy)
-
-
-def construct(g: Graph, cert: DeltaCertificate, sampler: GenericSampler) -> OrthoRep:
-    """Representation of g in dimension |g| - min_degree(g).
-
-    That dimension is max_degree(complement(g)) + 1.  Walks an ordering
-    with one solve per vertex, drawing every coefficient from sampler: first
-    the greedy ordering if it predicts fewer coordinate bits than the
-    certificate ordering, else the certificate ordering (_first_ordering).
-    A vertex's placed priors split on its adjacency mask into the rows its
-    vector must be orthogonal to and its neighbours, each with the norm its
-    own step returned.  When a solve runs out of draws, widens the sampler's
-    window and walks the certificate ordering, up to MAX_RESTARTS times, so
-    a greedy walk that fails costs one walk.  Vectors in the result are
-    indexed by vertex id.
-    """
-    # imported where it is used: verify reads bundles without recognition
-    from .recognition import check_certificate
-
-    chk = check_certificate(g, cert)
-    if not chk.ok:
-        raise ValueError(f"invalid certificate: {chk.reason}")
-    d = g.n - min_degree(g)
-    order = _first_ordering(g, cert.ordering)
-    adj = g.adj
-    for restart in range(MAX_RESTARTS + 1):
-        if restart:
-            sampler.widen()
-            order = cert.ordering
-        vectors: list[IntVector] = [()] * g.n
-        norms = [0] * g.n
-        try:
-            for i, v in enumerate(order):
-                placed = order[:i]
-                mask = adj[v]
-                zero_rows = [vectors[u] for u in placed if not mask >> u & 1]
-                neighbours = [(vectors[u], norms[u]) for u in placed if mask >> u & 1]
-                vectors[v], norms[v] = _solve_vector(zero_rows, neighbours, d, sampler)
-        except RetryBudgetExceeded as exc:
-            failure = exc
-            continue
-        return OrthoRep(dim=d, vectors=tuple(vectors))
-    raise RetryBudgetExceeded(f"{failure}, then {MAX_RESTARTS} widened restarts")
-
-
-def construct_verified(g: Graph, cert: DeltaCertificate, seed: int) -> tuple[OrthoRep, RepReport]:
-    """construct with a GenericSampler(seed), checked by verify_rep.
-
-    Raises SelfCheckFailed, naming the first failing pair, when the check
-    rejects what construct built.
-    """
-    # imported where it is used: a process that builds no representation
-    # starts without dataclasses
-    from .sampler import GenericSampler
-
-    rep = construct(g, cert, GenericSampler(seed=seed))
-    report = verify_rep(g, rep)
-    if not report.all_ok:
-        raise SelfCheckFailed(report.failed_pair)
-    return rep, report
 
 
 def gram(rep: OrthoRep) -> tuple[tuple[int, ...], ...]:

@@ -1,21 +1,22 @@
 """Seeded source of the random coefficients that ``construct`` draws.
 
-The sampler is the one dataclass of the package, so that a subclass can
-declare counter fields of its own (``@dataclass class Counting(GenericSampler)``)
-and still take ``seed=``.  It lives apart from ``orthorep`` so that only the
-code paths that build a representation import it, and with it
-``dataclasses``; the others start without that import.
+The sampler is a plain class, so that the code paths that build a
+representation start without importing ``dataclasses`` and, with it,
+``inspect``.  A subclass may still declare counter fields of its own
+(``@dataclass class Counting(GenericSampler)``) and take ``seed=`` and
+``magnitude=``: the first subclass declared makes ``GenericSampler`` a
+dataclass too, keeping its own ``__init__``, so that ``dataclasses`` finds
+the two fields to inherit.  A process that never declares a subclass
+never imports it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 __all__ = ["GenericSampler"]
 
 
-@dataclass
 class GenericSampler:
     """Seeded source of nonzero integers from a growing magnitude window.
 
@@ -31,12 +32,26 @@ class GenericSampler:
     conditions are avoided.
     """
 
+    # the fields a dataclass subclass inherits, with their defaults
     seed: int = 0
     magnitude: int = 16
-    _rng: random.Random = field(init=False, repr=False)
+
+    def __init__(self, seed: int = 0, magnitude: int = 16) -> None:
+        self.seed = seed
+        self.magnitude = magnitude
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         self._rng = random.Random(self.seed)
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "__dataclass_fields__" not in GenericSampler.__dict__:
+            from dataclasses import dataclass
+
+            # adds the field records only: the __init__ above is kept, and
+            # eq and repr stay object's
+            dataclass(GenericSampler, eq=False, repr=False)
 
     def nonzero(self) -> int:
         m = self.magnitude

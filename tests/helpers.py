@@ -17,6 +17,7 @@ from lists of placed vertices.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,9 +44,76 @@ from deltamsr.families import (
     robertson_cage,
     star,
 )
-from deltamsr.orthorep import MAX_RESAMPLES, MAX_RESTARTS, WIDEN_EVERY, RetryBudgetExceeded
+from deltamsr.construction import MAX_RESAMPLES, MAX_RESTARTS, WIDEN_EVERY, RetryBudgetExceeded
 
 ATLAS_PATH = Path(__file__).parent / "data" / "atlas_n1to7.g6"
+
+
+def subprocess_env(**extra):
+    """The environment for running this checkout's deltamsr in a fresh process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""), **extra)
+
+
+# The sampler's contract with a @dataclass subclass, run in a fresh process,
+# which prints "ok" when every assertion holds: importing the sampler and
+# drawing loads no dataclasses; a @dataclass subclass declared afterwards,
+# with counter fields, takes seed= and magnitude= and draws the stream of
+# GenericSampler, the draws an earlier GenericSampler took before it was
+# declared included; and a plain subclass that calls super().__init__(), as a
+# scripted sampler does, still works.
+SAMPLER_HOOK = """\
+import sys
+preloaded = set(sys.modules)
+from deltamsr.sampler import GenericSampler
+early_sampler = GenericSampler(seed=5)
+early = [early_sampler.nonzero() for _ in range(10)]
+loaded = {"dataclasses", "inspect"} & (set(sys.modules) - preloaded)
+assert not loaded, loaded
+
+from dataclasses import dataclass, fields
+
+@dataclass
+class Counting(GenericSampler):
+    draws: int = 0
+    widenings: int = 0
+
+    def nonzero(self):
+        self.draws += 1
+        return super().nonzero()
+
+    def widen(self):
+        self.widenings += 1
+        super().widen()
+
+assert [f.name for f in fields(Counting)] == ["seed", "magnitude", "draws", "widenings"]
+counting = Counting(seed=5)
+assert (counting.seed, counting.magnitude, counting.draws, counting.widenings) == (5, 16, 0, 0)
+late = [early_sampler.nonzero() for _ in range(10)]
+assert [counting.nonzero() for _ in range(20)] == early + late
+counting.widen()
+early_sampler.widen()
+assert [counting.nonzero() for _ in range(50)] == [early_sampler.nonzero() for _ in range(50)]
+assert (counting.draws, counting.widenings, counting.magnitude) == (70, 1, 32)
+small, plain = Counting(seed=7, magnitude=3), GenericSampler(seed=7, magnitude=3)
+assert [small.nonzero() for _ in range(50)] == [plain.nonzero() for _ in range(50)]
+assert max(abs(small.nonzero()) for _ in range(50)) <= 3
+
+class Scripted(GenericSampler):
+    def __init__(self, values):
+        super().__init__()
+        self.values = iter(values)
+
+    def nonzero(self):
+        return next(self.values)
+
+scripted = Scripted([3, -1])
+assert (scripted.seed, scripted.magnitude) == (0, 16)
+assert [scripted.nonzero(), scripted.nonzero()] == [3, -1]
+scripted.widen()
+assert scripted.magnitude == 32
+print("ok")
+"""
 
 # isomorphism class counts of simple graphs on 1..7 vertices
 ATLAS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}

@@ -11,14 +11,14 @@ import sys
 import types
 from fractions import Fraction
 from operator import mul
-from pathlib import Path
 
 import pytest
 
 import helpers
+import deltamsr.batch
 import deltamsr.cli
+import deltamsr.construction
 import deltamsr.msr
-import deltamsr.orthorep
 import deltamsr.sampler
 from deltamsr import (
     GenericSampler,
@@ -37,6 +37,7 @@ from deltamsr.cli import main
 from deltamsr.msr import check_delta_conjecture
 from deltamsr.orthorep import gram_to_json_dict, rep_from_json_dict, rep_to_json_dict
 from deltamsr.families import complete, cycle, path
+from helpers import subprocess_env
 
 C6 = to_graph6(cycle(6))
 K4 = to_graph6(complete(4))
@@ -45,12 +46,6 @@ PRISM = to_graph6(complement(cycle(6)))
 # a delta-graph on 24 vertices in which vertex m misses exactly
 # floor(m/2) - 1 of its priors; its search expands 379 vertex sets
 TIGHT24 = "Wue}~rEufIJEHaYeesWP|rqMBcye^bHlmIkyLgfuRnXu[vm"
-
-
-def subprocess_env(**extra):
-    """The environment for running this checkout's deltamsr in a fresh process."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""), **extra)
 
 
 def run_cli(argv, stdin_text=""):
@@ -253,8 +248,8 @@ def duplicating_construct(real):
 
 
 def test_certify_self_check_failure_is_an_internal_failure(monkeypatch, capsys):
-    real = deltamsr.orthorep.construct
-    monkeypatch.setattr(deltamsr.orthorep, "construct", duplicating_construct(real))
+    real = deltamsr.construction.construct
+    monkeypatch.setattr(deltamsr.construction, "construct", duplicating_construct(real))
     assert main(["certify", PRISM]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -264,8 +259,8 @@ def test_certify_self_check_failure_is_an_internal_failure(monkeypatch, capsys):
 
 
 def test_batch_reports_self_check_failure_inline(monkeypatch):
-    real = deltamsr.orthorep.construct
-    monkeypatch.setattr(deltamsr.orthorep, "construct", duplicating_construct(real))
+    real = deltamsr.construction.construct
+    monkeypatch.setattr(deltamsr.construction, "construct", duplicating_construct(real))
     code, out = run_cli(["batch"], stdin_text=f"{PRISM}\n{C6}\n")
     lines = [json.loads(l) for l in out.splitlines()]
     assert code == 0 and len(lines) == 2
@@ -275,7 +270,7 @@ def test_batch_reports_self_check_failure_inline(monkeypatch):
 
 
 def test_retry_budget_exhausted_is_an_internal_failure(monkeypatch, capsys):
-    monkeypatch.setattr(deltamsr.orthorep, "MAX_RESAMPLES", 0)
+    monkeypatch.setattr(deltamsr.construction, "MAX_RESAMPLES", 0)
     assert main(["certify", PRISM]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -293,10 +288,10 @@ def test_restarts_recover_a_tiny_window_until_their_budget_runs_out(monkeypatch,
     # widened restart, and succeeds within the default MAX_RESTARTS
     co_c12 = to_graph6(complement(cycle(12)))
     tiny = functools.partial(deltamsr.sampler.GenericSampler, magnitude=1)
-    monkeypatch.setattr(deltamsr.sampler, "GenericSampler", tiny)
+    monkeypatch.setattr(deltamsr.construction, "GenericSampler", tiny)
     code, out = run_cli(["certify", co_c12])
     assert code == 0 and all(json.loads(out)["checks"].values())
-    monkeypatch.setattr(deltamsr.orthorep, "MAX_RESTARTS", 1)
+    monkeypatch.setattr(deltamsr.construction, "MAX_RESTARTS", 1)
     assert main(["certify", co_c12]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -820,7 +815,7 @@ def share_each_read(monkeypatch, cpus: int) -> list[int]:
 
     Returns the list of helper pids that batch forks from then on.
     """
-    monkeypatch.setattr(deltamsr.cli, "_SHARE_AFTER_S", 0)
+    monkeypatch.setattr(deltamsr.batch, "_SHARE_AFTER_S", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     forked, fork = [], os.fork
 
@@ -1317,7 +1312,8 @@ COLD_START = """\
 import atexit, json, runpy, sys
 HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext"}
 HEAVY |= {
-    "deltamsr." + m for m in ("families", "msr", "recognition", "orthorep", "sampler")
+    "deltamsr." + m
+    for m in ("batch", "construction", "families", "msr", "recognition", "orthorep", "sampler")
 }
 preloaded = HEAVY & set(sys.modules)
 atexit.register(lambda: print(json.dumps(sorted(HEAVY & set(sys.modules) - preloaded)), file=sys.stderr))
@@ -1346,7 +1342,8 @@ def test_cold_start_without_dataclasses_where_nothing_is_constructed():
     # no construction layer
     code, out, heavy = cold_start(["batch"], C6 + "\n")
     assert code == 0 and json.loads(out)["verdict"] == "holds"
-    assert heavy == ["deltamsr.msr", "deltamsr.recognition"]
+    batches = ["deltamsr.batch", "deltamsr.msr", "deltamsr.recognition"]
+    assert heavy == batches
     # verify reads and checks a bundle without recognition
     bundle = run_cli(["certify", "--seed", "0", PRISM])[1]
     code, out, heavy = cold_start(["verify"], bundle)
@@ -1363,10 +1360,11 @@ def test_cold_start_without_dataclasses_where_nothing_is_constructed():
     vectors = long["representation"]["vectors"]
     vectors[0] = [x + "0" * 5000 for x in vectors[0]]
     assert cold_start(["verify"], json.dumps(long)) == (0, out, heavy)
-    # certify builds a GenericSampler, a dataclass, so the hook sees the import there
+    # certify builds a GenericSampler, a plain class: neither dataclasses
+    # nor inspect is imported, nor batch's code
     constructs = [
-        "dataclasses", "deltamsr.orthorep", "deltamsr.recognition",
-        "deltamsr.sampler", "inspect",
+        "deltamsr.construction", "deltamsr.orthorep", "deltamsr.recognition",
+        "deltamsr.sampler",
     ]
     code, out, heavy = cold_start(["certify", "--seed", "0", PRISM], "")
     assert code == 0 and out == bundle
@@ -1375,12 +1373,16 @@ def test_cold_start_without_dataclasses_where_nothing_is_constructed():
     code, out, heavy = cold_start(["batch"], f"{C6}\n{PRISM}\n")
     verdicts = [json.loads(line)["verdict"] for line in out.splitlines()]
     assert code == 0 and verdicts == ["holds", "holds-by-construction"]
-    assert heavy == sorted(constructs + ["deltamsr.msr"])
+    assert heavy == sorted({*constructs, *batches})
     code, out, heavy = cold_start(["recognize", "--c-delta", C6], "")
     assert code == 0 and heavy == ["deltamsr.recognition"]
-    # only gen imports the family builders
+    # only gen imports the family builders, and it loads nothing else, also
+    # where it parses graph parameters
     code, out, heavy = cold_start(["gen", "cycle", "6"], "")
     assert code == 0 and out == C6 + "\n" and heavy == ["deltamsr.families"]
+    argv = ["gen", "cartesian", "Bw", "A_"]
+    code, out, heavy = cold_start(argv, "")
+    assert (code, out) == run_cli(argv) and heavy == ["deltamsr.families"]
     code, out, heavy = cold_start(["-h"], "")
     assert code == 0 and out.startswith("usage: deltamsr") and heavy == []
 

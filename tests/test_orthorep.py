@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import subprocess
 import sys
 from dataclasses import dataclass
 
@@ -21,19 +22,21 @@ from deltamsr import (
     verify_rep,
 )
 from deltamsr.families import cartesian_product, complete, cycle, mobius_ladder, path
-from deltamsr.orthorep import (
+from deltamsr.construction import (
     MAX_RESAMPLES,
     MAX_RESTARTS,
     WIDEN_EVERY,
     RetryBudgetExceeded,
     _first_ordering,
     _solve_vector,
+    int_nullspace_basis,
+)
+from deltamsr.orthorep import (
     dot,
     fraction_from_str,
     fraction_to_str,
     gram_mismatch,
     gram_to_json_dict,
-    int_nullspace_basis,
     primitive_part,
     rep_from_json_dict,
     rep_to_json_dict,
@@ -126,6 +129,17 @@ def test_dataclass_subclass_of_the_sampler_takes_seed_and_draws_the_same():
     rep = construct(PRISM, cert, counting)
     assert rep == construct(PRISM, cert, GenericSampler(seed=3))
     assert counting.draws >= PRISM.n
+
+
+def test_sampler_subclasses_take_seed_in_a_process_without_dataclasses():
+    proc = subprocess.run(
+        [sys.executable, "-c", helpers.SAMPLER_HOOK],
+        capture_output=True,
+        text=True,
+        env=helpers.subprocess_env(),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
 
 
 def test_seed_triple_3k1():

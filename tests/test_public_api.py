@@ -108,8 +108,8 @@ PACKAGE_EXPORTS = {
 # imports it from there
 PACKAGE_FAILURES = {
     "SearchBudgetExceeded": "recognition",
-    "RetryBudgetExceeded": "orthorep",
-    "SelfCheckFailed": "orthorep",
+    "RetryBudgetExceeded": "construction",
+    "SelfCheckFailed": "construction",
 }
 
 
