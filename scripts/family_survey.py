@@ -20,16 +20,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from deltamsr import (
-    GenericSampler,
-    complement,
-    construct,
-    min_degree,
-    msr_exact,
-    recognize_delta,
-    to_graph6,
-    verify_rep,
-)
+from deltamsr import complement, min_degree, msr_exact, recognize_delta, to_graph6
+from deltamsr.construction import construct_verified
 from deltamsr.families import (
     cartesian_product,
     complete,
@@ -67,8 +59,8 @@ def main() -> None:
         cert = recognize_delta(gbar)
         row["c_delta"] = cert is not None
         if cert is not None:
-            rep = construct(gbar, cert, GenericSampler(seed=args.seed))
-            report = verify_rep(gbar, rep)
+            # construct, then verify_rep: a failed check raises SelfCheckFailed
+            rep, report = construct_verified(gbar, cert, args.seed)
             row["complement_msr_upper"] = report.bound
             row["complement_delta_bound"] = gbar.n - min_degree(gbar)
             row["rep_dim"] = rep.dim

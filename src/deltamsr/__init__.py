@@ -49,7 +49,7 @@ _EXPORTS = {
 }
 
 __all__ = [*_EXPORTS, "SearchBudgetExceeded", "RetryBudgetExceeded", "SelfCheckFailed"]
-__version__ = "0.26.0"
+__version__ = "0.27.0"
 
 
 class SearchBudgetExceeded(RuntimeError):

@@ -14,11 +14,13 @@ sharing and writing live in ``deltamsr.batch``, which only ``batch``
 loads.
 
 One table, ``_COMMANDS``, holds each subcommand's help, positional,
-options and handler, and drives parsing, ``-h``/``--help`` and usage
-errors; ``gen <family> <params>`` reads ``_GEN_FAMILIES``.  Options go
-before or after the positional, as ``--opt value`` or ``--opt=value``;
-``--`` ends them, and a long option is never abbreviated.  A usage error
-writes the usage line and ``deltamsr <cmd>: error: ...`` to stderr as
+options and handler, and ``gen``'s families are rows of ``gen``'s
+positional, each with its help, parameters and builder.  One token loop
+parses every command line against it, and ``-h``/``--help`` and usage
+errors are rendered from it.  Options go before or after the positional,
+as ``--opt value`` or ``--opt=value``; ``--`` ends them, and a long option
+is never abbreviated.  A usage error writes the usage line of the command
+words parsed before it and ``deltamsr <words>: error: ...`` to stderr as
 plain text and exits 2; help goes to stdout and exits 0.  Each handler
 imports the modules it runs, and each layer imports the next where it is
 first called, so a process compiles and loads only what its subcommand and
@@ -72,13 +74,6 @@ def _fail(message: str, code: int, **details) -> int:
     return code
 
 
-def _stdin():
-    """sys.stdin; OSError when the process started with its stdin closed."""
-    if sys.stdin is None:
-        raise OSError("stdin is closed")
-    return sys.stdin
-
-
 # the input names that read stdin
 _STDIN = (None, "-")
 
@@ -89,9 +84,11 @@ def _input(source: str | None):
     Raises OSError when that stream cannot be had: a closed stdin or a file that
     cannot be opened.
     """
-    if source in _STDIN:
-        return contextlib.nullcontext(_stdin())
-    return open(source)
+    if source not in _STDIN:
+        return open(source)
+    if sys.stdin is None:  # the process started with its stdin closed
+        raise OSError("stdin is closed")
+    return contextlib.nullcontext(sys.stdin)
 
 
 def _parse_file_or_literal(source: str | None, parse):
@@ -213,64 +210,48 @@ def _cmd_batch(args) -> int:
     return batch._cmd_batch(args)
 
 
-# gen family -> (help text, positional arguments, builder in deltamsr.families);
-# n is an int, g and h are graph6 or edge-list text
-_GEN_FAMILIES = {
-    "cycle": ("cycle C_n", "n", "cycle"),
-    "path": ("path P_n", "n", "path"),
-    "complete": ("complete graph K_n", "n", "complete"),
-    "star": ("star K_{1,n} with n leaves", "n", "star"),
-    "mobius": ("Moebius ladder on n vertices (even n >= 6)", "n", "mobius_ladder"),
-    "robertson": ("Robertson (4,5)-cage", "", "robertson_cage"),
-    "cartesian": (
-        "Cartesian (box) product of two graphs", "gh", "cartesian_product"
-    ),
-    "corona": ("corona of two graphs", "gh", "corona"),
-}
-
-
 def _cmd_gen(args) -> int:
     # imported where it is used: no other subcommand needs the builders
     from . import families
 
-    _, params, builder = _GEN_FAMILIES[args.family]
-    build = getattr(families, builder)
-    if params == "gh" and args.g in _STDIN and args.h in _STDIN:
+    _, params, builder = _COMMANDS["gen"][1][args.family]
+    values = [getattr(args, param) for param in params]
+    if values.count("-") > 1:
         return _fail("g and h both name stdin, which can be read only once", 2)
     try:
-        values = [
-            args.n if p == "n" else _parse_file_or_literal(getattr(args, p), _parse_graph)
-            for p in params
-        ]
-        g = build(*values)
+        g = getattr(families, builder)(
+            *(v if isinstance(v, int) else _parse_file_or_literal(v, _parse_graph) for v in values)
+        )
     except (ValueError, OSError) as exc:
         return _fail(str(exc), 2)
     print(to_graph6(g))
     return 0
 
 
-# option -> (value type, default, help); a switch has type None and default False
 _GRAPH = (
     "graph",
     "graph file or literal (default: stdin): an edge list ('n', then one 'u v' line per"
     " edge) if its first non-blank character lies outside '>'..'~', as a digit does, else graph6",
 )
 
-# command -> (help, optional positional (name, help) or None, options, handler);
-# gen's positionals are a family from _GEN_FAMILIES and that family's parameters
+# command -> (help, positional, options, handler): the positional is one
+# (name, help), optional, or for gen a table of families, each a row
+# (help, parameters, builder in deltamsr.families) whose parameters are all
+# required, n an int and g and h graph text; option -> (default, help), and
+# an option that defaults to False is a switch, any other takes an int
 _COMMANDS = {
     "recognize": (
         "find a delta or C-delta certificate",
         _GRAPH,
-        {"--c-delta": (None, False, "search the complement (C-delta)")},
+        {"--c-delta": (False, "search the complement (C-delta)")},
         _cmd_recognize,
     ),
     "certify": (
         "certificate + representation bundle",
         _GRAPH,
         {
-            "--seed": (int, 0, "construction seed (default: 0)"),
-            "--emit-gram": (None, False, "add the exact Gram matrix to the bundle"),
+            "--seed": (0, "construction seed (default: 0)"),
+            "--emit-gram": (False, "add the exact Gram matrix to the bundle"),
         },
         _cmd_certify,
     ),
@@ -283,139 +264,134 @@ _COMMANDS = {
     "batch": (
         "Delta Conjecture report per graph6 line",
         ("input", "file of graph6 lines (default: stdin)"),
-        {"--seed": (int, 0, "construction seed of every line (default: 0)")},
+        {"--seed": (0, "construction seed of every line (default: 0)")},
         _cmd_batch,
     ),
-    "gen": ("emit a named family member as graph6", None, {}, _cmd_gen),
+    "gen": (
+        "emit a named family member as graph6",
+        {
+            "cycle": ("cycle C_n", ("n",), "cycle"),
+            "path": ("path P_n", ("n",), "path"),
+            "complete": ("complete graph K_n", ("n",), "complete"),
+            "star": ("star K_{1,n} with n leaves", ("n",), "star"),
+            "mobius": ("Moebius ladder on n vertices (even n >= 6)", ("n",), "mobius_ladder"),
+            "robertson": ("Robertson (4,5)-cage", (), "robertson_cage"),
+            "cartesian": ("Cartesian (box) product of two graphs", ("g", "h"), "cartesian_product"),
+            "corona": ("corona of two graphs", ("g", "h"), "corona"),
+        },
+        {},
+        _cmd_gen,
+    ),
 }
 _HELP_FLAGS = ("-h", "--help")
 
 
 class _UsageError(Exception):
-    """A command line that _COMMANDS does not accept; command is "", "gen" or "gen <family>"."""
+    """A command line that _COMMANDS does not accept, with the command words parsed before it."""
 
-    def __init__(self, command: str, message: str):
+    def __init__(self, words: list[str], message: str):
         super().__init__(message)
-        self.command = command
+        self.words = words
 
 
-def _prog(command: str) -> str:
-    return f"deltamsr {command}" if command else "deltamsr"
+def _usage(words: list[str]) -> tuple[str, str, list]:
+    """The usage line of the command words parsed so far, and their help's description and rows."""
+    row = ("delta-graph recognition and msr certification", _COMMANDS, {})
+    for word in words:
+        row = row[1][word]
+    description, positional, options = row[:3]
+    if isinstance(positional, dict):  # the commands, or gen's families with their parameters
+        tail = [f"{{{','.join(positional)}}} ..."]
+        rows = [
+            (" ".join((name, *spec[1])) if words else name, spec[0])
+            for name, spec in positional.items()
+        ]
+        if words:
+            description += (
+                "; n is an integer, g and h are graph6 or edge lists,"
+                " each a file ('-' is stdin, for one of them at most) or a literal"
+            )
+    elif words[1:]:  # gen's family: its parameters
+        tail, rows = positional, []
+    else:  # a command: its options, then its one positional
+        rows = [
+            (flag if spec[0] is False else f"{flag} {flag[2:].upper()}", spec[1])
+            for flag, spec in options.items()
+        ]
+        tail = [f"[{left}]" for left, _ in [*rows, positional]]
+        rows.insert(0, positional)
+    return " ".join(["usage: deltamsr", *words, "[-h]", *tail]), description, rows
 
 
-def _option_usage(flag: str, kind) -> str:
-    return flag if kind is None else f"{flag} {flag[2:].upper()}"
-
-
-def _usage(command: str) -> str:
-    if command in ("", "gen"):
-        names = _GEN_FAMILIES if command else _COMMANDS
-        tail = f"{{{','.join(names)}}} ..."
-    elif command.startswith("gen "):
-        tail = " ".join(_GEN_FAMILIES[command[4:]][1])
-    else:
-        _, (positional, _), options, _ = _COMMANDS[command]
-        flags = (f"[{_option_usage(flag, spec[0])}]" for flag, spec in options.items())
-        tail = " ".join([*flags, f"[{positional}]"])
-    return f"usage: {_prog(command)} [-h] {tail}".rstrip()
-
-
-def _print_help(command: str) -> int:
-    if not command:
-        description = "delta-graph recognition and msr certification"
-        rows = [(name, spec[0]) for name, spec in _COMMANDS.items()]
-    elif command == "gen":
-        description = (
-            f"{_COMMANDS['gen'][0]}; n is an integer, g and h are graph6 or edge lists,"
-            " each a file ('-' is stdin, for one of them at most) or a literal"
-        )
-        rows = [(" ".join((name, *spec[1])), spec[0]) for name, spec in _GEN_FAMILIES.items()]
-    else:
-        description, positional, options, _ = _COMMANDS[command]
-        rows = [positional]
-        rows += [(_option_usage(flag, spec[0]), spec[2]) for flag, spec in options.items()]
-    rows.append((", ".join(_HELP_FLAGS), "show this help and exit"))
-    print(_usage(command), "", description, "", sep="\n")
-    for left, text in rows:
+def _print_help(words: list[str]) -> int:
+    line, description, rows = _usage(words)
+    print(line, "", description, "", sep="\n")
+    for left, text in [*rows, (", ".join(_HELP_FLAGS), "show this help and exit")]:
         print(f"  {left:<22}  {text}")
     return 0
 
 
-def _is_option(token: str) -> bool:
-    # "-" names stdin and "-3" is a number, as argparse read them
-    return token.startswith("-") and token != "-" and not token[1:].isdigit()
+def _choose(words: list[str], argument: str, rest: list[str], table: dict):
+    """The row of table that rest's first word names; that word moves from rest to words."""
+    if not rest:
+        raise _UsageError(words, f"the following arguments are required: {argument}")
+    if rest[0] not in table:
+        listed = ", ".join(map(repr, table))
+        message = f"argument {argument}: invalid choice: {rest[0]!r} (choose from {listed})"
+        raise _UsageError(words, message)
+    words.append(rest.pop(0))
+    return table[words[-1]]
 
 
-def _convert(command: str, argument: str, kind, text: str, choices=None):
+def _int(words: list[str], argument: str, text: str) -> int:
     try:
-        value = kind(text)
+        return int(text)
     except ValueError:
-        raise _UsageError(command, f"{argument}: invalid {kind.__name__} value: {text!r}") from None
-    if choices and value not in choices:
-        listed = ", ".join(map(repr, choices))
-        raise _UsageError(command, f"{argument}: invalid choice: {text!r} (choose from {listed})")
-    return value
+        raise _UsageError(words, f"argument {argument}: invalid int value: {text!r}") from None
 
 
 def _parse(argv: list[str]):
     """(handler, argument) for a command line; help is a handler that prints it."""
-    if not argv:
-        raise _UsageError("", "the following arguments are required: command")
-    command, tokens = argv[0], iter(argv[1:])
-    if command in _HELP_FLAGS:
-        return _print_help, ""
-    _convert("", "argument command", str, command, _COMMANDS)
-    _, positional, options, handler = _COMMANDS[command]
-    values = {flag: spec[1] for flag, spec in options.items()}
-    words = []
+    if argv and argv[0] in _HELP_FLAGS:
+        return _print_help, []
+    words, rest = [], list(argv)
+    _, positional, options, handler = _choose(words, "command", rest, _COMMANDS)
+    args = {flag: spec[0] for flag, spec in options.items()}
+    tokens, rest = iter(rest), []
     for token in tokens:
         if token in _HELP_FLAGS:
-            return _print_help, command
+            return _print_help, words
         if token == "--":
-            words.extend(tokens)
-        elif _is_option(token):
+            rest.extend(tokens)
+        # "-" names stdin and "-3" is a number, as argparse read them
+        elif token.startswith("-") and token != "-" and not token[1:].isdigit():
             flag, has_value, text = token.partition("=")
-            kind = options.get(flag, (None,))[0]
-            if flag not in options or kind is None and has_value:  # a switch takes no value
-                raise _UsageError(command, f"unrecognized arguments: {token}")
-            if kind is None:
-                value = True
-            else:
-                if not has_value:
-                    text = next(tokens, None)
-                    if text is None:
-                        raise _UsageError(command, f"argument {flag}: expected one argument")
-                value = _convert(command, f"argument {flag}", kind, text)
-            values[flag] = value
+            switch = options.get(flag, (None,))[0] is False
+            if flag not in options or switch and has_value:  # a switch takes no value
+                raise _UsageError(words, f"unrecognized arguments: {token}")
+            if not (switch or has_value):
+                text = next(tokens, None)
+                if text is None:
+                    raise _UsageError(words, f"argument {flag}: expected one argument")
+            args[flag] = switch or _int(words, flag, text)
         else:
-            words.append(token)
-    args = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
-    if positional is None:
-        args.update(_gen_arguments(words))
-    elif len(words) > 1:
-        raise _UsageError(command, f"unrecognized arguments: {' '.join(words[1:])}")
-    else:
-        args[positional[0]] = words[0] if words else None
-    return handler, types.SimpleNamespace(**args)
-
-
-def _gen_arguments(words: list[str]) -> dict:
-    """gen's family and that family's parameters, by name."""
-    if not words:
-        raise _UsageError("gen", "the following arguments are required: family")
-    family, *words = words
-    _convert("gen", "argument family", str, family, _GEN_FAMILIES)
-    params = _GEN_FAMILIES[family][1]
-    command = f"gen {family}"
-    if len(words) < len(params):
-        missing = ", ".join(params[len(words):])
-        raise _UsageError(command, f"the following arguments are required: {missing}")
-    if len(words) > len(params):
-        raise _UsageError(command, f"unrecognized arguments: {' '.join(words[len(params):])}")
-    args = {"family": family}
-    for param, word in zip(params, words):
-        args[param] = _convert(command, f"argument {param}", int if param == "n" else str, word)
-    return args
+            rest.append(token)
+    if isinstance(positional, dict):  # gen: a family, then each of its parameters
+        params = _choose(words, "family", rest, positional)[1]
+        args["family"] = words[-1]
+        if len(rest) < len(params):
+            missing = ", ".join(params[len(rest):])
+            raise _UsageError(words, f"the following arguments are required: {missing}")
+    else:  # stdin where the positional is left out
+        params = positional[:1]
+    if len(rest) > len(params):
+        raise _UsageError(words, f"unrecognized arguments: {' '.join(rest[len(params):])}")
+    for param, word in zip(params, [*rest, None]):
+        args[param] = _int(words, param, word) if param == "n" else word
+    # --emit-gram is the attribute emit_gram
+    return handler, types.SimpleNamespace(
+        **{name.lstrip("-").replace("-", "_"): value for name, value in args.items()}
+    )
 
 
 def main(argv=None) -> int:
@@ -424,8 +400,8 @@ def main(argv=None) -> int:
         try:
             handler, args = _parse(sys.argv[1:] if argv is None else argv)
         except _UsageError as exc:
-            error = f"{_prog(exc.command)}: error: {exc}"
-            print(_usage(exc.command), error, sep="\n", file=sys.stderr)
+            error = " ".join(["deltamsr", *exc.words]) + f": error: {exc}"
+            print(_usage(exc.words)[0], error, sep="\n", file=sys.stderr)
             return 2
         if sys.stdout is None:  # the process started with its stdout closed
             return _fail("stdout is closed", 2)

@@ -155,7 +155,7 @@ def _solve_vector(
     nonzero = sampler.nonzero
 
     # a one-vector basis gives x = +-basis[0] on every draw
-    draws = min(MAX_RESAMPLES, 1) if len(basis) == 1 else MAX_RESAMPLES
+    draws = 1 if len(basis) == 1 else MAX_RESAMPLES
     for attempt in range(draws):
         if attempt and attempt % WIDEN_EVERY == 0:
             sampler.widen()
@@ -246,7 +246,8 @@ def construct(g: Graph, cert: DeltaCertificate, sampler: GenericSampler) -> Orth
     """
     chk = check_certificate(g, cert)
     if not chk.ok:
-        raise ValueError(f"invalid certificate: {chk.reason}")
+        at = "" if chk.failed_at is None else f" at position {chk.failed_at}"
+        raise ValueError(f"invalid certificate: {chk.reason}{at}")
     d = g.n - min_degree(g)
     order = _first_ordering(g, cert.ordering)
     adj = g.adj

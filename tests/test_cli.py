@@ -1241,6 +1241,11 @@ USAGE_ERRORS = [
     (["gen", "cycle"], ": n"),
     (["gen", "cycle", "x"], "'x'"),
     (["gen", "nosuch"], "'nosuch'"),
+    (["certify", "--seed"], "expected one argument"),
+    (["recognize", "--c-delta=1"], "unrecognized arguments: --c-delta=1"),
+    (["gen", "robertson", "3"], ": 3"),
+    (["gen", "cycle", "5", "6"], ": 6"),
+    (["gen", "cartesian", C6], ": h"),
 ]
 
 
@@ -1385,6 +1390,11 @@ def test_cold_start_without_dataclasses_where_nothing_is_constructed():
     assert (code, out) == run_cli(argv) and heavy == ["deltamsr.families"]
     code, out, heavy = cold_start(["-h"], "")
     assert code == 0 and out.startswith("usage: deltamsr") and heavy == []
+    # help and usage errors are rendered from the table alone, gen's included
+    code, out, heavy = cold_start(["gen", "-h"], "")
+    assert code == 0 and out.startswith("usage: deltamsr gen") and heavy == []
+    for argv in (["gen", "nosuch"], ["certify", "--bogus"]):
+        assert cold_start(argv, "") == (2, "", []), argv
 
 
 def test_module_entry_point():

@@ -314,6 +314,10 @@ def test_construct_rejects_invalid_certificate():
     cert = recognize_delta(PRISM)
     with pytest.raises(ValueError):
         construct(cycle(6), cert, GenericSampler())
+    # a failure names the first offending position m
+    bad = DeltaCertificate((0, 1, 2, 3, 4, 5), "K2+K1", (1, 2, 2))
+    with pytest.raises(ValueError, match=r"^invalid certificate: .* at position 5$"):
+        construct(PRISM, bad, GenericSampler())
 
 
 def test_construct_is_deterministic_per_seed():
