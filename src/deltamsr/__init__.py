@@ -23,7 +23,6 @@ import importlib
 _EXPORTS = {
     "MAX_VERTICES": "graphs",
     "Graph": "graphs",
-    "blocks": "graphs",
     "complement": "graphs",
     "from_edge_list": "graphs",
     "is_connected": "graphs",
@@ -43,13 +42,14 @@ _EXPORTS = {
     "gram": "orthorep",
     "verify_rep": "orthorep",
     "ConjectureReport": "msr",
+    "blocks": "msr",
     "check_delta_conjecture": "msr",
     "clique_cover_number": "msr",
     "msr_exact": "msr",
 }
 
 __all__ = [*_EXPORTS, "SearchBudgetExceeded", "RetryBudgetExceeded", "SelfCheckFailed"]
-__version__ = "0.27.0"
+__version__ = "0.28.0"
 
 
 class SearchBudgetExceeded(RuntimeError):

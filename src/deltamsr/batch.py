@@ -17,8 +17,6 @@ failure classes, is reported inline as the line's report, and the next
 line goes on.
 """
 
-from __future__ import annotations
-
 import codecs
 import io
 import json

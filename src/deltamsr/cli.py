@@ -43,20 +43,14 @@ returns that code for a failure that escapes a handler, and ``batch``
 instead reports each of them, like each input error, inline and goes on.
 """
 
-from __future__ import annotations
-
 import contextlib
 import json
 import os
 import sys
 import types
-from typing import TYPE_CHECKING
 
 from . import RetryBudgetExceeded, SearchBudgetExceeded, SelfCheckFailed
 from .graphs import Graph, complement, min_degree, parse_edge_list, parse_graph6, to_graph6
-
-if TYPE_CHECKING:
-    from .orthorep import RepReport
 
 __all__ = ["main"]
 
@@ -102,7 +96,8 @@ def _parse_file_or_literal(source: str | None, parse):
         raise FileNotFoundError(f"no such file {source!r}, and it does not parse: {exc}") from exc
 
 
-def _checks(report: RepReport) -> dict:
+def _checks(report) -> dict:
+    """The check flags of an ``orthorep.RepReport``, keyed as a bundle keys them."""
     return {
         "pattern": report.pattern_ok,
         "nonzero": report.nonzero_ok,
@@ -115,9 +110,9 @@ def _parse_graph(text: str) -> Graph:
     """The graph of graph6 or edge-list text, told apart by its first non-blank character.
 
     Every graph6 character, and the ">" that starts its optional header, lies
-    in ">".."~"; an edge list starts with its vertex count, and int() takes
-    only a sign or a digit there.  Text with no non-blank character is read
-    as graph6, which names it empty.
+    in ">".."~"; an edge list starts with its vertex count, a sign or an
+    ASCII digit.  Text with no non-blank character is read as graph6, which
+    names it empty.
     """
     first = text.lstrip()[:1]
     return parse_graph6(text) if not first or ">" <= first <= "~" else parse_edge_list(text)

@@ -44,8 +44,6 @@ sampler and recognition; ``orthorep`` holds the records and the checks
 that reading and verifying a bundle runs.
 """
 
-from __future__ import annotations
-
 from heapq import heapify, heappop, heappush
 from operator import mul
 

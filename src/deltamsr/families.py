@@ -4,17 +4,17 @@ Cycles, paths, complete graphs and stars; Cartesian products (K_n x P_m),
 Moebius ladders, coronas of a star with paths, and the Robertson (4,5)-cage.
 Vertex labellings are canonical and documented per generator, so outputs
 are reproducible byte-for-byte through graph6.  Each builder checks its
-vertex count against ``MAX_VERTICES`` before it builds an edge list, and
-the builders whose edge count can outgrow their vertex count (complete
-graphs, Cartesian products, coronas) compute it and check it against
-``MAX_EDGES`` too.
+vertex count against ``graphs.MAX_VERTICES`` before it builds an edge
+list, and the builders whose edge count can outgrow their vertex count
+(complete graphs, Cartesian products, coronas) compute it and check it
+against this module's ``MAX_EDGES`` too.
 """
 
-from __future__ import annotations
-
-from .graphs import Graph, check_edge_count, check_vertex_count, from_edge_list
+from .graphs import Graph, check_vertex_count, from_edge_list
 
 __all__ = [
+    "MAX_EDGES",
+    "check_edge_count",
     "cycle",
     "path",
     "complete",
@@ -24,6 +24,17 @@ __all__ = [
     "corona",
     "robertson_cage",
 ]
+
+
+# largest edge count the family builders produce; K_1449 is the first
+# complete graph above it
+MAX_EDGES = 2**20
+
+
+def check_edge_count(m: int) -> None:
+    """Refuse an edge count above MAX_EDGES, before any edge list is built."""
+    if m > MAX_EDGES:
+        raise ValueError(f"edge count {m} exceeds the cap of {MAX_EDGES}")
 
 
 def cycle(n: int) -> Graph:

@@ -6,11 +6,7 @@ per vertex, which keeps complementation, degree counts and neighbourhood
 intersections cheap at desk scale (fast below 64 vertices, correct for
 any n).  graph6 is the interchange format; a plain edge-list text format
 is accepted for hand input.  Both parsers refuse vertex counts above
-``MAX_VERTICES`` before allocating anything of that size; the family
-builders also hold their edge count to ``MAX_EDGES``.  The structural
-part is what the exact msr engine needs: the blocks of a connected graph,
-each as the bitmask of its vertices, on which the engine counts clique
-covers without building a subgraph.
+``MAX_VERTICES`` before allocating anything of that size.
 
 ``Graph(n, adj)``, and ``_make`` and ``_replace`` through it, checks the
 adjacency a caller supplies: at least one vertex, one mask per vertex, no
@@ -24,16 +20,12 @@ that passed them.  The graph6 parser still refuses every malformed line
 before any mask is built, and ``from_edge_list`` still refuses n < 1.
 """
 
-from __future__ import annotations
-
 import binascii
 from typing import NamedTuple
 
 __all__ = [
     "MAX_VERTICES",
-    "MAX_EDGES",
     "check_vertex_count",
-    "check_edge_count",
     "Graph",
     "from_edge_list",
     "parse_edge_list",
@@ -42,7 +34,6 @@ __all__ = [
     "complement",
     "is_connected",
     "min_degree",
-    "blocks",
 ]
 
 
@@ -54,17 +45,6 @@ def check_vertex_count(n: int) -> None:
     """Refuse a vertex count above MAX_VERTICES, before anything of that size exists."""
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds the input cap of {MAX_VERTICES}")
-
-
-# largest edge count the family builders produce; K_1449 is the first
-# complete graph above it
-MAX_EDGES = 2**20
-
-
-def check_edge_count(m: int) -> None:
-    """Refuse an edge count above MAX_EDGES, before any edge list is built."""
-    if m > MAX_EDGES:
-        raise ValueError(f"edge count {m} exceeds the cap of {MAX_EDGES}")
 
 
 def _bits(mask: int):
@@ -85,7 +65,7 @@ class Graph(_GraphFields):
 
     __slots__ = ()
 
-    def __new__(cls, n: int, adj: tuple[int, ...]) -> Graph:
+    def __new__(cls, n: int, adj: tuple[int, ...]) -> "Graph":
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         if len(adj) != n:
@@ -102,15 +82,12 @@ class Graph(_GraphFields):
         return super().__new__(cls, n, adj)
 
     @classmethod
-    def _make(cls, iterable) -> Graph:
+    def _make(cls, iterable) -> "Graph":
         """Graph from an (n, adj) iterable, through the checks of Graph(n, adj).
 
         The NamedTuple's own _make, which _replace calls too, skips them.
         """
         return cls(*iterable)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
     def neighbors(self, v: int) -> list[int]:
         return list(_bits(self.adj[v]))
@@ -120,7 +97,7 @@ class Graph(_GraphFields):
 
     @property
     def edge_count(self) -> int:
-        return sum(map(self.degree, range(self.n))) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
 
 def _built_graph(n: int, adj: tuple[int, ...]) -> Graph:
@@ -143,23 +120,39 @@ def from_edge_list(n: int, edges) -> Graph:
     return _built_graph(n, tuple(adj))
 
 
+def _plain_int(token: str) -> int:
+    """int(token) if token is [+-]?[0-9]+, else ValueError.
+
+    int() alone would also read '_' separators and non-ASCII digits.
+    """
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_edge_list(text: str) -> Graph:
-    """Parse the plain text format: first line n, then one 'u v' pair per line."""
+    """Parse the plain text format: first line n, then one 'u v' pair per line.
+
+    Every number is a plain ASCII integer, [+-]?[0-9]+; the error names the
+    first line that is not one n or two ends.
+    """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
         raise ValueError("empty edge-list input")
     try:
-        n = int(lines[0])
+        n = _plain_int(lines[0])
     except ValueError:
         raise ValueError(f"bad vertex count line: {lines[0]!r}") from None
     check_vertex_count(n)
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(_plain_int, ln.split())
+        except ValueError:
+            raise ValueError(f"bad edge line: {ln!r}") from None
+        edges.append((u, v))
     return from_edge_list(n, edges)
 
 
@@ -268,62 +261,3 @@ def is_connected(g: Graph) -> bool:
 
 def min_degree(g: Graph) -> int:
     return min(map(int.bit_count, g.adj))
-
-
-# --- blocks ---------------------------------------------------------------
-
-
-def blocks(g: Graph) -> list[int]:
-    """The blocks of a connected graph, each the bitmask of its vertices.
-
-    A block is a maximal 2-connected subgraph or a bridge (a K2 block), and
-    g has a cut vertex exactly when it has more than one block.  Iterative
-    Hopcroft-Tarjan: when the DFS leaves v with ``low[v] >= disc[u]`` for
-    its parent u, u and the vertices found since v, not yet in a block,
-    form one block.  Each vertex's neighbours are scanned lowest first,
-    straight off its adjacency mask.
-    """
-    if not is_connected(g):
-        raise ValueError("block decomposition requires a connected graph")
-    if g.n == 1:
-        return [1]
-    disc = [-1] * g.n
-    low = [0] * g.n
-    disc[0] = 0
-    timer = 1
-    unplaced = [0]  # discovered vertices not yet in a block, in discovery order
-    found = []
-    unscanned = list(g.adj)  # per vertex on the stack, the neighbours it has yet to look at
-    stack = [0]
-    while stack:
-        v = stack[-1]
-        rest = unscanned[v]
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            w = bit.bit_length() - 1
-            if disc[w] == -1:
-                unscanned[v] = rest
-                disc[w] = low[w] = timer
-                timer += 1
-                unplaced.append(w)
-                stack.append(w)
-                break
-            if disc[w] < low[v]:
-                low[v] = disc[w]
-        else:
-            stack.pop()
-            if not stack:
-                break
-            u = stack[-1]
-            if low[v] < low[u]:
-                low[u] = low[v]
-            if low[v] >= disc[u]:
-                members = 1 << u
-                while True:
-                    w = unplaced.pop()
-                    members |= 1 << w
-                    if w == v:
-                        break
-                found.append(members)
-    return found

@@ -1,25 +1,26 @@
 """Exact minimum semidefinite rank for special families, and conjecture verdicts.
 
 The msr of a connected graph is the sum of the msr of its blocks (van der
-Holst, LAA 375, 2003).  The engine knows three kinds of block: K1 or K2
+Holst, LAA 375, 2003).  ``blocks`` finds them, each as the bitmask of its
+vertices, and the engine counts clique covers on that mask without
+building a subgraph.  The engine knows three kinds of block: K1 or K2
 (msr |B| - 1), a cycle (|B| - 2) and a chordal block (its clique cover
-number).  A graph with any other block gets no exact value.  Each block
-stays a vertex bitmask of the whole graph: one simplicial elimination on
-it both tests chordality and counts the clique cover.
+number).  A graph with any other block gets no exact value.  One
+simplicial elimination on a block's mask both tests chordality and counts
+the clique cover.
 ``check_delta_conjecture`` produces the per-graph verdict; it imports
 ``deltamsr.construction``, and with it ``orthorep`` and the sampler, only
 for a delta-graph, so a run that meets none starts without them.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
-from .graphs import Graph, _bits, blocks, min_degree
+from .graphs import Graph, _bits, is_connected, min_degree
 from .recognition import recognize_delta
 
 __all__ = [
     "ConjectureReport",
+    "blocks",
     "msr_exact",
     "clique_cover_number",
     "check_delta_conjecture",
@@ -43,6 +44,62 @@ class ConjectureReport(NamedTuple):
             "certified_hi": self.certified_hi,
             "verdict": self.verdict,
         }
+
+
+def blocks(g: Graph) -> list[int]:
+    """The blocks of a connected graph, each the bitmask of its vertices.
+
+    A block is a maximal 2-connected subgraph or a bridge (a K2 block), and
+    g has a cut vertex exactly when it has more than one block.  Iterative
+    Hopcroft-Tarjan: when the DFS leaves v with ``low[v] >= disc[u]`` for
+    its parent u, u and the vertices found since v, not yet in a block,
+    form one block.  Each vertex's neighbours are scanned lowest first,
+    straight off its adjacency mask.
+    """
+    if not is_connected(g):
+        raise ValueError("block decomposition requires a connected graph")
+    if g.n == 1:
+        return [1]
+    disc = [-1] * g.n
+    low = [0] * g.n
+    disc[0] = 0
+    timer = 1
+    unplaced = [0]  # discovered vertices not yet in a block, in discovery order
+    found = []
+    unscanned = list(g.adj)  # per vertex on the stack, the neighbours it has yet to look at
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        rest = unscanned[v]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            w = bit.bit_length() - 1
+            if disc[w] == -1:
+                unscanned[v] = rest
+                disc[w] = low[w] = timer
+                timer += 1
+                unplaced.append(w)
+                stack.append(w)
+                break
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if not stack:
+                break
+            u = stack[-1]
+            if low[v] < low[u]:
+                low[u] = low[v]
+            if low[v] >= disc[u]:
+                members = 1 << u
+                while True:
+                    w = unplaced.pop()
+                    members |= 1 << w
+                    if w == v:
+                        break
+                found.append(members)
+    return found
 
 
 def clique_cover_number(g: Graph, within: int) -> int | None:

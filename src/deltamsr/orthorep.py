@@ -27,8 +27,6 @@ construction, with the sampler and recognition it calls, lives in
 ``deltamsr.construction``, which ``verify`` never loads.
 """
 
-from __future__ import annotations
-
 import re
 import sys
 from itertools import combinations

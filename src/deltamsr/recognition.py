@@ -29,8 +29,6 @@ defined in the package, with construction's two failures, so a caller
 catches it without loading this module; it is imported here from there.
 """
 
-from __future__ import annotations
-
 from itertools import accumulate, combinations
 from typing import NamedTuple
 

@@ -10,8 +10,6 @@ the two fields to inherit.  A process that never declares a subclass
 never imports it.
 """
 
-from __future__ import annotations
-
 import random
 
 __all__ = ["GenericSampler"]

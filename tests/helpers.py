@@ -129,7 +129,7 @@ def atlas_graphs(min_n: int = 1, max_n: int = 7) -> list[Graph]:
 
 
 def max_degree(g: Graph) -> int:
-    return max(g.degree(v) for v in range(g.n))
+    return max(map(int.bit_count, g.adj))
 
 
 def format_edge_list(g: Graph) -> str:
@@ -164,7 +164,7 @@ def rep_checks(g: Graph, dim: int, vecs) -> tuple[bool, bool, bool, bool, tuple[
     vectors leave no pair to compare, so neither pair flag holds.
     """
     vecs = [[Fraction(x) for x in vec] for vec in vecs]
-    dimension_ok = dim == g.n - min(map(g.degree, range(g.n))) and all(
+    dimension_ok = dim == g.n - min(map(int.bit_count, g.adj)) and all(
         len(vec) == dim for vec in vecs
     )
     nonzero_ok = all(x != 0 for vec in vecs for x in vec)
@@ -199,7 +199,7 @@ def mask_vertices(mask: int) -> list[int]:
 
 
 def blocks_by_neighbour_lists(g: Graph) -> list[int]:
-    """graphs.blocks with each vertex's neighbours read as a list.
+    """msr.blocks with each vertex's neighbours read as a list.
 
     The same Hopcroft-Tarjan DFS, discovery order and block order, reading
     neighbours through ``Graph.neighbors`` instead of scanning the masks.
@@ -258,9 +258,9 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     """Backtracking isomorphism test with degree pruning (small graphs)."""
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
-    if sorted(map(g.degree, range(g.n))) != sorted(map(h.degree, range(h.n))):
+    if sorted(map(int.bit_count, g.adj)) != sorted(map(int.bit_count, h.adj)):
         return False
-    order = sorted(range(g.n), key=lambda v: -g.degree(v))
+    order = sorted(range(g.n), key=lambda v: -g.adj[v].bit_count())
     mapping: dict[int, int] = {}
     used = [False] * h.n
 
@@ -269,7 +269,7 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
             return True
         v = order[i]
         for w in range(h.n):
-            if used[w] or h.degree(w) != g.degree(v):
+            if used[w] or h.adj[w].bit_count() != g.adj[v].bit_count():
                 continue
             if all(g.adj[v] >> u & 1 == h.adj[w] >> mapping[u] & 1 for u in mapping):
                 mapping[v] = w

@@ -25,6 +25,7 @@ from deltamsr import (
     OrthoRep,
     complement,
     construct,
+    families,
     from_edge_list,
     gram,
     graphs,
@@ -1191,7 +1192,7 @@ def test_gen_caps_vertex_count(monkeypatch, capsys):
 def test_gen_caps_edge_count(monkeypatch, capsys):
     # the builders count their edges arithmetically; each case names the
     # true count, so the error message checks that arithmetic
-    monkeypatch.setattr(graphs, "MAX_EDGES", 10)
+    monkeypatch.setattr(families, "MAX_EDGES", 10)
     k1, k2, k3 = (to_graph6(complete(n)) for n in (1, 2, 3))
     p4, p5 = to_graph6(path(4)), to_graph6(path(5))
     for argv, edges in (
@@ -1315,7 +1316,7 @@ def test_options_go_before_or_after_the_positional():
 # exit which of the named modules the program itself imported.
 COLD_START = """\
 import atexit, json, runpy, sys
-HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext"}
+HEAVY = {"__future__", "dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext"}
 HEAVY |= {
     "deltamsr." + m
     for m in ("batch", "construction", "families", "msr", "recognition", "orthorep", "sampler")

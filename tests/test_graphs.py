@@ -222,6 +222,16 @@ def test_parsers_cap_vertex_count_before_allocating():
 def test_parse_edge_list_rejects_junk():
     with pytest.raises(ValueError):
         parse_edge_list("5\n0 1 2\n")
+    # only [+-]?[0-9]+ is a number, where int() alone would read "1_0" as 10
+    # and a full-width digit as its ASCII twin; the error names the line
+    for text, message in (
+        ("4\n0 x\n", "bad edge line: '0 x'"),
+        ("1_0\n0 1\n", "bad vertex count line: '1_0'"),
+        ("4\n0 \uff13\n", "bad edge line: '0 \uff13'"),
+    ):
+        with pytest.raises(ValueError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == message, text
 
 
 # --- complement, degrees, connectivity --------------------------------------
@@ -246,7 +256,7 @@ def test_complement_is_involution(g):
 @given(graphs())
 def test_degree_identity(g):
     gbar = complement(g)
-    assert all(g.degree(v) + gbar.degree(v) == g.n - 1 for v in range(g.n))
+    assert all(g.adj[v].bit_count() + gbar.adj[v].bit_count() == g.n - 1 for v in range(g.n))
     assert min_degree(g) + helpers.max_degree(gbar) == g.n - 1
 
 
