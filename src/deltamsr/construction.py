@@ -22,7 +22,7 @@ checked in integer arithmetic.
 Each condition fails only on a proper subvariety, so by Schwartz-Zippel a
 draw from the sampler's window fails with probability at most the
 subvariety's degree over the window's width, a bound that halves each time
-the window doubles.  The window starts small (16), which keeps every
+the window doubles.  The window starts small (8), which keeps every
 vector, and so every later layer, short.
 
 A failed step is redrawn, up to MAX_RESAMPLES times with the window doubled
@@ -66,10 +66,11 @@ __all__ = [
 
 
 # per-step redraw budget, and the restarts of a whole construction that
-# follow a step out of draws; exhausting both signals a bug
+# follow a step out of draws; exhausting both signals a bug.  Nine restarts
+# widen the sampler's start window of 8 to at most 4,096
 MAX_RESAMPLES = 32
 WIDEN_EVERY = 8
-MAX_RESTARTS = 8
+MAX_RESTARTS = 9
 
 
 def int_nullspace_basis(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
@@ -180,7 +181,9 @@ def _first_ordering(g: Graph, cert_order: tuple[int, ...]) -> tuple[int, ...]:
     A step's coordinates are minors of its prior non-neighbours' vectors,
     so their bits add up along directed paths of the complement.  The
     predicted bits of v under an ordering are p(v) = 4 + the sum of p(u)
-    over the complement neighbours u placed before v.  The greedy ordering
+    over the complement neighbours u placed before v; every p is a multiple
+    of that base term, so neither the choice nor the greedy ordering depends
+    on it or on the sampler's start window.  The greedy ordering
     places next the unplaced vertex with the least p, ties broken by the
     highest complement degree, then the lowest label; a heap with lazy
     deletion finds it, as p only grows.  Returns the greedy ordering when

@@ -135,9 +135,13 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the plain text format: first line n, then one 'u v' pair per line.
 
     Every number is a plain ASCII integer, [+-]?[0-9]+; the error names the
-    first line that is not one n or two ends.
+    first line that is not one n or two ends.  Lines end only at LF, CRLF
+    or CR, and fields are split only at spaces and tabs, where splitlines()
+    and split() would also break at Unicode separators such as NEL or the
+    ideographic space.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = [ln.strip(" \t") for ln in text.split("\n")]
     lines = [ln for ln in lines if ln]
     if not lines:
         raise ValueError("empty edge-list input")
@@ -149,7 +153,7 @@ def parse_edge_list(text: str) -> Graph:
     edges = []
     for ln in lines[1:]:
         try:
-            u, v = map(_plain_int, ln.split())
+            u, v = (_plain_int(f) for f in ln.replace("\t", " ").split(" ") if f)
         except ValueError:
             raise ValueError(f"bad edge line: {ln!r}") from None
         edges.append((u, v))

@@ -23,18 +23,19 @@ class GenericSampler:
     ``random.Random(seed)`` exactly as ``randint(1, magnitude)`` does, in
     one frame: getrandbits of magnitude's bit length, redrawn while it is
     not below magnitude, plus one; then one ``random()`` below 0.5 negates
-    it.  The window starts at 16, about 4 bits a coefficient: construct
-    redraws a failed step from a window that doubles every WIDEN_EVERY
-    draws, and widens once more before each of its up to MAX_RESTARTS
-    restarts, so a window that proves too small grows until the failing
-    conditions are avoided.
+    it.  The window starts at 8, 3 bits a coefficient: construct redraws
+    a failed step from a window that doubles every WIDEN_EVERY draws, and
+    widens once more before each of its up to MAX_RESTARTS restarts, so a
+    window that proves too small grows until the failing conditions are
+    avoided.
     """
 
-    # the fields a dataclass subclass inherits, with their defaults
+    # the fields a dataclass subclass inherits, with their defaults, which
+    # __init__ takes too: the start window is set here alone
     seed: int = 0
-    magnitude: int = 16
+    magnitude: int = 8
 
-    def __init__(self, seed: int = 0, magnitude: int = 16) -> None:
+    def __init__(self, seed: int = seed, magnitude: int = magnitude) -> None:
         self.seed = seed
         self.magnitude = magnitude
         self.__post_init__()

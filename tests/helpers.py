@@ -88,13 +88,13 @@ class Counting(GenericSampler):
 
 assert [f.name for f in fields(Counting)] == ["seed", "magnitude", "draws", "widenings"]
 counting = Counting(seed=5)
-assert (counting.seed, counting.magnitude, counting.draws, counting.widenings) == (5, 16, 0, 0)
+assert (counting.seed, counting.magnitude, counting.draws, counting.widenings) == (5, 8, 0, 0)
 late = [early_sampler.nonzero() for _ in range(10)]
 assert [counting.nonzero() for _ in range(20)] == early + late
 counting.widen()
 early_sampler.widen()
 assert [counting.nonzero() for _ in range(50)] == [early_sampler.nonzero() for _ in range(50)]
-assert (counting.draws, counting.widenings, counting.magnitude) == (70, 1, 32)
+assert (counting.draws, counting.widenings, counting.magnitude) == (70, 1, 16)
 small, plain = Counting(seed=7, magnitude=3), GenericSampler(seed=7, magnitude=3)
 assert [small.nonzero() for _ in range(50)] == [plain.nonzero() for _ in range(50)]
 assert max(abs(small.nonzero()) for _ in range(50)) <= 3
@@ -108,10 +108,10 @@ class Scripted(GenericSampler):
         return next(self.values)
 
 scripted = Scripted([3, -1])
-assert (scripted.seed, scripted.magnitude) == (0, 16)
+assert (scripted.seed, scripted.magnitude) == (0, 8)
 assert [scripted.nonzero(), scripted.nonzero()] == [3, -1]
 scripted.widen()
-assert scripted.magnitude == 32
+assert scripted.magnitude == 16
 print("ok")
 """
 

@@ -161,6 +161,8 @@ def test_graph_format_is_read_off_the_first_non_blank_character(capsys):
         ("-1\n", "graph needs at least one vertex"),
         ("/x", "bad vertex count line"),
         ("\x7f", "bad vertex count line"),
+        ("4\n0\u30001\n", "bad edge line"),
+        ("4\n0 1\x852 3\n", "bad edge line"),
     ):
         assert main(["recognize", "--", text]) == 2, text
         assert message in json.loads(capsys.readouterr().err)["error"], text

@@ -223,15 +223,29 @@ def test_parse_edge_list_rejects_junk():
     with pytest.raises(ValueError):
         parse_edge_list("5\n0 1 2\n")
     # only [+-]?[0-9]+ is a number, where int() alone would read "1_0" as 10
-    # and a full-width digit as its ASCII twin; the error names the line
+    # and a full-width digit as its ASCII twin; lines end only at \n, \r\n
+    # or \r and fields split only at spaces and tabs, where splitlines() and
+    # split() would also break at NEL, U+2028 or the ideographic space; the
+    # error names the line
     for text, message in (
         ("4\n0 x\n", "bad edge line: '0 x'"),
         ("1_0\n0 1\n", "bad vertex count line: '1_0'"),
         ("4\n0 \uff13\n", "bad edge line: '0 \uff13'"),
+        ("4\n0\u30001\n2 3\n", "bad edge line: '0\\u30001'"),
+        ("4\n0 1\n2 3\x851 2\n", "bad edge line: '2 3\\x851 2'"),
+        ("4\n0 1\u20282 3\n", "bad edge line: '0 1\\u20282 3'"),
+        ("4\u2028\n0 1\n", "bad vertex count line: '4\\u2028'"),
+        ("4\n0 1\n\u3000\n", "bad edge line: '\\u3000'"),
     ):
         with pytest.raises(ValueError) as info:
             parse_edge_list(text)
         assert str(info.value) == message, text
+
+
+def test_parse_edge_list_reads_crlf_cr_and_tab_separators():
+    square = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    for text in ("4\r\n0 1\r\n1\t2\r2 \t 3\n\t3 0 \r\n", " 4\n\n0  1\n1 2\n2 3\n3\t\t0"):
+        assert parse_edge_list(text) == square, text
 
 
 # --- complement, degrees, connectivity --------------------------------------

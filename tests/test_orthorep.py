@@ -69,7 +69,7 @@ def test_sampler_draws_the_randint_stream():
         rng = random.Random(seed)
         sampler = GenericSampler(seed=seed)
         counting = CountingSampler(seed=seed)
-        m = 16
+        m = sampler.magnitude
         for k in range(500):
             if k and k % 50 == 0:
                 sampler.widen()
@@ -121,6 +121,8 @@ class CountingSampler(GenericSampler):
 def test_dataclass_subclass_of_the_sampler_takes_seed_and_draws_the_same():
     counting = CountingSampler(seed=11)
     assert counting.seed == 11 and counting.draws == 0
+    # __init__ and the subclass's field both start at the class's one window
+    assert counting.magnitude == GenericSampler().magnitude == GenericSampler.magnitude
     plain = GenericSampler(seed=11)
     assert [counting.nonzero() for _ in range(20)] == [plain.nonzero() for _ in range(20)]
     assert counting.draws == 20
@@ -250,16 +252,17 @@ def test_construct_matches_the_prior_list_oracle():
     # construct against the step-by-step oracle that solves each vertex
     # from the list of all its priors, walking first the ordering that the
     # oracle's own predictor picks and the certificate's on every restart:
-    # the same vectors, draws and widenings
+    # the same vectors, draws and widenings, at the library's start window
+    start = GenericSampler.magnitude
     cases = []
     for g in helpers.atlas_graphs(min_n=4):
         cert = recognize_delta(g)
         if cert is not None:
-            cases += [(g, cert, seed, 16) for seed in range(5)]
+            cases += [(g, cert, seed, start) for seed in range(5)]
     assert len(cases) == 5 * 218
     for family in helpers.certify_verify_families():
         g = complement(family)
-        cases.append((g, recognize_delta(g), 0, 16))
+        cases.append((g, recognize_delta(g), 0, start))
     # a window of 2 makes steps redraw, widen and restart
     for n in range(32, 49):
         g = complement(cycle(n))
@@ -275,6 +278,18 @@ def test_construct_matches_the_prior_list_oracle():
         restarts += restarted
         widened_steps += counting.widenings > restarted
     assert restarts > 0 and widened_steps > 0
+
+
+def test_family_complements_construct_at_the_start_window_for_ten_seeds():
+    # the benchmark's 43 family complements, each at seeds 0-9 from the
+    # library's start window: a step may widen and a walk may restart, but
+    # every construction ends in a representation that verifies
+    for family in helpers.certify_verify_families():
+        g = complement(family)
+        cert = recognize_delta(g)
+        for seed in range(10):
+            rep = construct(g, cert, GenericSampler(seed=seed))
+            assert verify_rep(g, rep).all_ok, (to_graph6(g), seed)
 
 
 def test_construct_prism():
@@ -622,7 +637,7 @@ def test_construction_holds_for_all_small_delta_graphs():
 
 def test_coordinates_stay_small_on_long_orderings():
     # coordinate size depends on d, not on n: the complements of ML24 (n = 24,
-    # d = 4) and K4 x P4 (n = 16, d = 6) stayed within 337 bits over 20 seeds
+    # d = 4) and K4 x P4 (n = 16, d = 6) stay within 39 bits over 20 seeds
     for g in (complement(mobius_ladder(24)), complement(cartesian_product(complete(4), path(4)))):
         cert = recognize_delta(g)
         for seed in range(5):
@@ -634,8 +649,8 @@ def test_coordinates_stay_small_on_long_orderings():
 
 
 def test_the_first_walk_predicts_no_more_bits_than_the_certificate_ordering():
-    # rdg(48, 48) (d = 22) reached 25,533 bits along its certificate
-    # ordering and reaches 8,424 along the greedy one
+    # rdg(48, 48) (d = 22) reaches 20,194 bits along its certificate
+    # ordering and 6,289 along the greedy one
     g = helpers.random_delta_graph(48, random.Random(48))
     rep = construct(g, recognize_delta(g), GenericSampler(seed=0))
     assert verify_rep(g, rep).all_ok
@@ -651,52 +666,53 @@ def test_the_first_walk_predicts_no_more_bits_than_the_certificate_ordering():
         assert predicted <= max(helpers.predicted_bits(g, cert.ordering)), to_graph6(g)
 
 
-# construct's vectors, by vertex, as 0.24.0 builds them at seeds 0 and 1;
-# both graphs take the greedy ordering on their first walk, with no restart
+# construct's vectors, by vertex, as 0.29.0 builds them at seeds 0 and 1 from
+# the start window of 8; both graphs take the greedy ordering on their first
+# walk, with no widening and no restart
 PINNED_VECTORS = {
     ("PRISM", 0): [
-        (13, -14, -16),
-        (-94, 251, -296),
-        (10, 12, 7),
-        (1, -2, 2),
-        (-10, 4, 9),
-        (-62, 43, -88),
+        (7, -7, -8),
+        (-20, 68, -77),
+        (5, 6, 4),
+        (22, -45, 40),
+        (-5, 2, 5),
+        (-19, 5, -21),
     ],
     ("PRISM", 1): [
-        (5, -3, 16),
-        (109, 251, 13),
-        (16, -7, 1),
-        (64, 157, 75),
-        (-13, 1, 9),
-        (-43, -253, -34),
+        (3, -2, 8),
+        (30, 61, 4),
+        (8, -4, 1),
+        (21, 47, 20),
+        (-7, 1, 5),
+        (-18, -71, -11),
     ],
     ("ML12_COMPLEMENT", 0): [
-        (13, -14, -16, 10),
-        (-918, 220, -964, -41),
-        (12, 7, -10, 4),
-        (307, -714, 111, 606),
-        (9, -5, 3, -11),
-        (-33, -33, 11, -9),
-        (-2698, 1511, -3363, 242),
-        (-4, 11, 7, -16),
-        (2055, -1144, 1388, -693),
-        (-9, -1, 13, 1),
-        (-208, -801, -216, 135),
-        (20808, -13039, 44520, 25927),
+        (7, -7, -8, 5),
+        (-173, 29, -198, -34),
+        (6, 4, -5, 2),
+        (93, -229, 6, 194),
+        (5, -3, 2, -6),
+        (-21, -15, 15, -5),
+        (575, -147, 688, 90),
+        (-1, 3, 2, -4),
+        (161, -81, 110, -46),
+        (-5, -1, 7, 1),
+        (-49, -255, -80, 60),
+        (-845, 707, 532, 3024),
     ],
     ("ML12_COMPLEMENT", 1): [
-        (5, -3, 16, 16),
-        (-1681, -519, 834, -406),
-        (-7, 1, -13, 1),
-        (-522, 525, 409, 1138),
-        (9, 8, 4, -1),
-        (-53, 63, -18, -45),
-        (513, -1545, 3862, -4312),
-        (1, 13, 14, 8),
-        (-1643, -1141, 842, 586),
+        (3, -2, 8, 8),
+        (-542, -137, 275, -106),
+        (-4, 1, -7, 1),
+        (-140, 179, 151, 318),
+        (5, 4, 2, -1),
+        (-29, 35, -10, -25),
+        (270, -411, 1141, -1345),
+        (1, 7, 7, 4),
+        (-502, -317, 271, 206),
         (8, -6, 4, 5),
-        (-784, 764, 649, 1652),
-        (-1339479, -1186577, 466172, -270068),
+        (-182, 243, 186, 434),
+        (-99220, -80306, 24107, -6976),
     ],
 }
 
@@ -705,9 +721,13 @@ def test_construct_pinned_vectors():
     graphs = {"PRISM": PRISM, "ML12_COMPLEMENT": complement(mobius_ladder(12))}
     for (name, seed), expected in PINNED_VECTORS.items():
         g = graphs[name]
-        rep = construct(g, recognize_delta(g), GenericSampler(seed=seed))
+        cert = recognize_delta(g)
+        counting = CountingSampler(seed=seed)
+        rep = construct(g, cert, counting)
         assert [list(v) for v in rep.vectors] == [list(v) for v in expected], (name, seed)
         assert all(type(x) is int for v in rep.vectors for x in v)
+        assert _first_ordering(g, cert.ordering) != cert.ordering
+        assert counting.widenings == 0, (name, seed)
 
 
 def tampered_prism_reps():
