@@ -49,7 +49,7 @@ _EXPORTS = {
 }
 
 __all__ = [*_EXPORTS, "SearchBudgetExceeded", "RetryBudgetExceeded", "SelfCheckFailed"]
-__version__ = "0.29.0"
+__version__ = "0.30.0"
 
 
 class SearchBudgetExceeded(RuntimeError):

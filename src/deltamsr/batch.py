@@ -14,7 +14,9 @@ platform without ``os.fork`` stay in one process.
 The CLI imports this module only when it runs ``batch``, so no other
 subcommand compiles it.  Each input error, and each of the package's three
 failure classes, is reported inline as the line's report, and the next
-line goes on.
+line goes on.  A forked helper leaves by ``os._exit``, not by the CLI's
+exit path (``cli.run``): it runs no exit hook and flushes nothing of its
+copy of its parent's streams.
 """
 
 import codecs

@@ -41,9 +41,21 @@ printed).  The failures behind 3 and 4 are the package's three failure
 classes, and one table, ``_FAILURE_EXIT``, gives each its code: ``main``
 returns that code for a failure that escapes a handler, and ``batch``
 instead reports each of them, like each input error, inline and goes on.
+
+A process leaves by one path, ``sys.exit(run())``: ``python -m deltamsr``,
+``python -m deltamsr.cli`` and the installed ``deltamsr`` script all take
+it.  ``run`` calls ``main`` and then freezes the heap (``gc.freeze``), so
+interpreter shutdown does not sweep the objects that start-up and the
+command left, which the OS reclaims at exit anyway.  Exit hooks still run,
+stdout and stderr are still flushed, and the exit code, 141 included, is
+``main``'s; a fault that escapes ``main`` gets the usual traceback and
+teardown.  ``main`` leaves the caller's collector alone, so a test or a
+library caller can run it in process.  ``batch``'s forked helpers never
+return to ``run``: each leaves by ``os._exit``.
 """
 
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -52,7 +64,7 @@ import types
 from . import RetryBudgetExceeded, SearchBudgetExceeded, SelfCheckFailed
 from .graphs import Graph, complement, min_degree, parse_edge_list, parse_graph6, to_graph6
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 # failure that stops a graph before its answer -> exit code; batch reports
 # each inline instead
@@ -416,5 +428,16 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> int:
+    """main() on sys.argv as a process's last call, ``sys.exit(run())``.
+
+    Every object left is then frozen, so the collections that interpreter
+    shutdown runs skip them; the OS takes their memory back at exit.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -27,7 +27,6 @@ construction, with the sampler and recognition it calls, lives in
 ``deltamsr.construction``, which ``verify`` never loads.
 """
 
-import re
 import sys
 from itertools import combinations
 from math import gcd
@@ -170,10 +169,10 @@ def verify_rep(g: Graph, rep: OrthoRep) -> RepReport:
 # limit by int() on chunks within it, joined by powers of ten in a balanced
 # tree of products.  "p/1", as 0.13.0 and earlier wrote every integer, is
 # read too; any other "p/q" text is refused, as no version of construct
-# made a coordinate that is not an integer.  The strict pattern runs before
-# any conversion, so no exponent such as "1e999999999" reaches one, nor any
-# text that int() alone accepts ("1_000", " 12", non-ASCII digits).
-_INT_TEXT = re.compile(r"(-?[0-9]+)(?:/1)?")
+# made a coordinate that is not an integer.  The text must be -?[0-9]+,
+# optionally followed by "/1", before any conversion, so no exponent such
+# as "1e999999999" reaches one, nor any text that int() alone accepts
+# ("+1", "1_000", " 12", non-ASCII digits).
 
 
 def fraction_to_str(x: int) -> str:
@@ -194,19 +193,22 @@ def fraction_from_str(s: str) -> int:
     """Inverse of fraction_to_str: the int that "p" or legacy "p/1" text names.
 
     Integers are the only values read.  Raises ValueError, naming the text,
-    on anything else, "p/q" text with q other than 1 included.
+    on anything else, "p/q" text with q other than 1 included, and TypeError
+    when s is not a string.
     """
-    match = _INT_TEXT.fullmatch(s)
-    if match is None:
+    if not isinstance(s, str):
+        raise TypeError(f"integer text must be a string, not {type(s).__name__}")
+    digits = s[:-2] if s.endswith("/1") else s
+    magnitude = digits[1:] if digits.startswith("-") else digits
+    if not (magnitude.isascii() and magnitude.isdigit()):
         # a long "p/q" is named by both ends, so that its "/q" shows
         shown = s if len(s) <= 40 else f"{s[:20]}...{s[-17:]}"
         raise ValueError(f"not an integer p or p/1: {shown!r}")
-    digits = match[1]
     try:
         return int(digits)
     except ValueError:  # past the interpreter's int/str digit limit
-        magnitude = _int_from_long_digits(digits.lstrip("-"), sys.get_int_max_str_digits())
-        return -magnitude if digits[0] == "-" else magnitude
+        value = _int_from_long_digits(magnitude, sys.get_int_max_str_digits())
+        return -value if digits[0] == "-" else value
 
 
 def _int_from_long_digits(digits: str, width: int) -> int:

@@ -177,7 +177,7 @@ def recognize_delta(g: Graph) -> DeltaCertificate | None:
     full = (1 << n) - 1
     nodes = 0
 
-    def candidates(used: int, inside: int, m: int) -> list[tuple[int, int]]:
+    def candidates(used, inside, m):
         """Admissible (excluded-count, vertex) pairs at position m, first to try last."""
         nonlocal nodes
         if nodes >= SEARCH_BUDGET:

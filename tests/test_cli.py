@@ -1,9 +1,11 @@
 import contextlib
 import copy
 import functools
+import gc
 import io
 import json
 import os
+import re
 import selectors
 import signal
 import subprocess
@@ -11,6 +13,7 @@ import sys
 import types
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -1301,6 +1304,17 @@ def test_main_returns_usage_exit_codes_in_process(capsys):
     assert capsys.readouterr().err.splitlines()[-1].endswith("unrecognized arguments: --emit")
 
 
+def test_main_leaves_the_callers_collector_alone():
+    # only a process's own exit path freezes the heap: a caller of main(),
+    # this suite included, still has every object it leaves collected, and
+    # a file it leaks still warns
+    before = gc.get_freeze_count(), gc.isenabled()
+    code, bundle = run_cli(["certify", "--emit-gram", PRISM])
+    assert code == 0 and run_cli(["verify"], bundle)[0] == 0
+    assert run_cli(["batch"], f"{C6}\n{PRISM}\n")[0] == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
 def test_options_go_before_or_after_the_positional():
     expected = run_cli(["certify", "--seed", "7", "--emit-gram", PRISM])
     assert expected[0] == 0
@@ -1400,13 +1414,59 @@ def test_cold_start_without_dataclasses_where_nothing_is_constructed():
         assert cold_start(argv, "") == (2, "", []), argv
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "deltamsr", "recognize", "--c-delta", C6],
-        capture_output=True,
-        text=True,
-        env=subprocess_env(),
-        timeout=60,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["base_kind"] in ("K3", "P3")
+# Each way a process enters the CLI, after an exit hook that writes
+# gc.get_freeze_count() to the file it is given: `python -m deltamsr`,
+# `python -m deltamsr.cli`, and the console script, as the wrapper that pip
+# writes for pyproject.toml's [project.scripts] target calls it.
+ENTRY_HOOK = """\
+import atexit, gc, runpy, sys
+def report():
+    with open({path!r}, "w") as fh:
+        fh.write(str(gc.get_freeze_count()))
+atexit.register(report)
+"""
+SCRIPT_TARGET = re.search(
+    r'^deltamsr = "([\w.]+):(\w+)"$',
+    (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(),
+    re.MULTILINE,
+)
+ENTRY_POINTS = {
+    "-m deltamsr": 'runpy.run_module("deltamsr", run_name="__main__", alter_sys=True)',
+    "-m deltamsr.cli": 'runpy.run_module("deltamsr.cli", run_name="__main__", alter_sys=True)',
+    "script": "from {0} import {1}; sys.exit({1}())".format(*SCRIPT_TARGET.groups()),
+}
+
+
+def test_module_entry_point(tmp_path):
+    # every entry point leaves by one exit path: the heap is frozen before
+    # interpreter shutdown, exit hooks still run after it, and the output
+    # and exit code are those of the other entry points and of main() called
+    # in process
+    bundle = run_cli(["certify", "--emit-gram", "--seed", "0", PRISM])[1]
+    cases = [
+        (["certify", "--emit-gram", "--seed", "0", PRISM], "", 0),
+        (["verify"], bundle, 0),
+        (["batch", "--seed", "0", str(helpers.ATLAS_PATH)], "", 0),
+        (["recognize", "--c-delta", C6], "", 0),
+        (["recognize", K4], "", 1),
+        (["certify", "--bogus"], "", 2),
+    ]
+    for argv, stdin, code in cases:
+        seen = set()
+        for name, launch in ENTRY_POINTS.items():
+            path = tmp_path / "freeze_count"
+            proc = subprocess.run(
+                [sys.executable, "-c", ENTRY_HOOK.format(path=str(path)) + launch, *argv],
+                input=stdin,
+                capture_output=True,
+                text=True,
+                env=subprocess_env(),
+                timeout=60,
+            )
+            assert int(path.read_text()) > 0, (name, argv)
+            path.unlink()
+            seen.add((proc.returncode, proc.stdout, proc.stderr))
+        assert len(seen) == 1, argv
+        ((returncode, out, err),) = seen
+        assert (returncode, out) == run_cli(argv, stdin) and returncode == code, argv
+        assert "Traceback" not in err, (argv, err)

@@ -497,10 +497,18 @@ def test_rep_from_json_dict_reads_ints_and_p_1_and_refuses_p_q():
     assert [fraction_to_str(x) for vec in rep.vectors for x in vec] == [
         "3", "-12", "0", "-6", "0", "7"
     ]
-    # only "p" and "p/1" name an integer; the text is named in the error
-    for text in ("3/4", "0/5", "6/3", "-6/2", "3/01"):
+    # only "p" and "p/1" name an integer, p being -?[0-9]+; the text is
+    # named in the error
+    for text, value in (("-0", 0), ("007", 7), ("5/1", 5), ("-007/1", -7)):
+        assert fraction_from_str(text) == value, text
+    refused = ("3/4", "0/5", "6/3", "-6/2", "3/01", "+1", "1/01", "1_000", " 12", "12\n")
+    refused += ("²", "٣", "-", "", "/1", "-/1", "--1", "1/1/1", "1/1 ")
+    for text in refused:
         with pytest.raises(ValueError, match=re.escape(repr(text))):
             rep_from_json_dict({"dim": 2, "vectors": [["3", text]]})
+    for value in (3, None, ["3"]):
+        with pytest.raises(TypeError, match="integer text must be a string"):
+            rep_from_json_dict({"dim": 2, "vectors": [["3", value]]})
 
 
 def test_fraction_from_str_reads_past_the_digit_limit_as_int_does():
