@@ -35,7 +35,7 @@ _EXPORTS = {
     "check_certificate": "recognition",
     "max_excluded": "recognition",
     "recognize_delta": "recognition",
-    "GenericSampler": "sampler",
+    "GenericSampler": "construction",
     "OrthoRep": "orthorep",
     "RepReport": "orthorep",
     "construct": "construction",
@@ -49,7 +49,7 @@ _EXPORTS = {
 }
 
 __all__ = [*_EXPORTS, "SearchBudgetExceeded", "RetryBudgetExceeded", "SelfCheckFailed"]
-__version__ = "0.30.0"
+__version__ = "0.31.0"
 
 
 class SearchBudgetExceeded(RuntimeError):

@@ -25,9 +25,13 @@ plain text and exits 2; help goes to stdout and exits 0.  Each handler
 imports the modules it runs, and each layer imports the next where it is
 first called, so a process compiles and loads only what its subcommand and
 input reach: ``gen`` only the family builders, ``verify`` only
-``orthorep``, ``certify`` construction with ``orthorep``, recognition and
-the sampler, only ``batch`` its own module and the msr engine, and
-``batch`` construction only at its first delta-graph line.
+``orthorep``, ``certify`` construction, with its sampler, ``orthorep``
+and recognition, only ``batch`` its own module and the msr engine, and
+``batch`` construction only at its first delta-graph line.  A handler
+reads its input, prints and decides the exit code; what it prints is
+built by the layers: the bundle that ``certify`` prints and the report
+that ``verify`` prints come from ``orthorep``, which alone decides their
+keys.
 
 Exit codes: 0 success or present, 1 clean negative (for ``verify``, a
 failed check or a bundled Gram entry that differs from the inner
@@ -62,7 +66,7 @@ import sys
 import types
 
 from . import RetryBudgetExceeded, SearchBudgetExceeded, SelfCheckFailed
-from .graphs import Graph, complement, min_degree, parse_edge_list, parse_graph6, to_graph6
+from .graphs import Graph, complement, parse_edge_list, parse_graph6, to_graph6
 
 __all__ = ["main", "run"]
 
@@ -108,16 +112,6 @@ def _parse_file_or_literal(source: str | None, parse):
         raise FileNotFoundError(f"no such file {source!r}, and it does not parse: {exc}") from exc
 
 
-def _checks(report) -> dict:
-    """The check flags of an ``orthorep.RepReport``, keyed as a bundle keys them."""
-    return {
-        "pattern": report.pattern_ok,
-        "nonzero": report.nonzero_ok,
-        "independent": report.independent_ok,
-        "dimension": report.dimension_ok,
-    }
-
-
 def _parse_graph(text: str) -> Graph:
     """The graph of graph6 or edge-list text, told apart by its first non-blank character.
 
@@ -154,7 +148,7 @@ def _cmd_recognize(args) -> int:
 
 def _cmd_certify(args) -> int:
     from .construction import construct_verified
-    from .orthorep import gram, gram_to_json_dict, rep_to_json_dict
+    from .orthorep import bundle_to_json_dict, gram
     from .recognition import recognize_delta
 
     try:
@@ -165,48 +159,22 @@ def _cmd_certify(args) -> int:
     if cert is None:
         return _fail("graph was not recognized as a delta-graph", 1)
     rep, report = construct_verified(g, cert, args.seed)
-    bundle = {
-        "graph6": to_graph6(g),
-        "n": g.n,
-        "certificate": cert.to_json_dict(),
-        "dim": rep.dim,
-        "bound": report.bound,
-        "delta_bound": g.n - min_degree(g),
-        "seed": args.seed,
-        "representation": rep_to_json_dict(rep),
-        "checks": _checks(report),
-    }
-    if args.emit_gram:
-        bundle["gram"] = gram_to_json_dict(gram(rep))
-    _print_json(bundle)
+    matrix = gram(rep) if args.emit_gram else None
+    _print_json(bundle_to_json_dict(g, cert, rep, report, args.seed, matrix))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    from .orthorep import gram_mismatch, rep_from_json_dict, verify_rep
+    from .orthorep import verify_bundle
 
     try:
-        data = _parse_file_or_literal(args.bundle, json.loads)
-        if not isinstance(data["graph6"], str):
-            raise TypeError("graph6 must be a string")
-        g = parse_graph6(data["graph6"])
-        rep = rep_from_json_dict(data["representation"])
-        report = verify_rep(g, rep)
-        gram_entry = gram_mismatch(rep, data["gram"]) if "gram" in data else None
+        result = verify_bundle(_parse_file_or_literal(args.bundle, json.loads))
     except OSError as exc:
         return _fail(str(exc), 2)
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         return _fail(f"bad bundle: {exc}", 2)
-    checks = _checks(report)
-    if "gram" in data:
-        checks["gram"] = gram_entry is None
-    result = {"bound": None if gram_entry else report.bound, "checks": checks}
-    if not report.all_ok:
-        result["failed_pair"] = report.failed_pair
-    if gram_entry:
-        result["gram_entry"] = gram_entry
     _print_json(result)
-    return 0 if report.all_ok and not gram_entry else 1
+    return 0 if all(result["checks"].values()) else 1
 
 
 def _cmd_batch(args) -> int:

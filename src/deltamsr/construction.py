@@ -19,31 +19,43 @@ each neighbour comes with the norm that its own step returned, so no norm
 is taken twice.  Every remaining condition (nonzero coordinates, nonzero
 inner product with each prior neighbour, independence from every prior) is
 checked in integer arithmetic.
-Each condition fails only on a proper subvariety, so by Schwartz-Zippel a
-draw from the sampler's window fails with probability at most the
-subvariety's degree over the window's width, a bound that halves each time
-the window doubles.  The window starts small (8), which keeps every
-vector, and so every later layer, short.
 
-A failed step is redrawn, up to MAX_RESAMPLES times with the window doubled
-every WIDEN_EVERY draws, when its nullspace basis has two or more vectors.
-A basis of one vector is drawn once: x is then +-that vector, every
-condition is sign-invariant, and no redraw can change the outcome.  Such a
-step can only be mended by different earlier vectors, so construct widens
-the window and starts over from the first vertex of the certificate
-ordering, on the same sampler stream, up to MAX_RESTARTS times before
-RetryBudgetExceeded escapes.
+The coefficients come from ``GenericSampler``, a seeded source of nonzero
+integers drawn uniformly from a window [-magnitude, -1] and [1, magnitude].
+Each condition fails only on a proper subvariety, so by Schwartz-Zippel a
+draw fails with probability at most the subvariety's degree over the
+window's width, a bound that halves each time the window doubles.  The
+window starts small, at 8 (3 bits a coefficient), which keeps every
+vector, and so every later layer, short, and it grows only where a step
+fails: a failed step is redrawn, up to MAX_RESAMPLES times with the window
+doubled every WIDEN_EVERY draws, when its nullspace basis has two or more
+vectors.  A basis of one vector is drawn once: x is then +-that vector,
+every condition is sign-invariant, and no redraw can change the outcome.
+Such a step can only be mended by different earlier vectors, so construct
+doubles the window once more and starts over from the first vertex of the
+certificate ordering, on the same sampler stream, up to MAX_RESTARTS
+times before RetryBudgetExceeded escapes.
 ``construct_verified`` raises SelfCheckFailed when verify_rep rejects what
 construct built.  Both classes are defined in the package, with
 recognition's SearchBudgetExceeded, so a caller catches them without
 loading this module; they are imported here from there.
 
+The sampler is a plain class, so that the code paths that build a
+representation start without importing ``dataclasses`` and, with it,
+``inspect``.  A subclass may still declare counter fields of its own
+(``@dataclass class Counting(GenericSampler)``) and take ``seed=`` and
+``magnitude=``: the first subclass declared makes ``GenericSampler`` a
+dataclass too, keeping its own ``__init__``, so that ``dataclasses`` finds
+the two fields to inherit.  A process that never declares a subclass
+never imports it.
+
 Only the code paths that build a representation (``certify`` and a
-``batch`` line that is a delta-graph) load this module, and with it the
-sampler and recognition; ``orthorep`` holds the records and the checks
-that reading and verifying a bundle runs.
+``batch`` line that is a delta-graph) load this module, and with it
+recognition; ``orthorep`` holds the records, the checks and the bundle
+format that reading and verifying a bundle runs.
 """
 
+import random
 from heapq import heapify, heappop, heappush
 from operator import mul
 
@@ -51,9 +63,9 @@ from . import RetryBudgetExceeded, SelfCheckFailed
 from .graphs import Graph, min_degree
 from .orthorep import IntVector, OrthoRep, RepReport, primitive_part, verify_rep
 from .recognition import DeltaCertificate, check_certificate
-from .sampler import GenericSampler
 
 __all__ = [
+    "GenericSampler",
     "MAX_RESAMPLES",
     "MAX_RESTARTS",
     "WIDEN_EVERY",
@@ -71,6 +83,52 @@ __all__ = [
 MAX_RESAMPLES = 32
 WIDEN_EVERY = 8
 MAX_RESTARTS = 9
+
+
+class GenericSampler:
+    """Seeded source of nonzero integers from a growing magnitude window.
+
+    nonzero() draws uniformly from [-magnitude, -1] and [1, magnitude], and
+    widen() doubles magnitude.  A draw reads the stream of
+    ``random.Random(seed)`` exactly as ``randint(1, magnitude)`` does, in
+    one frame: getrandbits of magnitude's bit length, redrawn while it is
+    not below magnitude, plus one; then one ``random()`` below 0.5 negates
+    it.
+    """
+
+    # the fields a dataclass subclass inherits, with their defaults, which
+    # __init__ takes too: the start window is set here alone
+    seed: int = 0
+    magnitude: int = 8
+
+    def __init__(self, seed: int = seed, magnitude: int = magnitude) -> None:
+        self.seed = seed
+        self.magnitude = magnitude
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        self._rng = random.Random(self.seed)
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "__dataclass_fields__" not in GenericSampler.__dict__:
+            from dataclasses import dataclass
+
+            # adds the field records only: the __init__ above is kept, and
+            # eq and repr stay object's
+            dataclass(GenericSampler, eq=False, repr=False)
+
+    def nonzero(self) -> int:
+        m = self.magnitude
+        rng = self._rng
+        k = m.bit_length()
+        r = rng.getrandbits(k)
+        while r >= m:
+            r = rng.getrandbits(k)
+        return -r - 1 if rng.random() < 0.5 else r + 1
+
+    def widen(self) -> None:
+        self.magnitude *= 2
 
 
 def int_nullspace_basis(rows, ncols: int) -> tuple[tuple[int, ...], ...]:

@@ -9,8 +9,8 @@ number).  A graph with any other block gets no exact value.  One
 simplicial elimination on a block's mask both tests chordality and counts
 the clique cover.
 ``check_delta_conjecture`` produces the per-graph verdict; it imports
-``deltamsr.construction``, and with it ``orthorep`` and the sampler, only
-for a delta-graph, so a run that meets none starts without them.
+``deltamsr.construction``, the sampler's home, and with it ``orthorep``,
+only for a delta-graph, so a run that meets none starts without them.
 """
 
 from typing import NamedTuple

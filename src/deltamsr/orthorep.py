@@ -20,11 +20,13 @@ their norms and pairwise inner products.  Coordinates are integers
 everywhere: construct builds nothing else, and a bundle is read back only
 from integer text.
 
-The records here are NamedTuples.  This module holds what reading and
-verifying a bundle runs, and nothing more: the records, ``dot``,
-``primitive_part``, ``gram``, ``verify_rep`` and the serialization.  The
-construction, with the sampler and recognition it calls, lives in
-``deltamsr.construction``, which ``verify`` never loads.
+The records here are NamedTuples.  This module holds the bundle format
+and what reading and verifying a bundle runs, and nothing more: the
+records, ``dot``, ``primitive_part``, ``gram``, ``verify_rep``, the
+serialization, ``bundle_to_json_dict`` (the bundle ``certify`` prints) and
+``verify_bundle`` (the report ``verify`` prints).  A bundle's keys are
+decided here alone.  The construction, with the sampler and recognition it
+calls, lives in ``deltamsr.construction``, which ``verify`` never loads.
 """
 
 import sys
@@ -33,7 +35,7 @@ from math import gcd
 from operator import mul
 from typing import NamedTuple
 
-from .graphs import Graph, min_degree
+from .graphs import Graph, min_degree, parse_graph6, to_graph6
 
 __all__ = [
     "OrthoRep",
@@ -46,6 +48,8 @@ __all__ = [
     "rep_from_json_dict",
     "gram_to_json_dict",
     "gram_mismatch",
+    "bundle_to_json_dict",
+    "verify_bundle",
     "dot",
     "primitive_part",
 ]
@@ -249,12 +253,26 @@ def _rows(value, name: str) -> list:
     return value
 
 
+def _member(obj, key: str, name: str):
+    """obj[key] of a JSON object, such as name; ValueError naming a missing key.
+
+    TypeError when obj is not a JSON object, which a list or a string
+    would otherwise answer with an error about its indices.
+    """
+    if type(obj) is not dict:
+        raise TypeError(f"{name} is a JSON object")
+    if key not in obj:
+        raise ValueError(f"missing key {key!r}")
+    return obj[key]
+
+
 def rep_from_json_dict(d: dict) -> OrthoRep:
-    if type(d["dim"]) is not int:
+    dim = _member(d, "dim", "a representation")
+    if type(dim) is not int:
         raise TypeError("representation dim must be an integer")
-    vectors = _rows(d["vectors"], "representation vectors")
+    vectors = _rows(_member(d, "vectors", "a representation"), "representation vectors")
     return OrthoRep(
-        dim=d["dim"],
+        dim=dim,
         vectors=tuple(tuple(fraction_from_str(s) for s in vec) for vec in vectors),
     )
 
@@ -282,10 +300,11 @@ def gram_mismatch(rep: OrthoRep, m: dict) -> tuple[int, int] | None:
     """
     vecs = rep.vectors
     n = len(vecs)
-    entries = _rows(m["entries"], "gram entries")
-    if type(m["n"]) is not int:
+    entries = _rows(_member(m, "entries", "a Gram matrix"), "gram entries")
+    size = _member(m, "n", "a Gram matrix")
+    if type(size) is not int:
         raise TypeError("gram n must be an integer")
-    if m["n"] != n or len(entries) != n or any(len(row) != n for row in entries):
+    if size != n or len(entries) != n or any(len(row) != n for row in entries):
         raise ValueError(f"gram is not {n} x {n}")
     values = [[fraction_from_str(text) for text in row] for row in entries]
     for i, (row, u) in enumerate(zip(values, vecs)):
@@ -293,3 +312,66 @@ def gram_mismatch(rep: OrthoRep, m: dict) -> tuple[int, int] | None:
             if len(u) != len(v) or entry != dot(u, v):
                 return (i, j)
     return None
+
+
+# --- bundles ----------------------------------------------------------------
+
+
+# the keys, in a bundle and in verify's report, of the four check flags that
+# lead a RepReport, in the order of its fields
+_CHECKS = ("pattern", "nonzero", "independent", "dimension")
+
+
+def bundle_to_json_dict(
+    g: Graph, cert, rep: OrthoRep, report: RepReport, seed: int, gram=None
+) -> dict:
+    """The bundle that ``certify`` prints: g, its certificate, rep and rep's report.
+
+    cert is a ``recognition.DeltaCertificate``, report is ``verify_rep(g,
+    rep)`` and seed the construction seed.  gram, a Gram matrix as
+    ``gram(rep)`` returns it, is bundled when it is given.
+    """
+    bundle = {
+        "graph6": to_graph6(g),
+        "n": g.n,
+        "certificate": cert.to_json_dict(),
+        "dim": rep.dim,
+        "bound": report.bound,
+        "delta_bound": g.n - min_degree(g),
+        "seed": seed,
+        "representation": rep_to_json_dict(rep),
+        "checks": dict(zip(_CHECKS, report)),
+    }
+    if gram is not None:
+        bundle["gram"] = gram_to_json_dict(gram)
+    return bundle
+
+
+def verify_bundle(data) -> dict:
+    """The report that ``verify`` prints on a bundle read from JSON.
+
+    Re-checks the bundle's representation against its graph with
+    verify_rep, and its Gram matrix, if it has one, with gram_mismatch;
+    nothing else in the bundle is read, so bundles that earlier versions
+    wrote, with more keys in their certificate, verify alike.  The report
+    holds ``bound`` (None unless every check passes) and ``checks``, plus
+    ``failed_pair`` when a check of verify_rep fails and ``gram_entry``
+    when a Gram entry differs.  Raises ValueError or TypeError, with a
+    message that names what is wrong, on a bundle that cannot be read.
+    """
+    graph6 = _member(data, "graph6", "a bundle")
+    if not isinstance(graph6, str):
+        raise TypeError("graph6 must be a string")
+    g = parse_graph6(graph6)
+    rep = rep_from_json_dict(_member(data, "representation", "a bundle"))
+    report = verify_rep(g, rep)
+    result = {"bound": report.bound, "checks": dict(zip(_CHECKS, report))}
+    if not report.all_ok:
+        result["failed_pair"] = report.failed_pair
+    if "gram" in data:
+        gram_entry = gram_mismatch(rep, data["gram"])
+        result["checks"]["gram"] = gram_entry is None
+        if gram_entry:
+            result["bound"] = None
+            result["gram_entry"] = gram_entry
+    return result

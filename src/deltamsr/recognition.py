@@ -5,7 +5,11 @@ four vertices, whose vertices can be ordered so that the first three induce
 3K1 or K2+K1 and every later vertex v_m is adjacent to all prior vertices
 except at most floor(m/2)-1 of them.  A C-delta graph is a graph whose
 complement is a delta-graph, so it is recognized as ``recognize_delta`` of
-the complement: there is one certificate form.
+the complement: there is one certificate form.  A certificate is that
+ordering and its base kind and nothing more: each later count t_m of prior
+non-neighbours follows from the graph and the ordering, so
+``check_certificate`` recomputes it, and ``recognize_delta`` keeps its
+counts only as search state.
 
 ``recognize_delta`` is a complete depth-first search over the sets of
 placed vertices.  Whether a prefix can be completed depends only on which
@@ -53,22 +57,17 @@ SEARCH_BUDGET = 1_000_000
 
 
 class DeltaCertificate(NamedTuple):
-    """Vertex ordering witnessing the delta ordering condition.
+    """Vertex ordering witnessing the delta ordering condition, and its base kind.
 
-    ``excluded_counts[m-4]`` is t_m, the number of priors *not* adjacent to v_m;
+    base_kind names what the first three vertices induce, "3K1" or "K2+K1";
     a C-delta graph is certified by its complement's certificate.
     """
 
     ordering: tuple[int, ...]
     base_kind: str
-    excluded_counts: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "ordering": list(self.ordering),
-            "base_kind": self.base_kind,
-            "excluded_counts": list(self.excluded_counts),
-        }
+        return {"ordering": list(self.ordering), "base_kind": self.base_kind}
 
 
 def max_excluded(m: int) -> int:
@@ -92,7 +91,12 @@ class CertificateCheck(NamedTuple):
 
 
 def check_certificate(g: Graph, cert: DeltaCertificate) -> CertificateCheck:
-    """Check a certificate against g, reporting the first violation."""
+    """Check a certificate against g, reporting the first violation.
+
+    Each count t_m, the priors of v_m that it is not adjacent to, is taken
+    from g and checked against its bound; the first position m whose count
+    exceeds it is named.
+    """
     n = g.n
     if sorted(cert.ordering) != list(range(n)):
         raise ValueError("certificate ordering is not a permutation of the vertices")
@@ -105,8 +109,6 @@ def check_certificate(g: Graph, cert: DeltaCertificate) -> CertificateCheck:
     gbar = complement(g)
     if not is_connected(gbar):
         return CertificateCheck(False, reason="complement is disconnected")
-    if len(cert.excluded_counts) != n - 3:
-        return CertificateCheck(False, reason="excluded_counts has wrong length")
 
     a, b, c = cert.ordering[:3]
     if _triple_edge_count(g.adj, a, b, c) != _BASE_EDGE_COUNT[cert.base_kind]:
@@ -118,10 +120,6 @@ def check_certificate(g: Graph, cert: DeltaCertificate) -> CertificateCheck:
     for m in range(4, n + 1):
         v = cert.ordering[m - 1]
         t = (gbar.adj[v] & prior).bit_count()
-        if t != cert.excluded_counts[m - 4]:
-            return CertificateCheck(
-                False, failed_at=m, reason="stored excluded-count differs from graph"
-            )
         if t > max_excluded(m):
             return CertificateCheck(
                 False, failed_at=m, reason="excluded-count exceeds the bound"
@@ -224,8 +222,6 @@ def recognize_delta(g: Graph) -> DeltaCertificate | None:
             used = nxt
             inside += t
             if used == full:
-                return DeltaCertificate(
-                    ordering=tuple(order), base_kind=kind, excluded_counts=tuple(counts)
-                )
+                return DeltaCertificate(ordering=tuple(order), base_kind=kind)
             stack.append(candidates(used, inside, len(order) + 1))
     return None

@@ -65,7 +65,7 @@ def subprocess_env(**extra):
 SAMPLER_HOOK = """\
 import sys
 preloaded = set(sys.modules)
-from deltamsr.sampler import GenericSampler
+from deltamsr.construction import GenericSampler
 early_sampler = GenericSampler(seed=5)
 early = [early_sampler.nonzero() for _ in range(10)]
 loaded = {"dataclasses", "inspect"} & (set(sys.modules) - preloaded)
@@ -355,16 +355,13 @@ def brute_force_recognize(g: Graph) -> DeltaCertificate | None:
         if base_edges > 1:
             continue
         placed = (1 << a) | (1 << b) | (1 << c)
-        counts = []
         for i in range(3, n):
-            t = (missed[perm[i]] & placed).bit_count()
-            if t > (i + 1) // 2 - 1:
+            if (missed[perm[i]] & placed).bit_count() > (i + 1) // 2 - 1:
                 break
-            counts.append(t)
             placed |= 1 << perm[i]
         else:
             kind = "3K1" if base_edges == 0 else "K2+K1"
-            return DeltaCertificate(perm, kind, tuple(counts))
+            return DeltaCertificate(perm, kind)
     return None
 
 
@@ -384,9 +381,9 @@ def first_delta_certificate(g: Graph) -> DeltaCertificate | None:
     def missed(v: int, placed: list[int]) -> int:
         return sum(1 for u in placed if not g.adj[u] >> v & 1)
 
-    def extend(placed: list[int], counts: list[int]) -> DeltaCertificate | None:
+    def extend(placed: list[int]) -> DeltaCertificate | None:
         if len(placed) == n:
-            return DeltaCertificate(tuple(placed), kind, tuple(counts))
+            return DeltaCertificate(tuple(placed), kind)
         m = len(placed) + 1
         options = sorted(
             (missed(v, placed), v) for v in range(n) if v not in placed
@@ -394,7 +391,7 @@ def first_delta_certificate(g: Graph) -> DeltaCertificate | None:
         for t, v in options:
             if t > m // 2 - 1:
                 break
-            found = extend(placed + [v], counts + [t])
+            found = extend(placed + [v])
             if found is not None:
                 return found
         return None
@@ -409,7 +406,7 @@ def first_delta_certificate(g: Graph) -> DeltaCertificate | None:
             base, kind = [u, lone, w], "K2+K1"
         else:
             base, kind = [a, b, c], "3K1"
-        found = extend(base, [])
+        found = extend(base)
         if found is not None:
             return found
     return None

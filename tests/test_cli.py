@@ -22,7 +22,6 @@ import deltamsr.batch
 import deltamsr.cli
 import deltamsr.construction
 import deltamsr.msr
-import deltamsr.sampler
 from deltamsr import (
     GenericSampler,
     OrthoRep,
@@ -293,7 +292,7 @@ def test_restarts_recover_a_tiny_window_until_their_budget_runs_out(monkeypatch,
     # with coefficients of +-1, co-C12 at seed 0 still fails after one
     # widened restart, and succeeds within the default MAX_RESTARTS
     co_c12 = to_graph6(complement(cycle(12)))
-    tiny = functools.partial(deltamsr.sampler.GenericSampler, magnitude=1)
+    tiny = functools.partial(GenericSampler, magnitude=1)
     monkeypatch.setattr(deltamsr.construction, "GenericSampler", tiny)
     code, out = run_cli(["certify", co_c12])
     assert code == 0 and all(json.loads(out)["checks"].values())
@@ -427,21 +426,138 @@ def test_verify_malformed_bundles_are_input_errors(capsys):
     text_rows = json.loads(gram_out)
     text_rows["gram"]["entries"] = ["1" * 6] * 6
 
+    def without(path, key, text=out):
+        """The bundle text with key deleted from the object that path leads to."""
+        bundle = json.loads(text)
+        obj = bundle
+        for step in path:
+            obj = obj[step]
+        del obj[key]
+        return bundle
+
+    def with_value(key, value, text=out):
+        bundle = json.loads(text)
+        bundle[key] = value
+        return bundle
+
     for bundle, message in (
         (short, "representation size does not match the graph"),
         (not_text, "graph6 must be a string"),
-        (with_dim(3.9), "dim must be an integer"),
-        (with_dim("3"), "dim must be an integer"),
-        (k1_with_vectors("5"), "vectors must be a list of lists"),
-        (k1_with_vectors(["5"]), "vectors must be a list of lists"),
-        (k1_with_vectors({"5": 0}), "vectors must be a list of lists"),
-        (dict_vectors, "vectors must be a list of lists"),
+        (with_dim(3.9), "representation dim must be an integer"),
+        (with_dim("3"), "representation dim must be an integer"),
+        (k1_with_vectors("5"), "representation vectors must be a list of lists"),
+        (k1_with_vectors(["5"]), "representation vectors must be a list of lists"),
+        (k1_with_vectors({"5": 0}), "representation vectors must be a list of lists"),
+        (dict_vectors, "representation vectors must be a list of lists"),
         (text_rows, "gram entries must be a list of lists"),
+        # a bundle that is not a JSON object, and each key verify reads,
+        # missing, are named instead of echoing the interpreter's error
+        ([], "a bundle is a JSON object"),
+        ("EUxo", "a bundle is a JSON object"),
+        (5, "a bundle is a JSON object"),
+        ({}, "missing key 'graph6'"),
+        (without((), "graph6"), "missing key 'graph6'"),
+        (without((), "representation"), "missing key 'representation'"),
+        (without(("representation",), "dim"), "missing key 'dim'"),
+        (without(("representation",), "vectors"), "missing key 'vectors'"),
+        (without(("gram",), "n", gram_out), "missing key 'n'"),
+        (without(("gram",), "entries", gram_out), "missing key 'entries'"),
+        (with_value("representation", []), "a representation is a JSON object"),
+        (with_value("gram", [], gram_out), "a Gram matrix is a JSON object"),
     ):
         assert main(["verify", json.dumps(bundle)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert message in json.loads(captured.err)["error"]
+        assert json.loads(captured.err) == {"error": f"bad bundle: {message}"}
+
+
+# Prism bundles of 0.30.0 carried each position's count of prior
+# non-neighbours, which later versions recompute from the graph and the
+# ordering instead of writing them.
+PRISM_BUNDLE_0_30 = {
+    "bound": 3,
+    "certificate": {
+        "base_kind": "K2+K1",
+        "excluded_counts": [1, 1, 2],
+        "ordering": [0, 1, 2, 3, 4, 5],
+    },
+    "checks": {"dimension": True, "independent": True, "nonzero": True, "pattern": True},
+    "delta_bound": 3,
+    "dim": 3,
+    "graph6": "EUxo",
+    "n": 6,
+    "representation": {
+        "dim": 3,
+        "vectors": [
+            ["6", "7", "2"],
+            ["-3", "2", "2"],
+            ["-2", "1", "-4"],
+            ["-23", "14", "15"],
+            ["-7", "-4", "-7"],
+            ["41", "-28", "-25"],
+        ],
+    },
+    "seed": 7,
+}
+
+
+def test_verify_reads_bundles_that_carry_the_excluded_counts():
+    # the bundle `certify --seed 7` printed for the prism in 0.30.0, byte for
+    # byte, verifies with the report 0.30.0 gave it; certify now prints the
+    # same bundle less the counts
+    text = json.dumps(PRISM_BUNDLE_0_30, indent=2, sort_keys=True) + "\n"
+    checks = ("pattern", "nonzero", "independent", "dimension")
+    expected = {"bound": 3, "checks": dict.fromkeys(checks, True)}
+    code, report = run_cli(["verify"], stdin_text=text)
+    assert (code, json.loads(report)) == (0, expected)
+    proc = subprocess.run(
+        [sys.executable, "-m", "deltamsr", "verify"],
+        input=text,
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, report, "")
+    now = copy.deepcopy(PRISM_BUNDLE_0_30)
+    del now["certificate"]["excluded_counts"]
+    printed = json.dumps(now, indent=2, sort_keys=True) + "\n"
+    assert run_cli(["certify", "--seed", "7", PRISM]) == (0, printed)
+
+
+# What bench/checks.py and bench/tracing.py read of a certify bundle, and
+# how the tracer writes its own copy of one: a change here breaks the
+# benchmark.
+BUNDLE_KEYS = {
+    "graph6", "n", "certificate", "dim", "bound", "delta_bound", "seed", "representation", "checks",
+}
+
+
+@pytest.mark.parametrize("emit_gram", [False, True], ids=["plain", "gram"])
+def test_certify_bundle_holds_what_the_benchmark_reads(emit_gram):
+    decimal = re.compile(r"-?[0-9]+")
+    for graph, seed in ((PRISM, 7), (to_graph6(complement(cycle(9))), 0), (TIGHT24, 3)):
+        argv = ["certify", "--seed", str(seed), *(["--emit-gram"] if emit_gram else []), graph]
+        code, out = run_cli(argv)
+        assert code == 0, graph
+        bundle = json.loads(out)
+        assert out == json.dumps(bundle, indent=2, sort_keys=True) + "\n", graph
+        assert set(bundle) == BUNDLE_KEYS | ({"gram"} if emit_gram else set()), graph
+        assert set(bundle["certificate"]) == {"ordering", "base_kind"}, graph
+        g = parse_graph6(graph)
+        expected = g.n - min(v.bit_count() for v in g.adj)
+        rep = bundle["representation"]
+        assert set(rep) == {"dim", "vectors"}, graph
+        assert bundle["dim"] == bundle["bound"] == bundle["delta_bound"] == rep["dim"] == expected
+        assert (bundle["graph6"], bundle["n"], bundle["seed"]) == (graph, g.n, seed)
+        checks = ("pattern", "nonzero", "independent", "dimension")
+        assert bundle["checks"] == dict.fromkeys(checks, True), graph
+        texts = [x for vec in rep["vectors"] for x in vec]
+        assert len(rep["vectors"]) == g.n and len(texts) == g.n * expected, graph
+        if emit_gram:
+            assert set(bundle["gram"]) == {"n", "entries"} and bundle["gram"]["n"] == g.n
+            texts += [x for row in bundle["gram"]["entries"] for x in row]
+        assert all(type(x) is str and decimal.fullmatch(x) for x in texts), graph
 
 
 def test_verify_reads_long_coordinates_in_a_fresh_process():
@@ -1335,7 +1451,7 @@ import atexit, json, runpy, sys
 HEAVY = {"__future__", "dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext"}
 HEAVY |= {
     "deltamsr." + m
-    for m in ("batch", "construction", "families", "msr", "recognition", "orthorep", "sampler")
+    for m in ("batch", "construction", "families", "msr", "recognition", "orthorep")
 }
 preloaded = HEAVY & set(sys.modules)
 atexit.register(lambda: print(json.dumps(sorted(HEAVY & set(sys.modules) - preloaded)), file=sys.stderr))
@@ -1384,10 +1500,7 @@ def test_cold_start_without_dataclasses_where_nothing_is_constructed():
     assert cold_start(["verify"], json.dumps(long)) == (0, out, heavy)
     # certify builds a GenericSampler, a plain class: neither dataclasses
     # nor inspect is imported, nor batch's code
-    constructs = [
-        "deltamsr.construction", "deltamsr.orthorep", "deltamsr.recognition",
-        "deltamsr.sampler",
-    ]
+    constructs = ["deltamsr.construction", "deltamsr.orthorep", "deltamsr.recognition"]
     code, out, heavy = cold_start(["certify", "--seed", "0", PRISM], "")
     assert code == 0 and out == bundle
     assert heavy == constructs

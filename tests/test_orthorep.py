@@ -320,7 +320,7 @@ def test_construct_p4():
 def test_construct_rejects_complement_form_certificate():
     # C6's clockwise order read in C6 itself: base P3, later vertices adjacent
     # to 1, 1 and 2 priors; construction takes only the delta form
-    cert = DeltaCertificate((0, 1, 2, 3, 4, 5), "P3", (1, 1, 2))
+    cert = DeltaCertificate((0, 1, 2, 3, 4, 5), "P3")
     with pytest.raises(ValueError, match="unknown base kind 'P3'"):
         construct(cycle(6), cert, GenericSampler())
 
@@ -329,8 +329,9 @@ def test_construct_rejects_invalid_certificate():
     cert = recognize_delta(PRISM)
     with pytest.raises(ValueError):
         construct(cycle(6), cert, GenericSampler())
-    # a failure names the first offending position m
-    bad = DeltaCertificate((0, 1, 2, 3, 4, 5), "K2+K1", (1, 2, 2))
+    # a failure names the first offending position m: v5 = 3 misses both of
+    # its prism non-neighbours, 2 and 4, one more than floor(5/2) - 1
+    bad = DeltaCertificate((0, 1, 2, 4, 3, 5), "K2+K1")
     with pytest.raises(ValueError, match=r"^invalid certificate: .* at position 5$"):
         construct(PRISM, bad, GenericSampler())
 
@@ -453,7 +454,7 @@ def test_verify_rep_holds_the_dimension_to_the_delta_bound():
 
 def test_construct_handles_noncanonical_base_arrangement():
     # base triple listed with the adjacent pair in positions 2 and 3
-    cert = DeltaCertificate((0, 2, 3, 1), "K2+K1", (1,))
+    cert = DeltaCertificate((0, 2, 3, 1), "K2+K1")
     rep = construct(path(4), cert, GenericSampler(seed=0))
     assert verify_rep(path(4), rep).all_ok
 
